@@ -23,11 +23,12 @@ from .quantum import (
     QClass,
     classical_chevalley,
     min_occurring_degrees,
+    product_engine,
     qproduct_GB,
     quantum_chevalley,
     raising_witness_report,
 )
-from .roots import Root, RootSystem, Weight, build_root_system
+from .roots import InvariantError, Root, RootSystem, build_root_system
 from .weyl import (
     GroupSizeGuardError,
     WeylElem,
@@ -42,9 +43,9 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "InvariantError",
     "Root",
     "RootSystem",
-    "Weight",
     "build_root_system",
     "WeylElem",
     "WeylGroup",
@@ -61,6 +62,7 @@ __all__ = [
     "classical_chevalley",
     "quantum_chevalley",
     "qproduct_GB",
+    "product_engine",
     "min_occurring_degrees",
     "raising_witness_report",
     "grassmannian_parabolic",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import checks
 from .grassmann import (
+    RimHookEngine,
     coset_of_partition,
     format_partition,
     parse_partition,
@@ -31,7 +32,7 @@ from .parabolic import Coset, ParabolicData
 from .quantum import (
     DEFAULT_PRODUCT_GUARD,
     QClass,
-    qproduct_GB,
+    product_engine,
     quantum_chevalley,
 )
 from .weyl import GroupSizeGuardError, format_word, parse_word
@@ -185,40 +186,42 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _pick_engine(inst: Instance, engine: str, u: Coset) -> str:
+def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
+    """(engine name, product(u, v) -> QClass) for an --engine choice.
+
+    `auto` is product_engine's choice; an explicit choice is checked
+    against the instance.
+    """
+    P = inst.P
     if engine == "auto":
-        if not inst.P.delta_P:
-            return "divisor"
-        if inst.P.grassmannian_shape() is not None:
-            return "rimhook"
-        raise UsageError(
-            f"no full-product engine applies to {inst.label}: the divisor "
-            "recursion needs the full flag and the rim-hook oracle needs a "
-            "Grassmannian; --engine chevalley works when u is a divisor class"
-        )
-    if engine == "divisor" and inst.P.delta_P:
-        raise UsageError("the divisor engine requires a full flag (Delta_P empty)")
-    if engine == "rimhook" and inst.P.grassmannian_shape() is None:
-        raise UsageError("the rim-hook engine requires a Grassmannian instance")
-    if engine == "chevalley" and u.length != 1:
+        try:
+            chosen = product_engine(P, guard)
+        except ValueError:
+            raise UsageError(
+                f"no full-product engine applies to {inst.label}: the divisor "
+                "recursion needs the full flag and the rim-hook oracle needs a "
+                "Grassmannian; --engine chevalley works when u is a divisor class"
+            ) from None
+        return chosen.name, chosen.product
+    if engine == "divisor":
+        if P.delta_P:
+            raise UsageError("the divisor engine requires a full flag (Delta_P empty)")
+        return engine, product_engine(P, guard).product
+    if engine == "rimhook":
+        if P.grassmannian_shape() is None:
+            raise UsageError("the rim-hook engine requires a Grassmannian instance")
+        return engine, RimHookEngine(P).product
+    if u.length != 1:
         raise UsageError("--engine chevalley needs u to be a divisor class sigma[s<i>]")
-    return engine
+    return engine, lambda a, b: quantum_chevalley(P, a.min_rep.word()[0], b)
 
 
 def cmd_product(inst: Instance, args) -> tuple[str, int]:
     u = parse_coset(inst, args.u)
     v = parse_coset(inst, args.v)
-    engine = _pick_engine(inst, args.engine, u)
     guard = args.max_group_order if args.max_group_order else DEFAULT_PRODUCT_GUARD
-    if engine == "divisor":
-        result = qproduct_GB(inst.P, u, v, max_group_order=guard)
-    elif engine == "rimhook":
-        from .grassmann import qproduct_grassmann_cosets
-
-        result = qproduct_grassmann_cosets(inst.P, u, v)
-    else:  # chevalley
-        beta = u.min_rep.word()[0]
-        result = quantum_chevalley(inst.P, beta, v)
+    engine, product = _pick_engine(inst, args.engine, u, guard)
+    result = product(u, v)
     if args.format == "json":
         payload = {
             "command": "product",
@@ -315,6 +318,8 @@ def cmd_verify(args) -> tuple[str, int]:
         jobs = [tuple(t) for t in checks.DEFAULT_SUITE]
     else:
         jobs = _split_instances(args.instances)
+        for tokens in jobs:  # a malformed instance is a usage error, before any work
+            _build(tokens, None)
     guard = args.max_group_order if args.max_group_order else DEFAULT_PRODUCT_GUARD
     work = [(tokens, guard) for tokens in jobs]
     if args.jobs > 1:

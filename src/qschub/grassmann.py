@@ -15,7 +15,7 @@ height is one more than the number of occupied slots passed over.  Each
 removal of an n-hook contributes a factor q and a sign (-1)^(k - height);
 a partition that is too wide but admits no removal reduces to zero.  The
 reduced class must not depend on the order of removals, which the
-recursion asserts.
+recursion checks.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 
 from .parabolic import Coset, ParabolicData, make_parabolic
 from .quantum import QClass
+from .roots import InvariantError
 from .weyl import WeylElem, from_word
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "classical_lr",
     "qproduct_grassmann",
     "qproduct_grassmann_cosets",
+    "RimHookEngine",
     "min_degree_diagonal",
     "monotone_chain_exists",
 ]
@@ -183,7 +185,8 @@ def partition_of_coset(P: ParabolicData, u: Coset) -> tuple[int, ...]:
     p = weyl_to_perm(u.min_rep)
     lam = tuple(p[k - j] - (k + 1 - j) for j in range(1, k + 1))
     lam = normalize_partition(lam)
-    assert sum(lam) == u.length, "partition weight must match coset length"
+    if sum(lam) != u.length:
+        raise InvariantError("partition weight must match coset length")
     return lam
 
 
@@ -197,7 +200,8 @@ def coset_of_partition(P: ParabolicData, lam: Iterable[int]) -> Coset:
     first = [padded[k - i] + i for i in range(1, k + 1)]
     rest = sorted(set(range(1, n + 1)) - set(first))
     u = P.to_coset(perm_to_weyl(P.system, tuple(first + rest)))
-    assert u.length == sum(lam)
+    if u.length != sum(lam):
+        raise InvariantError(f"coset of {lam} has length {u.length}")
     return u
 
 
@@ -214,7 +218,8 @@ def beta_set(lam: tuple[int, ...], k: int) -> frozenset:
 
 
 def partition_from_beta(beta: frozenset, k: int) -> tuple[int, ...]:
-    assert len(beta) == k
+    if len(beta) != k:
+        raise InvariantError(f"abacus {sorted(beta)} does not hold {k} beads")
     desc = sorted(beta, reverse=True)
     return normalize_partition(tuple(desc[i] - (k - 1 - i) for i in range(k)))
 
@@ -244,9 +249,8 @@ def _reduce(beta: frozenset, k: int, n: int):
             )
     if not results:
         return None  # too wide, no hook to remove: the class vanishes
-    assert all(r == results[0] for r in results[1:]), (
-        "rim-hook reduction must not depend on removal order"
-    )
+    if any(r != results[0] for r in results[1:]):
+        raise InvariantError("rim-hook reduction must not depend on removal order")
     return results[0]
 
 
@@ -331,23 +335,46 @@ def qproduct_grassmann(k: int, n: int, lam, mu) -> dict:
         out[key] = out.get(key, 0) + sign * c
     out = {key: v for key, v in out.items() if v}
     for (d, nu), v in out.items():
-        assert v > 0, f"negative structure constant {v} at q^{d} {nu}"
-        assert sum(lam) + sum(mu) == sum(nu) + d * n, "grading violated"
+        if v <= 0:
+            raise InvariantError(f"negative structure constant {v} at q^{d} {nu}")
+        if sum(lam) + sum(mu) != sum(nu) + d * n:
+            raise InvariantError("grading violated")
     return out
 
 
 def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
-    """Same product, spoken in coset language."""
+    """Same product, spoken in coset language.
+
+    Partition/coset conversions are memoised per quotient and filled on
+    demand, so a single product enumerates no cosets.
+    """
     shape = P.grassmannian_shape()
     if shape is None:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
     k, n = shape
-    lam = partition_of_coset(P, u)
-    mu = partition_of_coset(P, v)
+    partition, coset = P._partition_memo
+    for x in (u, v):
+        if x not in partition:
+            partition[x] = partition_of_coset(P, x)
     out = QClass.zero(P)
-    for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items():
-        out.add_term((d,), coset_of_partition(P, nu), c)
+    for (d, nu), c in qproduct_grassmann(k, n, partition[u], partition[v]).items():
+        w = coset.get(nu)
+        if w is None:
+            w = coset[nu] = coset_of_partition(P, nu)
+        out.add_term((d,), w, c)
     return out
+
+
+class RimHookEngine:
+    """Full quantum products on a Grassmannian by the rim-hook rule."""
+
+    name = "rimhook"
+
+    def __init__(self, P: ParabolicData):
+        self.P = P
+
+    def product(self, u: Coset, v: Coset) -> QClass:
+        return qproduct_grassmann_cosets(self.P, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .roots import Root, RootSystem, build_root_system
+from .roots import InvariantError, Root, RootSystem, build_root_system
 from .weyl import (
     DEFAULT_ENUMERATION_GUARD,
     GroupSizeGuardError,
@@ -170,6 +170,9 @@ class ParabolicData:
         self._graph = None
         self._dual = {}
         self._divisor_engine = None
+        # Grassmannian labels (coset -> partition, partition -> coset),
+        # filled lazily by grassmann.qproduct_grassmann_cosets
+        self._partition_memo = ({}, {})
 
     # -- small derived data ----------------------------------------------
 
@@ -210,7 +213,8 @@ class ParabolicData:
         coords = []
         for j in self.q_index:
             c = Fraction(alpha.coeffs[j] * 2 * self.system.symmetrizer[j], alpha.norm)
-            assert c.denominator == 1 and c >= 0
+            if c.denominator != 1 or c < 0:
+                raise InvariantError(f"bad degree coordinate {c} for {alpha}")
             coords.append(int(c))
         deg = tuple(coords)
         self._degree[alpha.coeffs] = deg
@@ -227,7 +231,8 @@ class ParabolicData:
                 f"Chern number is defined for positive roots outside R_P^+, got {alpha}"
             )
         n = Fraction(2 * self.system.inner(self.two_rho_P, alpha.coeffs), alpha.norm)
-        assert n.denominator == 1 and n > 0, f"bad Chern number {n} for {alpha}"
+        if n.denominator != 1 or n <= 0:
+            raise InvariantError(f"bad Chern number {n} for {alpha}")
         n = int(n)
         self._chern[alpha.coeffs] = n
         return n
@@ -261,7 +266,8 @@ class ParabolicData:
         got = self._dual.get(u)
         if got is None:
             got = self.to_coset(longest_element(self.system) * u.min_rep)
-            assert got.length == self.dim - u.length
+            if got.length != self.dim - u.length:
+                raise InvariantError(f"dual of {u} has the wrong length")
             self._dual[u] = got
         return got
 
@@ -333,15 +339,16 @@ class ParabolicData:
                 t = reflection_of_root(self.system, alpha)
                 v = self.to_coset(u.min_rep * t)
                 j = index[v]
-                assert j != i, "a crossing reflection fixed a coset"
+                if j == i:
+                    raise InvariantError("a crossing reflection fixed a coset")
                 key = (min(i, j), max(i, j))
                 deg = self.degree_of_root(alpha)
                 prev = edges.get(key)
                 if prev is None:
                     edges[key] = (alpha, deg)
-                else:
+                elif prev[1] != deg:
                     # all realizing roots of one edge must agree in degree
-                    assert prev[1] == deg, (
+                    raise InvariantError(
                         f"edge {key} carries degrees {prev[1]} and {deg}"
                     )
         for (i, j), (alpha, deg) in edges.items():
@@ -372,7 +379,8 @@ class ParabolicData:
         vdual = self.dual(v)
         sources = [i for i, x in enumerate(g.nodes) if self.bruhat_leq(u, x)]
         sinks = {i for i, x in enumerate(g.nodes) if self.bruhat_leq(x, vdual)}
-        assert sources and sinks, "u and v-dual give nonempty up/down sets"
+        if not (sources and sinks):
+            raise InvariantError("u and v-dual give nonempty up/down sets")
         m = len(self.q_index)
         zero = (0,) * m
         # belt-and-braces coordinate bound: non-dominated labels come from
@@ -411,7 +419,8 @@ class ParabolicData:
         frontier = pareto_minima(
             d for i in sinks for d in labels[i]
         )
-        assert frontier, "chain frontier is never empty"
+        if not frontier:
+            raise InvariantError("chain frontier is never empty")
         if not witnesses:
             return frontier, ()
         found = []
@@ -438,9 +447,16 @@ class ParabolicData:
         return frontier, tuple(found)
 
 
-@lru_cache(maxsize=None)
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],
                    max_elements: int = DEFAULT_ENUMERATION_GUARD) -> ParabolicData:
-    """Cached ParabolicData factory; delta_P is a sorted tuple, 0-based."""
+    """Cached ParabolicData factory; delta_P is a sorted tuple, 0-based.
+
+    The type label is case-insensitive: "a" and "A" give the same object.
+    """
+    return _make_parabolic(type_label.upper(), rank, delta_P, max_elements)
+
+
+@lru_cache(maxsize=None)
+def _make_parabolic(type_label, rank, delta_P, max_elements) -> ParabolicData:
     return ParabolicData(build_root_system(type_label, rank), delta_P,
                          max_elements=max_elements)

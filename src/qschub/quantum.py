@@ -19,7 +19,12 @@ degree in q: evaluating a classical expression with the *quantum*
 divisor operators reproduces sigma_u plus error terms that all carry
 q-degree >= 1 and strictly smaller coset length, so they can be
 subtracted recursively.  All final structure constants must come out
-integral (asserted); intermediate arithmetic is exact rational.
+integral (checked); intermediate arithmetic is exact rational.
+
+`product_engine` is the one place that decides which engine multiplies
+on a given quotient: the divisor recursion on full flags, the rim-hook
+rule on Grassmannians.  An engine is any object with
+``product(u, v) -> QClass``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .parabolic import Coset, Degree, ParabolicData, degree_add, pareto_minima
+from .roots import InvariantError
 from .weyl import GroupSizeGuardError, reflection_of_root
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "quantum_chevalley",
     "qproduct_GB",
     "multiply_classes",
+    "product_engine",
     "min_occurring_degrees",
     "raising_witness_report",
     "RaisingWitnessReport",
@@ -116,7 +123,8 @@ class QClass:
         out = {}
         for k, c in self.terms.items():
             f = Fraction(c)
-            assert f.denominator == 1, f"non-integral coefficient {c} at {k}"
+            if f.denominator != 1:
+                raise InvariantError(f"non-integral coefficient {c} at {k}")
             out[k] = int(f)
         return QClass(self.context, out)
 
@@ -160,7 +168,10 @@ def _chevalley(P: ParabolicData, beta_index: int, u: Coset, quantum: bool) -> QC
     for alpha in P.crossing_roots:
         # h_alpha(omega_beta) = n_beta (b, b) / (a, a)
         h = Fraction(alpha.coeffs[beta_index] * beta.norm, alpha.norm)
-        assert h.denominator == 1 and h >= 0
+        if h.denominator != 1 or h < 0:
+            raise InvariantError(
+                f"bad pairing {h} of {alpha} with node {beta_index + 1}"
+            )
         h = int(h)
         if h == 0:
             continue
@@ -228,8 +239,8 @@ class _RationalSolver:
             sum(row[self.ncols + k] * b[k] for k in range(self.nrows))
             for row in self.rows
         ]
-        for i in range(self.rank, self.nrows):
-            assert y[i] == 0, "inconsistent system: divisor classes do not span"
+        if any(y[i] != 0 for i in range(self.rank, self.nrows)):
+            raise InvariantError("inconsistent system: divisor classes do not span")
         x = [Fraction(0)] * self.ncols
         for r, col in self.pivots:
             x[col] = y[r]
@@ -238,6 +249,8 @@ class _RationalSolver:
 
 class DivisorEngine:
     """Full quantum products on a full flag variety via divisor recursion."""
+
+    name = "divisor"
 
     def __init__(self, P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
         if P.delta_P:
@@ -312,9 +325,10 @@ class DivisorEngine:
                 residue = acc - QClass.basis(P, u)
                 corrections = []
                 for (d, w2), c in residue.sorted_terms():
-                    assert sum(d) > 0 and w2.length < u.length, (
-                        "divisor residue must be q-positive with shorter classes"
-                    )
+                    if sum(d) == 0 or w2.length >= u.length:
+                        raise InvariantError(
+                            "divisor residue must be q-positive with shorter classes"
+                        )
                     corrections.append((c, d, w2))
                 self._decomp[u] = (chosen, corrections)
 
@@ -363,6 +377,25 @@ def qproduct_GB(P: ParabolicData, u: Coset, v: Coset,
     return _engine(P, max_group_order).product(u, v)
 
 
+def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
+    """The engine that multiplies Schubert classes on P.
+
+    The cached divisor engine on full flags (tested first, so A1 = Gr(1,2)
+    keeps it), the rim-hook engine on Grassmannians; no other quotient
+    has a full-product engine.
+    """
+    if not P.delta_P:
+        return _engine(P, max_group_order)
+    if P.grassmannian_shape() is not None:
+        from .grassmann import RimHookEngine  # deferred: grassmann imports this module
+
+        return RimHookEngine(P)
+    raise ValueError(
+        f"no full-product engine applies to {P.label}: the divisor recursion "
+        "needs the full flag and the rim-hook rule needs a Grassmannian"
+    )
+
+
 def multiply_classes(c1: QClass, c2: QClass,
                      pair_product: Callable[[Coset, Coset], QClass]) -> QClass:
     """Bilinear extension of a basis-pair product to whole classes."""
@@ -400,24 +433,7 @@ def raising_witness_report(P: ParabolicData,
                            max_group_order: int = DEFAULT_PRODUCT_GUARD
                            ) -> RaisingWitnessReport:
     """Search classical products for raising witnesses on all pairs u <= v."""
-    shape = P.grassmannian_shape()
-    if shape is not None and P.delta_P:
-        from . import grassmann  # deferred: grassmann imports this module
-
-        def classical(u: Coset, w: Coset) -> QClass:
-            return grassmann.qproduct_grassmann_cosets(P, u, w).q0_part()
-
-    elif not P.delta_P:
-        engine = _engine(P, max_group_order)
-
-        def classical(u: Coset, w: Coset) -> QClass:
-            return engine.product(u, w).q0_part()
-
-    else:
-        raise ValueError(
-            "classical products are available on full flags (divisor engine) "
-            "and Grassmannians (rim-hook oracle) only"
-        )
+    product = product_engine(P, max_group_order).product
     cosets = P.cosets()
     zero = (0,) * len(P.q_index)
     report = RaisingWitnessReport(context_label=P.label)
@@ -430,7 +446,7 @@ def raising_witness_report(P: ParabolicData,
             for w in cosets:
                 if w.length != v.length - u.length:
                     continue
-                if classical(u, w).coefficient(zero, v) > 0:
+                if product(u, w).coefficient(zero, v) > 0:
                     witness = w
                     break
             if witness is None:

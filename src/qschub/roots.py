@@ -8,7 +8,7 @@ pairing in the package is an exact integer or Fraction.  No floats.
 
 The full root set is generated by closing the simple roots under the
 simple reflections, which also certifies that the hard-coded Cartan
-data is self-consistent (counts per type are asserted at build time).
+data is self-consistent (counts per type are checked at build time).
 """
 
 from __future__ import annotations
@@ -16,9 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-__all__ = ["Root", "Weight", "RootSystem", "build_root_system"]
+__all__ = ["InvariantError", "Root", "RootSystem", "build_root_system"]
+
+
+class InvariantError(AssertionError):
+    """An internal invariant of the exact arithmetic failed.
+
+    Raised explicitly rather than by ``assert``, so the checks survive
+    ``python -O``.
+    """
 
 
 _RANK_RULES = {
@@ -121,17 +128,6 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight, as coefficients over the fundamental weights."""
-
-    coords: tuple[Union[int, Fraction], ...]
-
-    @property
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coords)
-
-
 class RootSystem:
     """Immutable-by-convention container for one finite root system.
 
@@ -150,16 +146,12 @@ class RootSystem:
             tuple(self.symmetrizer[i] * self.cartan[i][j] for j in range(rank))
             for i in range(rank)
         )
-        for i in range(rank):
-            for j in range(rank):
-                assert self.gram[i][j] == self.gram[j][i], "symmetrizer mismatch"
+        if any(self.gram[i][j] != self.gram[j][i]
+               for i in range(rank) for j in range(rank)):
+            raise InvariantError("symmetrizer mismatch")
         self._generate_roots()
         self.simple_roots = tuple(
             self._index[tuple(1 if j == i else 0 for j in range(rank))]
-            for i in range(rank)
-        )
-        self.fundamental_weights = tuple(
-            Weight(tuple(1 if j == i else 0 for j in range(rank)))
             for i in range(rank)
         )
         # caches shared by the Weyl-group layer
@@ -186,24 +178,25 @@ class RootSystem:
                     seen.add(img)
                     queue.append(img)
         for vec in seen:
-            pos, neg = any(c > 0 for c in vec), any(c < 0 for c in vec)
-            assert not (pos and neg), f"mixed-sign vector generated: {vec}"
+            if any(c > 0 for c in vec) and any(c < 0 for c in vec):
+                raise InvariantError(f"mixed-sign vector generated: {vec}")
         positives = sorted(
             (v for v in seen if all(c >= 0 for c in v)),
             key=lambda v: (sum(v), v),
         )
         expected = _POSITIVE_COUNT[self.type_label](rank)
-        assert len(positives) == expected, (
-            f"{self.label}: got {len(positives)} positive roots, expected {expected}"
-        )
-        assert len(seen) == 2 * expected
+        if len(positives) != expected or len(seen) != 2 * expected:
+            raise InvariantError(
+                f"{self.label}: got {len(positives)} positive roots, expected {expected}"
+            )
         self.positive_roots = tuple(
             Root(v, self.inner(v, v)) for v in positives
         )
         self._index = {r.coeffs: r for r in self.positive_roots}
         self._index.update({(-r).coeffs: -r for r in self.positive_roots})
         norms = {r.norm for r in self.positive_roots}
-        assert len(norms) in (1, 2) and min(norms) == 2, f"bad norms {norms}"
+        if len(norms) not in (1, 2) or min(norms) != 2:
+            raise InvariantError(f"bad norms {norms}")
 
     # -- basic queries -------------------------------------------------
 
@@ -236,11 +229,7 @@ class RootSystem:
                 total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
         return total
 
-    def coroot_pairing(self, i: int, coeffs) -> int:
-        """<v, coroot_i> = 2(b_i, v)/(b_i, b_i) for a root-lattice vector v."""
-        return sum(self.cartan[i][j] * vj for j, vj in enumerate(coeffs) if vj)
-
-    # -- pairings and reflections ---------------------------------------
+    # -- pairings ---------------------------------------------------------
 
     def _require_root(self, alpha: Root) -> Root:
         got = self._index.get(alpha.coeffs)
@@ -248,59 +237,32 @@ class RootSystem:
             raise ValueError(f"{alpha} is not a root of {self.label}")
         return got
 
-    def pairing(self, alpha: Root, lam: Weight):
-        """h_alpha(lam) = 2(alpha, lam)/(alpha, alpha).
+    def pairing(self, alpha: Root, i: int) -> Fraction:
+        """h_alpha(omega_i) = 2(alpha, omega_i)/(alpha, alpha), exactly.
 
-        For an integral weight the value is an integer (asserted); for
-        rational weights a Fraction is returned.
+        With alpha = sum n_j b_j this is n_i (b_i, b_i)/(alpha, alpha); it
+        is a nonnegative integer for every positive root, which the
+        verification suite checks rather than assumes.
         """
         self._require_root(alpha)
-        # h_alpha(w_i) = n_i (b_i, b_i) / (alpha, alpha) with alpha = sum n_i b_i
-        num = sum(
-            2 * self.symmetrizer[i] * alpha.coeffs[i] * lam.coords[i]
-            for i in range(self.rank)
-        )
-        val = Fraction(num, alpha.norm)
-        if lam.is_integral:
-            assert val.denominator == 1, f"non-integral pairing {val}"
-            return int(val)
-        return val
-
-    def root_in_weight_coords(self, alpha: Root) -> Weight:
-        """Rewrite a root over the fundamental weights (always integral)."""
-        return Weight(
-            tuple(self.coroot_pairing(j, alpha.coeffs) for j in range(self.rank))
-        )
-
-    def reflect(self, alpha: Root, v: Union[Root, Weight]):
-        """Reflection s_alpha applied to a root or a weight."""
-        alpha = self._require_root(alpha)
-        if isinstance(v, Root):
-            self._require_root(v)
-            t = Fraction(2 * self.inner(alpha.coeffs, v.coeffs), alpha.norm)
-            assert t.denominator == 1
-            return self.root(
-                tuple(v.coeffs[j] - int(t) * alpha.coeffs[j] for j in range(self.rank))
-            )
-        if isinstance(v, Weight):
-            h = self.pairing(alpha, v)
-            aw = self.root_in_weight_coords(alpha)
-            coords = tuple(v.coords[j] - h * aw.coords[j] for j in range(self.rank))
-            return Weight(tuple(int(c) if Fraction(c).denominator == 1 else c
-                                for c in coords))
-        raise TypeError(f"cannot reflect {type(v).__name__}")
+        return Fraction(2 * self.symmetrizer[i] * alpha.coeffs[i], alpha.norm)
 
 
-@lru_cache(maxsize=None)
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given type and rank.
+
+    The type label is case-insensitive: "a" and "A" give the same object.
 
     >>> build_root_system("G", 2).positive_roots[-1].coeffs
     (3, 2)
     >>> len(build_root_system("A", 3).positive_roots)
     6
     """
-    type_label = type_label.upper()
+    return _build_root_system(type_label.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(type_label: str, rank: int) -> RootSystem:
     if type_label not in _RANK_RULES:
         raise ValueError(
             f"unknown type {type_label!r}: expected one of A, B, C, D, E, F, G"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from .roots import Root, RootSystem
+from .roots import InvariantError, Root, RootSystem
 
 __all__ = [
     "GroupSizeGuardError",
@@ -65,7 +65,13 @@ class GroupSizeGuardError(RuntimeError):
             f"{what} exceeds the enumeration guard of {bound} elements; "
             "raise the bound explicitly to proceed"
         )
+        self.what = what
         self.bound = bound
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives
+        # the pickle round trip out of a worker process
+        return (type(self), (self.what, self.bound))
 
 
 def _mat_mul(a, b):
@@ -128,15 +134,8 @@ class WeylElem:
 
     # -- action ----------------------------------------------------------
 
-    def apply_coeffs(self, coeffs):
-        return _mat_vec(self.mat, coeffs)
-
     def apply_root(self, alpha: Root) -> Root:
         return self.system.root(_mat_vec(self.mat, alpha.coeffs))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mat == _identity_mat(self.system.rank)
 
     # -- length and descents ----------------------------------------------
 
@@ -180,7 +179,8 @@ class WeylElem:
             self._word = tuple(reversed(rev))
             if self._length is None:
                 self._length = len(self._word)
-            assert self._length == len(self._word)
+            if self._length != len(self._word):
+                raise InvariantError(f"length {self._length} vs word {self._word}")
         return self._word
 
     def sort_key(self):
@@ -228,7 +228,8 @@ def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:
         t = 2 * system.inner(
             tuple(1 if k == j else 0 for k in range(rank)), alpha.coeffs
         )
-        assert t % alpha.norm == 0
+        if t % alpha.norm:
+            raise InvariantError(f"non-integral coroot pairing at {alpha}")
         t //= alpha.norm
         cols.append(
             tuple((1 if r == j else 0) - t * alpha.coeffs[r] for r in range(rank))
@@ -319,7 +320,7 @@ def longest_element(system: RootSystem) -> WeylElem:
                     w._length = None
                     break
             else:  # pragma: no cover - unreachable
-                raise AssertionError("stuck before reaching the longest element")
+                raise InvariantError("stuck before reaching the longest element")
         system._longest = w
     return system._longest
 

@@ -1,11 +1,13 @@
 """Command-line surface: frozen outputs, exit codes, determinism, round-trips."""
 
 import json
+import pickle
 
 import pytest
 
 from qschub import checks
 from qschub.cli import main
+from qschub.weyl import GroupSizeGuardError
 
 
 def run(capsys, *argv):
@@ -142,6 +144,34 @@ def test_exit_code_usage_errors(capsys):
     assert main(["product", "A2", "flag", "--u", "s1", "--v", "s9"]) == 1
 
 
+def test_engine_auto_without_engine_is_usage_error(capsys):
+    code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
+    assert code == 1
+    assert "no full-product engine applies to B3 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bad_instance_is_usage_error(capsys, jobs):
+    assert main(["verify", "Z3", "--jobs", jobs]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read instance type")
+    # one bad instance among good ones stops the run before any check
+    assert main(["verify", "A2", "flag", "A0", "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: type A requires rank >= 1, got rank 0\n"
+
+
+def test_guard_error_survives_pickle():
+    exc = pickle.loads(pickle.dumps(GroupSizeGuardError("W(E7)", 10)))
+    assert isinstance(exc, GroupSizeGuardError)
+    assert exc.bound == 10 and "W(E7) exceeds the enumeration guard of 10" in str(exc)
+
+
+def test_verify_guard_exits_2_in_workers(capsys):
+    assert main(["verify", "E7", "flag", "--jobs", "2"]) == 2
+    assert "exceeds the enumeration guard" in capsys.readouterr().err
+
+
 def test_exit_code_guard(capsys):
     assert main(["graph", "A3", "flag", "--max-group-order", "5"]) == 2
     assert main(["product", "B4", "flag", "--u", "s1", "--v", "s1"]) == 2
@@ -161,6 +191,38 @@ def test_verify_single_instance(capsys):
     assert code == 0
     assert out.rstrip().splitlines()[-1].startswith("summary:")
     assert "0 failed" in out
+
+
+def test_verify_row_order(capsys):
+    flag = [r.name for r in checks.run_instance_checks(("A2", "flag"))]
+    assert flag == [
+        "pairing-integrality", "weyl-structure", "bruhat-duality",
+        "wp-degree-invariance", "graph-structure", "chain-symmetry",
+        "nonvanishing", "grading", "nonnegativity", "commutativity",
+        "minimal-degree-agreement", "chevalley-column", "classical-duality",
+        "associativity", "quantum-monk", "raising-witness",
+    ]
+    gr = [r.name for r in checks.run_instance_checks(("gr", "2", "4"))]
+    assert gr == [
+        "pairing-integrality", "weyl-structure", "bruhat-duality",
+        "wp-degree-invariance", "graph-structure", "chain-symmetry",
+        "partition-dictionary", "nonvanishing", "grading", "nonnegativity",
+        "commutativity", "degree-triple-agreement", "chevalley-column",
+        "classical-duality", "monotone-chains", "associativity",
+        "raising-witness",
+    ]
+    partial = [r.name for r in checks.run_instance_checks(("B3", "1"))]
+    assert partial[-1] == "chain-symmetry"
+
+
+def test_verify_weyl_structure_row(capsys):
+    code, out = run(capsys, "verify", "A2", "flag")
+    assert code == 0
+    assert "PASS A2 flag :: weyl-structure (14 checked)\n" in out
+    # |W(A6)| = 5040 is over the row's bound; gr 3 7 shares that group
+    code, out = run(capsys, "verify", "gr", "1", "7")
+    assert code == 0
+    assert "weyl-structure" not in out
 
 
 def test_verify_json_shape(capsys):
@@ -262,6 +324,20 @@ def test_minq_json_chain_structure(capsys):
     (chain,) = payload["chains"]
     assert chain["degree"] == [2]
     assert len(chain["nodes"]) == len(chain["edges"]) + 1
+
+
+def test_golden_product_three_ways(capsys):
+    # rim-hook product, chain-search frontier and diagonal rule agree on q^2
+    from qschub.grassmann import min_degree_diagonal
+
+    code, out = run(capsys, "product", "gr", "4", "9", "--u", "5,4,4,3", "--v", "5,4,4,1")
+    assert code == 0
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert body[0].startswith("q^2 * ")
+    code, out = run(capsys, "minq", "gr", "4", "9", "--u", "5443", "--v", "5441")
+    assert code == 0
+    assert "frontier: q^2\n" in out
+    assert min_degree_diagonal(4, 9, (5, 4, 4, 3), (5, 4, 4, 1)) == 2
 
 
 def test_product_json_terms(capsys):

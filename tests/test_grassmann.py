@@ -377,6 +377,16 @@ def test_qproduct_cosets_wrapper():
     assert terms == {((1,), (2,)): 1, ((1,), (1, 1)): 1}
 
 
+def test_single_product_enumerates_no_cosets():
+    P = grassmannian_parabolic(8, 16)
+    u = coset_of_partition(P, (3, 2, 1))
+    v = coset_of_partition(P, (2, 2))
+    qc = qproduct_grassmann_cosets(P, u, v)
+    assert P._cosets is None
+    terms = {(d[0], partition_of_coset(P, w)): c for (d, w), c in qc.terms.items()}
+    assert terms == qproduct_grassmann(8, 16, (3, 2, 1), (2, 2))
+
+
 def test_qproduct_rejects_out_of_box():
     with pytest.raises(ValueError):
         qproduct_grassmann(2, 4, (3,), (1,))

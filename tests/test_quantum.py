@@ -1,9 +1,14 @@
 """Quantum Chevalley multiplication and the divisor-recursion product on G/B."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschub.grassmann import (
+    RimHookEngine,
     coset_of_partition,
     grassmannian_parabolic,
     partition_of_coset,
@@ -12,10 +17,12 @@ from qschub.grassmann import (
 from qschub.parabolic import make_parabolic
 from qschub.quantum import (
     DEFAULT_PRODUCT_GUARD,
+    DivisorEngine,
     QClass,
     classical_chevalley,
     min_occurring_degrees,
     multiply_classes,
+    product_engine,
     qproduct_GB,
     quantum_chevalley,
     raising_witness_report,
@@ -248,6 +255,52 @@ def test_qclass_rejects_cross_context_mix():
     Q = make_parabolic("B", 2, ())
     with pytest.raises(ValueError):
         QClass.basis(P, P.identity_coset()) + QClass.basis(Q, Q.identity_coset())
+
+
+def test_qclass_arithmetic_across_label_spellings():
+    P = make_parabolic("a", 2, ())
+    Q = make_parabolic("A", 2, ())
+    assert P is Q
+    total = QClass.basis(P, P.identity_coset()) + QClass.basis(Q, Q.identity_coset())
+    assert total.terms == {((0, 0), Q.identity_coset()): 2}
+
+
+def test_assert_integral_raises_under_optimisation():
+    # bare asserts vanish under -O; the integrality check must not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "from fractions import Fraction\n"
+        "from qschub import make_parabolic\n"
+        "from qschub.quantum import QClass\n"
+        "P = make_parabolic('A', 1, ())\n"
+        "c = QClass.basis(P, P.identity_coset(), coeff=Fraction(3, 2))\n"
+        "try:\n"
+        "    print(c.assert_integral().terms)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError non-integral coefficient 3/2")
+
+
+# ---------------------------------------------------------------------------
+# product engines
+
+
+def test_product_engine_choice():
+    # full flags are tested first, so A1 = Gr(1,2) keeps the divisor engine
+    for P in (make_parabolic("A", 1, ()), grassmannian_parabolic(1, 2),
+              make_parabolic("B", 2, ())):
+        engine = product_engine(P)
+        assert isinstance(engine, DivisorEngine)
+        assert engine is P._divisor_engine
+    assert isinstance(product_engine(grassmannian_parabolic(2, 4)), RimHookEngine)
+    with pytest.raises(ValueError):
+        product_engine(make_parabolic("B", 3, (1, 2)))
 
 
 # ---------------------------------------------------------------------------

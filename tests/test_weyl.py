@@ -62,7 +62,7 @@ def test_longest_element(type_label, rank):
     W = WeylGroup(rs)
     wo = W.longest
     assert wo.length == len(rs.positive_roots)
-    assert (wo * wo).is_identity
+    assert wo * wo == identity(rs)
     # w_o is the unique element of maximal length
     assert max(w.length for w in W.elements()) == wo.length
     assert sum(1 for w in W.elements() if w.length == wo.length) == 1
@@ -75,7 +75,7 @@ def test_compose_identity_and_involution():
     s2 = simple_reflection(rs, 1)
     assert e * s1 == s1
     assert s1 * e == s1
-    assert (s1 * s1).is_identity
+    assert s1 * s1 == e
     assert (s1 * s2).length == 2
 
 
@@ -106,7 +106,7 @@ def test_reflection_of_root_properties():
     rs = build_root_system("B", 2)
     for alpha in rs.positive_roots:
         t = reflection_of_root(rs, alpha)
-        assert (t * t).is_identity
+        assert t * t == identity(rs)
         assert t.apply_root(alpha).coeffs == tuple(-c for c in alpha.coeffs)
     for i, beta in enumerate(rs.simple_roots):
         assert reflection_of_root(rs, beta) == simple_reflection(rs, i)
@@ -130,7 +130,7 @@ def test_word_round_trip():
 
 def test_parse_word_examples():
     rs = build_root_system("A", 2)
-    assert parse_word(rs, "e").is_identity
+    assert parse_word(rs, "e") == identity(rs)
     assert parse_word(rs, "s1") == simple_reflection(rs, 0)
     assert parse_word(rs, "s1*s2*s1") == reflection_of_root(rs, rs.highest_root)
     with pytest.raises(ValueError):
@@ -155,9 +155,7 @@ def test_matrix_action_is_homomorphism():
         for b in elems[:8]:
             ab = a * b
             for alpha in rs.simple_roots:
-                assert ab.apply_coeffs(alpha.coeffs) == a.apply_coeffs(
-                    b.apply_coeffs(alpha.coeffs)
-                )
+                assert ab.apply_root(alpha) == a.apply_root(b.apply_root(alpha))
 
 
 @pytest.mark.parametrize("type_label,rank", BRUHAT_ORACLE_TYPES)
@@ -176,7 +174,7 @@ def test_bruhat_boundary_cases():
     e = identity(rs)
     for w in W.elements():
         assert bruhat_leq_W(e, w)
-        if not w.is_identity:
+        if w != e:
             assert not bruhat_leq_W(w, e)
     s1 = simple_reflection(rs, 0)
     s2 = simple_reflection(rs, 1)
