@@ -409,6 +409,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "format", "text") == "dot" and args.command != "graph":
             raise UsageError("--format dot only applies to the graph command")
+        if args.max_group_order < 0:
+            raise UsageError("--max-group-order must be >= 0 (0 means the default)")
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError("--jobs must be at least 1")
         if args.command == "verify":
             out, code = cmd_verify(args)
         else:

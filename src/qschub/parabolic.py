@@ -9,14 +9,22 @@ lie in Delta_P.
 Every positive root alpha outside R_P^+ ("crossing" root) carries two
 integers used throughout:
 
-* its degree vector d(alpha): the coefficient of alpha^vee over the
-  coroots dual to Delta \\ Delta_P, i.e. coordinate n_beta (b,b)/(a,a)
-  for each retained node beta — the curve class of the T-stable curve
+* its degree vector d(alpha): coordinate h_alpha(omega_beta) for each
+  retained node beta, i.e. the coefficient of alpha^vee over the coroots
+  dual to Delta \\ Delta_P — the curve class of the T-stable curve
   attached to alpha;
 * its Chern number n_alpha = 4(rho_P, alpha)/(alpha, alpha) with
   2 rho_P the sum of the crossing roots — the degree of the tangent
   bundle on that curve, which controls the length drop in the quantum
   Chevalley formula.
+
+Both are computed once, in the crossing-root table (`crossing_table`):
+one `CrossingRoot` per crossing root, in `crossing_roots` order, holding
+the root, its reflection t_alpha, d(alpha) and n_alpha.  Beside it,
+`targets(u)` is the row of cosets [u t_alpha] aligned with that table,
+computed on first use and memoised per coset, so a single Chevalley
+product enumerates no cosets.  The graph, `adjacency` and the quantum
+Chevalley operator all read these rows.
 
 Two cosets are adjacent when one is the projection of the other times a
 reflection; the resulting edge-weighted graph supports a multi-objective
@@ -35,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .roots import InvariantError, Root, RootSystem, build_root_system
 from .weyl import (
@@ -55,6 +63,7 @@ __all__ = [
     "Degree",
     "Coset",
     "ChainWitness",
+    "CrossingRoot",
     "BruhatGraph",
     "ParabolicData",
     "make_parabolic",
@@ -118,6 +127,15 @@ class ChainWitness:
     edge_degrees: tuple[Degree, ...]
 
 
+class CrossingRoot(NamedTuple):
+    """One entry of the crossing-root table."""
+
+    root: Root
+    reflection: WeylElem  # t_alpha
+    degree: Degree  # d(alpha)
+    chern: int  # n_alpha
+
+
 @dataclass
 class BruhatGraph:
     """Adjacency graph on W/W_P with degree-weighted edges."""
@@ -164,8 +182,10 @@ class ParabolicData:
             sum(a.coeffs[j] for a in self.crossing_roots)
             for j in range(system.rank)
         )
-        self._degree = {}
-        self._chern = {}
+        self.crossing_table = tuple(map(self._crossing_entry, self.crossing_roots))
+        self._entry = {c.root.coeffs: c for c in self.crossing_table}
+        self._targets = {}  # coset -> row [u t_alpha], aligned with crossing_table
+        self._interned = {}  # rows share one Coset object per coset, not a copy each
         self._cosets = None
         self._graph = None
         self._dual = {}
@@ -196,46 +216,31 @@ class ParabolicData:
     def is_crossing(self, alpha: Root) -> bool:
         return any(alpha.coeffs[j] != 0 for j in self.q_index)
 
-    def degree_of_root(self, alpha: Root) -> Degree:
-        """Degree vector of the curve attached to a crossing root.
+    def _crossing_entry(self, alpha: Root) -> CrossingRoot:
+        degree = tuple(self.system.pairing(alpha, j) for j in self.q_index)
+        if any(c.denominator != 1 or c < 0 for c in degree):
+            raise InvariantError(f"bad degree {degree} for {alpha}")
+        chern = Fraction(2 * self.system.inner(self.two_rho_P, alpha.coeffs), alpha.norm)
+        if chern.denominator != 1 or chern <= 0:
+            raise InvariantError(f"bad Chern number {chern} for {alpha}")
+        return CrossingRoot(alpha, reflection_of_root(self.system, alpha),
+                            tuple(int(c) for c in degree), int(chern))
 
-        Coordinate for retained node beta is n_beta (b, b)/(a, a) where
-        alpha = sum n_beta b; always a nonnegative integer.
-        """
-        got = self._degree.get(alpha.coeffs)
-        if got is not None:
-            return got
-        self.system._require_root(alpha)
-        if not alpha.is_positive or not self.is_crossing(alpha):
-            raise ValueError(
-                f"degree is defined for positive roots outside R_P^+, got {alpha}"
-            )
-        coords = []
-        for j in self.q_index:
-            c = Fraction(alpha.coeffs[j] * 2 * self.system.symmetrizer[j], alpha.norm)
-            if c.denominator != 1 or c < 0:
-                raise InvariantError(f"bad degree coordinate {c} for {alpha}")
-            coords.append(int(c))
-        deg = tuple(coords)
-        self._degree[alpha.coeffs] = deg
-        return deg
+    def _lookup(self, alpha: Root, what: str) -> CrossingRoot:
+        got = self._entry.get(alpha.coeffs)
+        if got is None or got.root.norm != alpha.norm:
+            self.system._require_root(alpha)
+            raise ValueError(f"{what} is defined for positive roots outside R_P^+, "
+                             f"got {alpha}")
+        return got
+
+    def degree_of_root(self, alpha: Root) -> Degree:
+        """d(alpha): h_alpha(omega_beta) for each retained node beta."""
+        return self._lookup(alpha, "degree").degree
 
     def chern_number(self, alpha: Root) -> int:
         """n_alpha = 4(rho_P, alpha)/(alpha, alpha); a positive integer."""
-        got = self._chern.get(alpha.coeffs)
-        if got is not None:
-            return got
-        self.system._require_root(alpha)
-        if not alpha.is_positive or not self.is_crossing(alpha):
-            raise ValueError(
-                f"Chern number is defined for positive roots outside R_P^+, got {alpha}"
-            )
-        n = Fraction(2 * self.system.inner(self.two_rho_P, alpha.coeffs), alpha.norm)
-        if n.denominator != 1 or n <= 0:
-            raise InvariantError(f"bad Chern number {n} for {alpha}")
-        n = int(n)
-        self._chern[alpha.coeffs] = n
-        return n
+        return self._lookup(alpha, "Chern number").chern
 
     def rho_pairing(self, i: int) -> Fraction:
         """h_{b_i}(rho_P); vanishes on Delta_P, positive on retained nodes."""
@@ -318,13 +323,26 @@ class ParabolicData:
 
     # -- adjacency and the Bruhat graph -------------------------------------
 
+    def targets(self, u: Coset) -> tuple[Coset, ...]:
+        """The row [u t_alpha], aligned with crossing_table; memoised."""
+        row = self._targets.get(u)
+        if row is None:
+            interned = self._interned
+            row = tuple(
+                interned.setdefault(v, v)
+                for v in (self.to_coset(u.min_rep * c.reflection)
+                          for c in self.crossing_table)
+            )
+            self._targets[u] = row
+        return row
+
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:
-        """A crossing root t with [u t] = v, and its degree, if one exists."""
+        """The first crossing root t with [u t] = v, and its degree, if any."""
         if u == v:
             raise ValueError("adjacency is a relation between distinct cosets")
-        for alpha in self.crossing_roots:
-            if self.to_coset(u.min_rep * reflection_of_root(self.system, alpha)) == v:
-                return (alpha, self.degree_of_root(alpha))
+        for c, w in zip(self.crossing_table, self.targets(u)):
+            if w == v:
+                return (c.root, c.degree)
         return None
 
     def graph(self) -> BruhatGraph:
@@ -335,21 +353,19 @@ class ParabolicData:
         edges = {}
         adj = [[] for _ in nodes]
         for i, u in enumerate(nodes):
-            for alpha in self.crossing_roots:
-                t = reflection_of_root(self.system, alpha)
-                v = self.to_coset(u.min_rep * t)
+            for c, v in zip(self.crossing_table, self.targets(u)):
                 j = index[v]
                 if j == i:
                     raise InvariantError("a crossing reflection fixed a coset")
+                # the edge keeps the first root seen from its lower endpoint
                 key = (min(i, j), max(i, j))
-                deg = self.degree_of_root(alpha)
                 prev = edges.get(key)
                 if prev is None:
-                    edges[key] = (alpha, deg)
-                elif prev[1] != deg:
+                    edges[key] = (c.root, c.degree)
+                elif prev[1] != c.degree:
                     # all realizing roots of one edge must agree in degree
                     raise InvariantError(
-                        f"edge {key} carries degrees {prev[1]} and {deg}"
+                        f"edge {key} carries degrees {prev[1]} and {c.degree}"
                     )
         for (i, j), (alpha, deg) in edges.items():
             adj[i].append((j, deg, alpha))
@@ -366,36 +382,47 @@ class ParabolicData:
 
     def min_chain_degrees(self, u: Coset, v: Coset) -> tuple[Degree, ...]:
         """Pareto frontier of degrees of chains from u to v."""
-        frontier, _ = self._chain_search(u, v, witnesses=False)
-        return frontier
+        return self._chain_search(u, v)[0]
 
     def min_chain_witnesses(
         self, u: Coset, v: Coset
     ) -> tuple[tuple[Degree, ...], tuple[ChainWitness, ...]]:
-        return self._chain_search(u, v, witnesses=True)
+        frontier, labels, sinks = self._chain_search(u, v)
+        nodes = self._graph.nodes  # built by _chain_search
+        found = []
+        for d in frontier:
+            sink = min(i for i in sinks if d in labels[i])
+            path_nodes, roots, degs = [sink], [], []
+            cur, cd = sink, d
+            while labels[cur][cd] is not None:
+                pi, pd, alpha, edeg = labels[cur][cd]
+                roots.append(alpha)
+                degs.append(edeg)
+                path_nodes.append(pi)
+                cur, cd = pi, pd
+            found.append(ChainWitness(
+                d, tuple(nodes[i] for i in reversed(path_nodes)),
+                tuple(reversed(roots)), tuple(reversed(degs))))
+        return frontier, tuple(found)
 
-    def _chain_search(self, u: Coset, v: Coset, witnesses: bool):
+    def _chain_search(self, u: Coset, v: Coset):
+        # labels[i] maps each surviving degree at node i to its back-pointer
+        # (i', d', root, edge degree), or to None at a source
         g = self.graph()
         vdual = self.dual(v)
         sources = [i for i, x in enumerate(g.nodes) if self.bruhat_leq(u, x)]
         sinks = {i for i, x in enumerate(g.nodes) if self.bruhat_leq(x, vdual)}
         if not (sources and sinks):
             raise InvariantError("u and v-dual give nonempty up/down sets")
-        m = len(self.q_index)
-        zero = (0,) * m
+        zero = (0,) * len(self.q_index)
         # belt-and-braces coordinate bound: non-dominated labels come from
         # simple paths, so no coordinate can exceed #nodes * max edge coord
-        maxcoord = max(
-            (max(deg) for (_, deg) in g.edges.values()), default=0
-        )
+        maxcoord = max((max(deg) for (_, deg) in g.edges.values()), default=0)
         bound = g.node_count * maxcoord
         labels: list[dict] = [dict() for _ in g.nodes]
-        parents: list[dict] = [dict() for _ in g.nodes] if witnesses else labels
         work = deque()
         for i in sources:
-            labels[i][zero] = True
-            if witnesses:
-                parents[i][zero] = None
+            labels[i][zero] = None
             work.append((i, zero))
         while work:
             i, d = work.popleft()
@@ -410,50 +437,23 @@ class ParabolicData:
                     continue
                 for e in [e for e in lj if degree_leq(nd, e)]:
                     del lj[e]
-                    if witnesses:
-                        parents[j].pop(e, None)
-                lj[nd] = True
-                if witnesses:
-                    parents[j][nd] = (i, d, alpha, edeg)
+                lj[nd] = (i, d, alpha, edeg)
                 work.append((j, nd))
-        frontier = pareto_minima(
-            d for i in sinks for d in labels[i]
-        )
+        frontier = pareto_minima(d for i in sinks for d in labels[i])
         if not frontier:
             raise InvariantError("chain frontier is never empty")
-        if not witnesses:
-            return frontier, ()
-        found = []
-        for d in frontier:
-            sink = min(i for i in sinks if d in labels[i])
-            path_nodes = [sink]
-            roots: list[Root] = []
-            degs: list[Degree] = []
-            cur, cd = sink, d
-            while parents[cur][cd] is not None:
-                pi, pd, alpha, edeg = parents[cur][cd]
-                roots.append(alpha)
-                degs.append(edeg)
-                path_nodes.append(pi)
-                cur, cd = pi, pd
-            found.append(
-                ChainWitness(
-                    degree=d,
-                    nodes=tuple(g.nodes[i] for i in reversed(path_nodes)),
-                    edge_roots=tuple(reversed(roots)),
-                    edge_degrees=tuple(reversed(degs)),
-                )
-            )
-        return frontier, tuple(found)
+        return frontier, labels, sinks
 
 
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],
                    max_elements: int = DEFAULT_ENUMERATION_GUARD) -> ParabolicData:
-    """Cached ParabolicData factory; delta_P is a sorted tuple, 0-based.
+    """Cached ParabolicData factory; delta_P lists 0-based nodes.
 
-    The type label is case-insensitive: "a" and "A" give the same object.
+    The type label is case-insensitive and delta_P is taken as a set, so
+    "a" and "A", (0, 2), (2, 0) and [0, 2] all give the same object.
     """
-    return _make_parabolic(type_label.upper(), rank, delta_P, max_elements)
+    return _make_parabolic(type_label.upper(), rank, tuple(sorted(set(delta_P))),
+                           max_elements)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,10 @@ Multiplication by a divisor class sigma_{s_beta} is closed-form: the
 classical part raises length by one through a reflection, the quantum
 part adds q^{d(alpha)} sigma_{[u t_alpha]} over crossing roots alpha
 whose Chern number n_alpha exactly cancels the length bookkeeping,
-l([u t_alpha]) = l(u) + 1 - n_alpha.
+l([u t_alpha]) = l(u) + 1 - n_alpha.  Both parts carry the coefficient
+h_alpha(omega_beta), which is the beta-coordinate of d(alpha) because
+beta is a retained node; the operator reads alpha's degree, Chern number
+and target coset [u t_alpha] from the quotient's crossing-root table.
 
 Full products are supported on full flag varieties (Delta_P empty),
 where the divisor classes generate the cohomology ring.  The engine
@@ -35,7 +38,7 @@ from typing import Callable, Optional
 
 from .parabolic import Coset, Degree, ParabolicData, degree_add, pareto_minima
 from .roots import InvariantError
-from .weyl import GroupSizeGuardError, reflection_of_root
+from .weyl import GroupSizeGuardError
 
 __all__ = [
     "QClass",
@@ -154,34 +157,22 @@ class QClass:
 
 
 def _chevalley(P: ParabolicData, beta_index: int, u: Coset, quantum: bool) -> QClass:
-    if beta_index in P.delta_P:
+    if beta_index not in P.q_index:  # in Delta_P, or out of range
         raise ValueError(
-            f"node {beta_index + 1} lies in Delta_P: sigma_s{beta_index + 1} "
-            "is not a class of this quotient"
+            f"node {beta_index + 1} is not a retained node of {P.label}: "
+            f"sigma_s{beta_index + 1} is not a class of this quotient"
         )
-    if not 0 <= beta_index < P.system.rank:
-        raise ValueError(f"node index {beta_index} out of range")
-    system = P.system
-    beta = system.simple_roots[beta_index]
+    pos = P.q_index.index(beta_index)
     out = QClass.zero(P)
     zero = (0,) * len(P.q_index)
-    for alpha in P.crossing_roots:
-        # h_alpha(omega_beta) = n_beta (b, b) / (a, a)
-        h = Fraction(alpha.coeffs[beta_index] * beta.norm, alpha.norm)
-        if h.denominator != 1 or h < 0:
-            raise InvariantError(
-                f"bad pairing {h} of {alpha} with node {beta_index + 1}"
-            )
-        h = int(h)
+    for c, v in zip(P.crossing_table, P.targets(u)):
+        h = c.degree[pos]  # h_alpha(omega_beta), beta being a retained node
         if h == 0:
             continue
-        v = P.to_coset(u.min_rep * reflection_of_root(system, alpha))
         if v.length == u.length + 1:
             out.add_term(zero, v, h)
-        if quantum:
-            n_alpha = P.chern_number(alpha)
-            if v.length == u.length + 1 - n_alpha:
-                out.add_term(P.degree_of_root(alpha), v, h)
+        if quantum and v.length == u.length + 1 - c.chern:
+            out.add_term(c.degree, v, h)
     return out
 
 

@@ -144,6 +144,20 @@ def test_exit_code_usage_errors(capsys):
     assert main(["product", "A2", "flag", "--u", "s1", "--v", "s9"]) == 1
 
 
+def test_bad_numeric_options_are_usage_errors(capsys):
+    for argv, message in (
+        (["graph", "A3", "flag", "--max-group-order", "-5"], "--max-group-order"),
+        (["verify", "A2", "flag", "--max-group-order", "-1"], "--max-group-order"),
+        (["verify", "A1", "flag", "--jobs", "0"], "--jobs"),
+        (["verify", "A1", "flag", "--jobs", "-2"], "--jobs"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    # zero keeps meaning "the default guard"
+    assert main(["graph", "A2", "flag", "--max-group-order", "0"]) == 0
+
+
 def test_engine_auto_without_engine_is_usage_error(capsys):
     code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
     assert code == 1

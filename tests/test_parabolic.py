@@ -177,6 +177,15 @@ def test_full_delta_P_rejected():
         make_parabolic("A", 2, (0, 5))
 
 
+def test_make_parabolic_reads_delta_p_as_a_set():
+    P = make_parabolic("A", 3, (2, 0))
+    assert P is make_parabolic("A", 3, (0, 2))
+    assert P is make_parabolic("A", 3, [0, 2])
+    assert P is make_parabolic("a", 3, (0, 2, 2))
+    with pytest.raises(ValueError):
+        make_parabolic("A", 3, [0, 3])
+
+
 def test_graph_counts():
     assert make_parabolic("A", 1, ()).graph().node_count == 2
     assert make_parabolic("A", 1, ()).graph().edge_count == 1

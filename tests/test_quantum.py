@@ -101,6 +101,9 @@ def test_chevalley_rejects_parabolic_node():
     P = grassmannian_parabolic(2, 4)
     with pytest.raises(ValueError):
         quantum_chevalley(P, 0, P.identity_coset())  # node 0 lies in Delta_P
+    for out_of_range in (-1, 3):
+        with pytest.raises(ValueError, match="not a retained node of A3 omit 2"):
+            quantum_chevalley(P, out_of_range, P.identity_coset())
 
 
 def test_chevalley_classical_is_q0_part():
