@@ -157,32 +157,17 @@ def check_graph_structure(P: ParabolicData, label: str) -> list:
         got = P.adjacency(du, dv)
         if got is None or got[1] != deg:
             bad.append(f"dual edge {i}-{j} missing or degree mismatch")
-    # covers generate the Bruhat order
-    n = g.node_count
-    reach = [[False] * n for _ in range(n)]
-    for i in range(n):
-        reach[i][i] = True
-    covers = [
-        (i, j) if g.nodes[i].length < g.nodes[j].length else (j, i)
-        for (i, j) in g.edges
-        if abs(g.nodes[i].length - g.nodes[j].length) == 1
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for i, j in covers:
-            # propagate: anything reaching i also reaches j
-            for s in range(n):
-                if reach[s][i] and not reach[s][j]:
-                    reach[s][j] = True
-                    changed = True
-    for a in range(n):
-        for b in range(n):
+    # covers generate the Bruhat order: the up/down sets the chain search
+    # reads, closed over the cover edges, against the lifting walk
+    ups = [P.up_set(x) for x in g.nodes]
+    downs = [P.down_set(x) for x in g.nodes]
+    for i, a in enumerate(g.nodes):
+        for j, b in enumerate(g.nodes):
             count += 1
-            if reach[a][b] != P.bruhat_leq(g.nodes[a], g.nodes[b]):
+            leq = P.bruhat_leq(a, b)
+            if bool(ups[i] >> j & 1) != leq or bool(downs[j] >> i & 1) != leq:
                 bad.append(
-                    f"cover closure vs bruhat_leq differ at "
-                    f"{g.nodes[a].word()},{g.nodes[b].word()}"
+                    f"cover closure vs bruhat_leq differ at {a.word()},{b.word()}"
                 )
     return [_result(label, "graph-structure", bad, count)]
 
@@ -204,6 +189,19 @@ def check_chain_symmetry(P: ParabolicData, label: str) -> list:
             if ((0,) * len(P.q_index) in f_uv) != P.bruhat_leq(u, P.dual(v)):
                 bad.append(f"zero-degree chain vs u<=dual(v) at {u.word()},{v.word()}")
     return [_result(label, "chain-symmetry", bad, count)]
+
+
+def check_frontier_singleton(P: ParabolicData, label: str) -> list:
+    # Postnikov (Proc. AMS 133, 2005): on G/B the minimal degree in
+    # sigma_u * sigma_v is unique, so every frontier is a single degree
+    cosets = P.cosets()
+    bad = []
+    for u in cosets:
+        for v in cosets:
+            frontier = P.min_chain_degrees(u, v)
+            if len(frontier) != 1:
+                bad.append(f"frontier {frontier} at {u.word()},{v.word()}")
+    return [_result(label, "frontier-singleton", bad, len(cosets) ** 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +478,8 @@ def run_instance_checks(tokens, max_group_order: int = 240) -> list:
     results.extend(check_wp_degree_invariance(P, label))
     results.extend(check_graph_structure(P, label))
     results.extend(check_chain_symmetry(P, label))
+    if not P.delta_P:
+        results.extend(check_frontier_singleton(P, label))
     try:
         engine = product_engine(P, max_group_order)
     except ValueError:

@@ -35,6 +35,22 @@ componentwise dominance; since edge degrees are nonnegative and any
 revisit is dominated by the shorter path, non-dominated labels always
 come from simple paths, which bounds every coordinate by
 (#nodes) * (largest edge coordinate) and guarantees termination.
+
+The labels depend on u alone, so the search runs once per source coset
+and is memoised on the quotient; a pair (u, v) then only reads the
+labels at the cosets below dual(v), takes their Pareto minima and walks
+the back-pointers of the witnesses.  The memo is frozen after each
+search to stay small: node i keeps a tuple of (degree, back) pairs, back
+being (previous node, its degree) or None at a source, degree tuples are
+interned, and the root and degree of an edge are read back from
+`graph().edges` (A4 flag, all 120 sources: about 2.2 MB).
+
+The up-set of u and the down-set of dual(v) are int bitsets over graph
+indices (`up_set`, `down_set`), closed over the cover edges (graph edges
+whose ends differ in length by one) and memoised per coset on first use.
+`bruhat_leq` stays the independent lifting walk on minimal
+representatives; the graph-structure check compares the two on every
+pair.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le
 from typing import Iterable, NamedTuple, Optional
 
 from .roots import InvariantError, Root, RootSystem, build_root_system
@@ -145,6 +162,8 @@ class BruhatGraph:
     # canonical (i, j) with i < j -> (witness root, degree vector)
     edges: dict
     adj: tuple  # adj[i] = tuple of (j, degree, root)
+    up: tuple  # up[i] = the j covering i: an edge with length one more
+    down: tuple  # down[i] = the j that i covers
 
     @property
     def node_count(self) -> int:
@@ -189,6 +208,9 @@ class ParabolicData:
         self._cosets = None
         self._graph = None
         self._dual = {}
+        self._up, self._down = {}, {}  # graph index -> Bruhat bitset
+        self._labels = {}  # coset u -> frozen labels of the search from up_set(u)
+        self._interned_degrees = {}
         self._divisor_engine = None
         # Grassmannian labels (coset -> partition, partition -> coset),
         # filled lazily by grassmann.qproduct_grassmann_cosets
@@ -367,16 +389,46 @@ class ParabolicData:
                     raise InvariantError(
                         f"edge {key} carries degrees {prev[1]} and {c.degree}"
                     )
+        up = [[] for _ in nodes]
+        down = [[] for _ in nodes]
         for (i, j), (alpha, deg) in edges.items():
             adj[i].append((j, deg, alpha))
             adj[j].append((i, deg, alpha))
+            if nodes[j].length == nodes[i].length + 1:  # i < j: never shorter
+                up[i].append(j)
+                down[j].append(i)
         self._graph = BruhatGraph(
             nodes=nodes,
             index=index,
             edges=edges,
             adj=tuple(tuple(sorted(a, key=lambda e: e[0])) for a in adj),
+            up=tuple(map(tuple, up)),
+            down=tuple(map(tuple, down)),
         )
         return self._graph
+
+    # -- Bruhat up/down sets -------------------------------------------------
+
+    def up_set(self, u: Coset) -> int:
+        """Bitset over graph indices of the cosets x with u <= x."""
+        g = self.graph()
+        return self._cover_closure(g.index[u], g.up, self._up)
+
+    def down_set(self, u: Coset) -> int:
+        """Bitset over graph indices of the cosets x with x <= u."""
+        g = self.graph()
+        return self._cover_closure(g.index[u], g.down, self._down)
+
+    def _cover_closure(self, i: int, covers: tuple, memo: dict) -> int:
+        # the covers generate the order, so the set at i is i itself and
+        # the sets at its covers; recursion depth is at most dim
+        got = memo.get(i)
+        if got is None:
+            got = 1 << i
+            for j in covers[i]:
+                got |= self._cover_closure(j, covers, memo)
+            memo[i] = got
+        return got
 
     # -- chain search --------------------------------------------------------
 
@@ -388,32 +440,43 @@ class ParabolicData:
         self, u: Coset, v: Coset
     ) -> tuple[tuple[Degree, ...], tuple[ChainWitness, ...]]:
         frontier, labels, sinks = self._chain_search(u, v)
-        nodes = self._graph.nodes  # built by _chain_search
+        g = self.graph()
         found = []
         for d in frontier:
-            sink = min(i for i in sinks if d in labels[i])
+            sink = next(i for i in sinks if any(e == d for e, _ in labels[i]))
             path_nodes, roots, degs = [sink], [], []
-            cur, cd = sink, d
-            while labels[cur][cd] is not None:
-                pi, pd, alpha, edeg = labels[cur][cd]
+            cur, back = sink, _back(labels[sink], d)
+            while back is not None:
+                pi, pd = back
+                alpha, edeg = g.edges[(min(cur, pi), max(cur, pi))]
                 roots.append(alpha)
                 degs.append(edeg)
                 path_nodes.append(pi)
-                cur, cd = pi, pd
+                cur, back = pi, _back(labels[pi], pd)
             found.append(ChainWitness(
-                d, tuple(nodes[i] for i in reversed(path_nodes)),
+                d, tuple(g.nodes[i] for i in reversed(path_nodes)),
                 tuple(reversed(roots)), tuple(reversed(degs))))
         return frontier, tuple(found)
 
     def _chain_search(self, u: Coset, v: Coset):
-        # labels[i] maps each surviving degree at node i to its back-pointer
-        # (i', d', root, edge degree), or to None at a source
+        # the labels depend on u alone; v only picks the sinks
+        labels = self._labels.get(u)
+        if labels is None:
+            labels = self._labels[u] = self._label_search(self.up_set(u))
+        sinks = _bits(self.down_set(self.dual(v)))
+        frontier = pareto_minima(d for i in sinks for d, _ in labels[i])
+        if not frontier:
+            raise InvariantError("chain frontier is never empty")
+        return frontier, labels, sinks
+
+    def _label_search(self, sources: int) -> tuple:
+        """Pareto labels of all chains starting in the bitset `sources`.
+
+        Entry i of the result holds node i's surviving labels as
+        (degree, back) pairs, back being (previous node, its degree) or
+        None at a source.
+        """
         g = self.graph()
-        vdual = self.dual(v)
-        sources = [i for i, x in enumerate(g.nodes) if self.bruhat_leq(u, x)]
-        sinks = {i for i, x in enumerate(g.nodes) if self.bruhat_leq(x, vdual)}
-        if not (sources and sinks):
-            raise InvariantError("u and v-dual give nonempty up/down sets")
         zero = (0,) * len(self.q_index)
         # belt-and-braces coordinate bound: non-dominated labels come from
         # simple paths, so no coordinate can exceed #nodes * max edge coord
@@ -421,28 +484,48 @@ class ParabolicData:
         bound = g.node_count * maxcoord
         labels: list[dict] = [dict() for _ in g.nodes]
         work = deque()
-        for i in sources:
+        for i in _bits(sources):
             labels[i][zero] = None
             work.append((i, zero))
         while work:
             i, d = work.popleft()
             if d not in labels[i]:
                 continue  # dominated since queued
-            for j, edeg, alpha in g.adj[i]:
-                nd = degree_add(d, edeg)
-                if any(c > bound for c in nd):
+            for j, edeg, _alpha in g.adj[i]:
+                nd = tuple(map(add, d, edeg))
+                if max(nd) > bound:
                     continue
                 lj = labels[j]
-                if nd in lj or any(degree_leq(e, nd) for e in lj):
+                if nd in lj or any(all(map(le, e, nd)) for e in lj):
                     continue
-                for e in [e for e in lj if degree_leq(nd, e)]:
+                for e in [e for e in lj if all(map(le, nd, e))]:
                     del lj[e]
-                lj[nd] = (i, d, alpha, edeg)
+                lj[nd] = (i, d)
                 work.append((j, nd))
-        frontier = pareto_minima(d for i in sinks for d in labels[i])
-        if not frontier:
-            raise InvariantError("chain frontier is never empty")
-        return frontier, labels, sinks
+        # freeze compactly: tuples instead of dicts, one object per degree
+        intern = self._interned_degrees
+
+        def frozen(d, back):
+            if back is not None:
+                back = (back[0], intern.setdefault(back[1], back[1]))
+            return (intern.setdefault(d, d), back)
+
+        return tuple(tuple(frozen(d, back) for d, back in lj.items()) for lj in labels)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _back(node_labels: tuple, d: Degree):
+    """The back-pointer of degree d among one node's labels."""
+    return next(back for e, back in node_labels if e == d)
 
 
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],

@@ -2,7 +2,7 @@
 
 from qschub import checks
 from qschub.grassmann import grassmannian_parabolic
-from qschub.parabolic import make_parabolic
+from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import product_engine
 
 
@@ -53,3 +53,37 @@ def test_sweep_catches_a_wrong_grassmannian_engine():
     assert rows["degree-triple-agreement"].detail.startswith(
         "diagonal 0 vs chains {(0,)} vs product at (),()"
     )
+
+
+def _fresh(type_label, rank, delta_P):
+    """An uncached quotient, so a deliberate corruption stays in the test."""
+    return ParabolicData(make_parabolic(type_label, rank, delta_P).system, delta_P)
+
+
+def test_graph_structure_reads_the_chain_search_bitsets():
+    (row,) = checks.check_graph_structure(_fresh("A", 2, ()), "A2 flag")
+    assert row.passed
+    P = _fresh("A", 2, ())
+    P.up_set(P.graph().nodes[0])
+    P._up[0] = 1  # the identity's up-set, truncated to the identity
+    (row,) = checks.check_graph_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail.startswith("cover closure vs bruhat_leq differ at (),(0,)")
+    P = _fresh("A", 2, ())
+    P.down_set(P.graph().nodes[-1])
+    P._down[len(P.graph().nodes) - 1] = 0  # the top's down-set, emptied
+    (row,) = checks.check_graph_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail.startswith("cover closure vs bruhat_leq differ at (),(0, 1, 0)")
+
+
+def test_frontier_singleton_flags_a_two_degree_frontier():
+    P = _fresh("A", 2, ())
+    (row,) = checks.check_frontier_singleton(P, "A2 flag")
+    assert row.passed and row.checked == 36
+    top = P.cosets()[-1]
+    real = P.min_chain_degrees
+    P.min_chain_degrees = lambda u, v: ((0, 1), (1, 0)) if u == v == top else real(u, v)
+    (row,) = checks.check_frontier_singleton(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == "frontier ((0, 1), (1, 0)) at (0, 1, 0),(0, 1, 0)"

@@ -158,6 +158,20 @@ def test_bad_numeric_options_are_usage_errors(capsys):
     assert main(["graph", "A2", "flag", "--max-group-order", "0"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["minq", "A2", "flag", "--u", "s1", "--v", "s2"],
+    ["product", "A2", "flag", "--u", "s1", "--v", "s2"],
+    ["verify", "A1", "flag"],
+])
+def test_unwritable_out_is_an_error_line(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_engine_auto_without_engine_is_usage_error(capsys):
     code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
     assert code == 1
@@ -212,6 +226,7 @@ def test_verify_row_order(capsys):
     assert flag == [
         "pairing-integrality", "weyl-structure", "bruhat-duality",
         "wp-degree-invariance", "graph-structure", "chain-symmetry",
+        "frontier-singleton",
         "nonvanishing", "grading", "nonnegativity", "commutativity",
         "minimal-degree-agreement", "chevalley-column", "classical-duality",
         "associativity", "quantum-monk", "raising-witness",
