@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from . import grassmann
 from .parabolic import ParabolicData, make_parabolic
 from .quantum import (
+    DEFAULT_PRODUCT_GUARD,
     QClass,
     min_occurring_degrees,
     multiply_classes,
@@ -23,7 +24,8 @@ from .quantum import (
     quantum_chevalley,
     raising_witness_report,
 )
-from .weyl import WeylGroup, simple_reflection, weyl_group_order
+from .weyl import (DEFAULT_ENUMERATION_GUARD, WeylGroup, simple_reflection,
+                   weyl_group_order)
 
 __all__ = [
     "CheckResult",
@@ -424,7 +426,8 @@ DEFAULT_SUITE = (
 _SMALL_GROUP = 1000
 
 
-def build_instance(tokens, max_elements: int = 10 ** 6) -> tuple[str, ParabolicData]:
+def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
+                   ) -> tuple[str, ParabolicData]:
     """Resolve ("gr","2","4") or ("A3","flag") or ("A3","2") style tokens."""
     tokens = tuple(str(t) for t in tokens)
     if not tokens:
@@ -465,7 +468,7 @@ def build_instance(tokens, max_elements: int = 10 ** 6) -> tuple[str, ParabolicD
     return label, make_parabolic(type_label, rank, delta_p, max_elements=max_elements)
 
 
-def run_instance_checks(tokens, max_group_order: int = 240) -> list:
+def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) -> list:
     """All applicable checks for one instance; returns CheckResult rows."""
     label, P = build_instance(tokens)
     if P.grassmannian_shape() == (4, 9):

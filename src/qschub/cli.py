@@ -35,11 +35,9 @@ from .quantum import (
     product_engine,
     quantum_chevalley,
 )
-from .weyl import GroupSizeGuardError, format_word, parse_word
+from .weyl import DEFAULT_ENUMERATION_GUARD, GroupSizeGuardError, format_word, parse_word
 
 __all__ = ["main"]
-
-DEFAULT_ENUM_GUARD = 10 ** 6
 
 
 class UsageError(ValueError):
@@ -56,7 +54,7 @@ class Instance:
 def _build(tokens, guard: int | None) -> Instance:
     try:
         label, P = checks.build_instance(
-            tokens, max_elements=guard if guard else DEFAULT_ENUM_GUARD
+            tokens, max_elements=guard if guard else DEFAULT_ENUMERATION_GUARD
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -371,8 +369,7 @@ def _make_parser() -> argparse.ArgumentParser:
         if needs_uv:
             p.add_argument("--u", required=True, help="coset: word s1*s2, e, or partition")
             p.add_argument("--v", required=True, help="coset: word s1*s2, e, or partition")
-        p.add_argument("--format", choices=["text", "json", "dot"],
-                       default=os.environ.get("QSCHUB_FORMAT", "text"))
+        p.add_argument("--format", choices=["text", "json", "dot"])
         p.add_argument("--max-group-order", type=int, default=0,
                        help="override the enumeration/product size guards")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -394,8 +391,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("instances", nargs="+",
                           help="'default-suite' or instance descriptions")
-    p_verify.add_argument("--format", choices=["text", "json"],
-                          default=os.environ.get("QSCHUB_FORMAT", "text"))
+    p_verify.add_argument("--format", choices=["text", "json"])
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel workers across instances")
     p_verify.add_argument("--max-group-order", type=int, default=0)
@@ -403,12 +399,22 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_format(args) -> None:
+    """--format, else QSCHUB_FORMAT, else text; only graph prints dot."""
+    formats = ("text", "json", "dot") if args.command == "graph" else ("text", "json")
+    env = os.environ.get("QSCHUB_FORMAT") or "text"
+    if args.format is None and env not in formats:
+        raise UsageError(f"QSCHUB_FORMAT={env!r} is not one of {', '.join(formats)}")
+    args.format = args.format or env
+    if args.format not in formats:
+        raise UsageError("--format dot only applies to the graph command")
+
+
 def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "format", "text") == "dot" and args.command != "graph":
-            raise UsageError("--format dot only applies to the graph command")
+        _resolve_format(args)
         if args.max_group_order < 0:
             raise UsageError("--max-group-order must be >= 0 (0 means the default)")
         if getattr(args, "jobs", 1) < 1:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .parabolic import Coset, ParabolicData, make_parabolic
 from .quantum import QClass
 from .roots import InvariantError
-from .weyl import WeylElem, from_word
+from .weyl import DEFAULT_ENUMERATION_GUARD, WeylElem, from_word
 
 __all__ = [
     "normalize_partition",
@@ -135,7 +135,8 @@ def dual_partition(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
 # coset dictionary
 
 
-def grassmannian_parabolic(k: int, n: int, max_elements: int = 10 ** 6) -> ParabolicData:
+def grassmannian_parabolic(k: int, n: int,
+                           max_elements: int = DEFAULT_ENUMERATION_GUARD) -> ParabolicData:
     """Parabolic data whose quotient is Gr(k, n): keep only node k."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")

@@ -4,7 +4,10 @@ A parabolic datum is a root system together with the set Delta_P of
 simple roots generating W_P (Delta_P = Delta is rejected; the quotient
 must be a proper flag variety).  Cosets are stored through their
 minimal-length representatives, found by stripping right descents that
-lie in Delta_P.
+lie in Delta_P, and interned: one table per quotient maps that matrix
+to the one `Coset` of the coset, which every method here hands out.  So
+cosets compare and hash by identity, at C speed, and equality holds
+within one quotient; cosets of two `ParabolicData` never compare equal.
 
 Every positive root alpha outside R_P^+ ("crossing" root) carries two
 integers used throughout:
@@ -111,9 +114,9 @@ def pareto_minima(degrees: Iterable[Degree]) -> tuple[Degree, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coset:
-    """A coset of W_P, held by its minimal-length representative."""
+    """A coset of W_P by its minimal representative; one interned object."""
 
     min_rep: WeylElem
     length: int
@@ -126,12 +129,6 @@ class Coset:
 
     def __repr__(self) -> str:
         return f"Coset[{format_word(self.word())}]"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Coset) and self.min_rep == other.min_rep
-
-    def __hash__(self) -> int:
-        return hash(self.min_rep)
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,8 @@ class ParabolicData:
         )
         self.crossing_table = tuple(map(self._crossing_entry, self.crossing_roots))
         self._entry = {c.root.coeffs: c for c in self.crossing_table}
+        self._coset_of = {}  # minimal representative's matrix -> its one Coset
         self._targets = {}  # coset -> row [u t_alpha], aligned with crossing_table
-        self._interned = {}  # rows share one Coset object per coset, not a copy each
         self._cosets = None
         self._graph = None
         self._dual = {}
@@ -282,11 +279,17 @@ class ParabolicData:
                     break
             else:
                 break
-        length = w._length if w._length is not None else w.length
-        return Coset(w, length)
+        return self._intern(w)
+
+    def _intern(self, w: WeylElem) -> Coset:
+        """The one Coset whose minimal representative is w."""
+        got = self._coset_of.get(w.mat)
+        if got is None:
+            got = self._coset_of[w.mat] = Coset(w, w.length)
+        return got
 
     def identity_coset(self) -> Coset:
-        return Coset(identity(self.system), 0)
+        return self._intern(identity(self.system))
 
     def dual(self, u: Coset) -> Coset:
         """The coset of w_o u, of complementary length."""
@@ -307,7 +310,8 @@ class ParabolicData:
 
         Minimal representatives are closed downward under left
         multiplication by simple reflections, so a level-synchronous BFS
-        by s_i * w finds each exactly once.
+        by s_i * w finds each exactly once; its own seen-set, not the
+        intern table, drops a shorter s_i * w, found on a lower level.
         """
         if self._cosets is not None:
             return self._cosets
@@ -316,31 +320,27 @@ class ParabolicData:
             # is known up front and an oversized request can refuse early
             raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
         start = self.identity_coset()
-        seen = {start.min_rep.mat: start}
-        level = [start]
+        found, seen, level = [start], {start.min_rep.mat}, [start]
         while level:
             nxt = []
             for u in level:
-                w = u.min_rep
                 for i in range(self.system.rank):
-                    if w.is_left_descent(i):
-                        continue  # s_i w is shorter
-                    cand = simple_reflection(self.system, i) * w
-                    cand._length = u.length + 1
+                    cand = simple_reflection(self.system, i) * u.min_rep
                     if cand.mat in seen:
                         continue
+                    seen.add(cand.mat)
                     # keep only minimal representatives
                     if any(cand.is_right_descent(j) for j in self.delta_P):
                         continue
-                    c = Coset(cand, u.length + 1)
-                    seen[cand.mat] = c
-                    if len(seen) > self.max_elements:
+                    cand._length = u.length + 1
+                    nxt.append(self._intern(cand))
+                    if len(found) + len(nxt) > self.max_elements:
                         raise GroupSizeGuardError(
                             f"W/W_P for {self.label}", self.max_elements
                         )
-                    nxt.append(c)
+            found += nxt
             level = nxt
-        self._cosets = tuple(sorted(seen.values(), key=Coset.sort_key))
+        self._cosets = tuple(sorted(found, key=Coset.sort_key))
         return self._cosets
 
     # -- adjacency and the Bruhat graph -------------------------------------
@@ -349,13 +349,9 @@ class ParabolicData:
         """The row [u t_alpha], aligned with crossing_table; memoised."""
         row = self._targets.get(u)
         if row is None:
-            interned = self._interned
-            row = tuple(
-                interned.setdefault(v, v)
-                for v in (self.to_coset(u.min_rep * c.reflection)
-                          for c in self.crossing_table)
+            row = self._targets[u] = tuple(
+                self.to_coset(u.min_rep * c.reflection) for c in self.crossing_table
             )
-            self._targets[u] = row
         return row
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:

@@ -355,11 +355,11 @@ class DivisorEngine:
 
 
 def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:
-    eng = P._divisor_engine
-    if eng is None or eng.P is not P:
-        eng = DivisorEngine(P, max_group_order=max_group_order)
-        P._divisor_engine = eng
-    return eng
+    # a cached engine obeys the guard too, whichever call built it: past
+    # the guard, the constructor raises before anything is replaced
+    if P._divisor_engine is None or len(P.cosets()) > max_group_order:
+        P._divisor_engine = DivisorEngine(P, max_group_order=max_group_order)
+    return P._divisor_engine
 
 
 def qproduct_GB(P: ParabolicData, u: Coset, v: Coset,

@@ -156,7 +156,6 @@ class RootSystem:
         )
         # caches shared by the Weyl-group layer
         self._bruhat_memo: dict = {}
-        self._weyl_group = None
         self._longest = None
 
     # -- construction -------------------------------------------------

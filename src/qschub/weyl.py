@@ -1,12 +1,12 @@
 """Weyl group elements as exact integer matrices on the root lattice.
 
-An element is the matrix of its action in the simple-root basis
-(columns are the images of the simple roots), together with the matrix
-of its inverse, which makes both left- and right-descent tests a single
-column sign check.  Length is the number of positive roots sent to
-negatives; reduced words are recovered by walking down right descents,
-always taking the smallest index, which gives every element one
-canonical reduced word and makes all printed output deterministic.
+An element is only the matrix of its action in the simple-root basis
+(columns are the images of the simple roots), so a product is one
+matrix product and a right descent one column sign check; the inverse
+comes from the reversed word.  Length is the number of positive roots
+sent to negatives; reduced words are recovered by walking down right
+descents, always taking the smallest index, which gives every element
+one canonical reduced word and makes all printed output deterministic.
 
 Bruhat order is decided by the standard lifting walk: strip a right
 descent s off the larger element, following the smaller element down
@@ -93,12 +93,11 @@ def _identity_mat(n):
 class WeylElem:
     """One Weyl group element; hashable, compared by its matrix."""
 
-    __slots__ = ("system", "mat", "inv", "_length", "_word")
+    __slots__ = ("system", "mat", "_length", "_word")
 
-    def __init__(self, system: RootSystem, mat, inv, length: Optional[int] = None):
+    def __init__(self, system: RootSystem, mat, length: Optional[int] = None):
         self.system = system
         self.mat = mat
-        self.inv = inv
         self._length = length
         self._word = None
 
@@ -110,13 +109,13 @@ class WeylElem:
                 f"cannot compose elements of {self.system.label} and "
                 f"{other.system.label}"
             )
-        return WeylElem(
-            self.system, _mat_mul(self.mat, other.mat), _mat_mul(other.inv, self.inv)
-        )
+        return WeylElem(self.system, _mat_mul(self.mat, other.mat))
 
     def inverse(self) -> "WeylElem":
-        w = WeylElem(self.system, self.inv, self.mat)
-        w._length = self._length  # l(w) = l(w^-1)
+        """The reversed canonical word; l(w^-1) = l(w)."""
+        word = self.word()
+        w = from_word(self.system, reversed(word))
+        w._length = len(word)
         return w
 
     def __eq__(self, other) -> bool:
@@ -155,10 +154,6 @@ class WeylElem:
         """True iff l(w s_i) < l(w), i.e. w(b_i) is negative."""
         return any(row[i] < 0 for row in self.mat)
 
-    def is_left_descent(self, i: int) -> bool:
-        """True iff l(s_i w) < l(w), i.e. w^{-1}(b_i) is negative."""
-        return any(row[i] < 0 for row in self.inv)
-
     def first_right_descent(self) -> Optional[int]:
         for i in range(self.system.rank):
             if self.is_right_descent(i):
@@ -189,7 +184,7 @@ class WeylElem:
 
 def identity(system: RootSystem) -> WeylElem:
     m = _identity_mat(system.rank)
-    return WeylElem(system, m, m, length=0)
+    return WeylElem(system, m, length=0)
 
 
 _SIMPLE_CACHE: dict = {}
@@ -211,7 +206,7 @@ def simple_reflection(system: RootSystem, i: int) -> WeylElem:
         )
         for r in range(rank)
     )
-    s = WeylElem(system, mat, mat, length=1)
+    s = WeylElem(system, mat, length=1)
     _SIMPLE_CACHE[key] = s
     return s
 
@@ -235,7 +230,7 @@ def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:
             tuple((1 if r == j else 0) - t * alpha.coeffs[r] for r in range(rank))
         )
     mat = tuple(zip(*cols))
-    return WeylElem(system, mat, mat)
+    return WeylElem(system, mat)
 
 
 def from_word(system: RootSystem, indices: Iterable[int]) -> WeylElem:
@@ -317,7 +312,6 @@ def longest_element(system: RootSystem) -> WeylElem:
             for i in range(system.rank):
                 if not w.is_right_descent(i):
                     w = w * simple_reflection(system, i)
-                    w._length = None
                     break
             else:  # pragma: no cover - unreachable
                 raise InvariantError("stuck before reaching the longest element")

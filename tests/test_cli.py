@@ -299,6 +299,32 @@ def test_format_env_default(capsys, monkeypatch):
     assert out.startswith("# command: minq")
 
 
+def test_format_env_outside_the_choices_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QSCHUB_FORMAT", "xml")
+    assert main(["verify", "A1", "flag"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: QSCHUB_FORMAT='xml'")
+    # an explicit --format overrides the environment
+    code, out = run(capsys, "verify", "A1", "flag", "--format", "text")
+    assert code == 0 and out.startswith("# command: verify")
+
+
+def test_format_env_dot_only_reaches_graph(capsys, monkeypatch):
+    monkeypatch.setenv("QSCHUB_FORMAT", "dot")
+    for argv in (["minq", "A1", "flag", "--u", "e", "--v", "s1"],
+                 ["verify", "A1", "flag"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QSCHUB_FORMAT='dot'"), err
+    code, out = run(capsys, "graph", "A1", "flag")
+    assert code == 0 and out.startswith('graph "A1 flag" {')
+    # without the environment, --format dot on minq is refused as before
+    monkeypatch.delenv("QSCHUB_FORMAT")
+    assert main(["minq", "A1", "flag", "--u", "e", "--v", "s1", "--format", "dot"]) == 1
+    assert "--format dot only applies to the graph command" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "graph.json"
     code = main(["graph", "gr", "2", "4", "--format", "json", "--out", str(target)])

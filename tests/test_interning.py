@@ -1,0 +1,111 @@
+"""One Coset object per coset: the intern table of a quotient.
+
+Cosets compare and hash by identity, so every entry point that hands out
+a coset (to_coset, identity_coset, cosets(), the targets rows, dual)
+must return the quotient's one object for it, whatever the call order.
+"""
+
+import pytest
+
+from qschub.grassmann import coset_of_partition, qproduct_grassmann_cosets
+from qschub.parabolic import ParabolicData
+from qschub.quantum import QClass, qproduct_GB, quantum_chevalley
+from qschub.roots import build_root_system
+from qschub.weyl import from_word, identity
+
+
+def fresh(type_label, rank, delta_P):
+    """A ParabolicData outside make_parabolic's cache, with no memo filled."""
+    return ParabolicData(build_root_system(type_label, rank), delta_P)
+
+
+# (type, rank, Delta_P): A3 flag, B3 2, gr 3 6
+QUOTIENTS = [("A", 3, ()), ("B", 3, (0, 2)), ("A", 5, (0, 1, 3, 4))]
+QUOTIENT_IDS = ["A3 flag", "B3 2", "gr 3 6"]
+
+
+def test_equal_elements_give_one_coset():
+    P = fresh("A", 3, ())
+    rs = P.system
+    a, b = from_word(rs, (0, 1, 0)), from_word(rs, (1, 0, 1))  # braid relation
+    assert a is not b and a == b
+    assert P.to_coset(a) is P.to_coset(b)
+    assert P.to_coset(identity(rs)) is P.identity_coset()
+    for u in P.cosets():
+        assert P.to_coset(from_word(rs, u.word())) is u
+
+
+def test_one_coset_per_coset_of_w_p():
+    P = fresh("A", 3, (0, 2))
+    rs = P.system
+    for u in P.cosets():
+        for j in P.delta_P:
+            # u s_j lies in the same coset, with a longer representative
+            assert P.to_coset(u.min_rep * from_word(rs, (j,))) is u
+
+
+@pytest.mark.parametrize("type_label,rank,delta_P", QUOTIENTS, ids=QUOTIENT_IDS)
+def test_cosets_interned_before_enumeration_are_enumerated(type_label, rank, delta_P):
+    P = fresh(type_label, rank, delta_P)
+    # intern a good part of the quotient through Chevalley rows and duals
+    # before cosets() runs: the BFS must still find and expand all of them
+    seen_classes = []
+    frontier = [P.identity_coset()]
+    for _ in range(3):
+        nxt = []
+        for u in frontier:
+            for b in P.q_index:
+                nxt += [v for (_d, v) in quantum_chevalley(P, b, u).terms]
+            nxt.append(P.dual(u))
+        seen_classes += nxt
+        frontier = nxt
+    assert P._cosets is None and P._targets and P._dual
+    cosets = P.cosets()
+    ids = {id(u) for u in cosets}
+    assert len(ids) == len(cosets)
+    assert all(id(v) in ids for row in P._targets.values() for v in row)
+    assert all(id(u) in ids and id(d) in ids for u, d in P._dual.items())
+    assert all(id(v) in ids for v in seen_classes)
+    untouched = fresh(type_label, rank, delta_P)
+    assert [u.word() for u in cosets] == [u.word() for u in untouched.cosets()]
+    # rows and duals computed after enumeration are entries of the same table
+    for u in cosets:
+        assert all(id(v) in ids for v in P.targets(u))
+        assert id(P.dual(u)) in ids
+
+
+def test_cosets_of_two_quotients_never_compare_equal():
+    P1, P2 = fresh("A", 2, ()), fresh("A", 2, ())
+    for u1, u2 in zip(P1.cosets(), P2.cosets()):
+        assert u1.min_rep == u2.min_rep
+        assert u1 != u2
+    assert P1.identity_coset() not in set(P2.cosets())
+    with pytest.raises(ValueError, match="different parabolic data"):
+        QClass.basis(P1, P1.identity_coset()) + QClass.basis(P2, P2.identity_coset())
+
+
+@pytest.mark.parametrize("type_label,rank,delta_P",
+                         [("E", 7, ()), ("A", 15, tuple(i for i in range(15) if i != 7))],
+                         ids=["E7 flag", "gr 8 16"])
+def test_single_products_intern_without_enumerating(type_label, rank, delta_P):
+    P = fresh(type_label, rank, delta_P)
+    e = P.identity_coset()
+    b = P.q_index[len(P.q_index) // 2]
+    (((_d, s_b), _c),) = quantum_chevalley(P, b, e).terms.items()
+    for (_d, v) in quantum_chevalley(P, b, s_b).terms:
+        assert P.to_coset(from_word(P.system, v.word())) is v
+    if P.grassmannian_shape():
+        u = coset_of_partition(P, (8, 8, 2, 1))
+        prod = qproduct_grassmann_cosets(P, u, coset_of_partition(P, (8, 3, 1)))
+        assert not prod.is_zero
+        assert all(P.to_coset(w.min_rep) is w for (_d, w) in prod.terms)
+    assert P._cosets is None
+
+
+def test_product_cosets_are_the_enumerated_ones():
+    P = fresh("A", 2, ())
+    cosets = P.cosets()
+    ids = {id(u) for u in cosets}
+    for u in cosets:
+        for v in cosets:
+            assert all(id(w) in ids for (_d, w) in qproduct_GB(P, u, v).terms)

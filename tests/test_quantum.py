@@ -14,7 +14,7 @@ from qschub.grassmann import (
     partition_of_coset,
     qproduct_grassmann,
 )
-from qschub.parabolic import make_parabolic
+from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import (
     DEFAULT_PRODUCT_GUARD,
     DivisorEngine,
@@ -27,6 +27,7 @@ from qschub.quantum import (
     quantum_chevalley,
     raising_witness_report,
 )
+from qschub.roots import build_root_system
 from qschub.weyl import GroupSizeGuardError, parse_word
 
 
@@ -304,6 +305,20 @@ def test_product_engine_choice():
     assert isinstance(product_engine(grassmannian_parabolic(2, 4)), RimHookEngine)
     with pytest.raises(ValueError):
         product_engine(make_parabolic("B", 3, (1, 2)))
+
+
+def test_product_guard_ignores_call_order():
+    # a fresh quotient, so no earlier test's engine is cached on it
+    P = ParabolicData(build_root_system("A", 3), ())
+    with pytest.raises(GroupSizeGuardError):
+        product_engine(P, 10)
+    u, v = P.cosets()[1], P.cosets()[2]
+    assert not qproduct_GB(P, u, v).is_zero  # builds and caches the engine
+    with pytest.raises(GroupSizeGuardError):
+        product_engine(P, 10)
+    with pytest.raises(GroupSizeGuardError):
+        qproduct_GB(P, u, v, max_group_order=10)
+    assert product_engine(P, 24) is P._divisor_engine
 
 
 # ---------------------------------------------------------------------------

@@ -260,3 +260,4 @@ def test_inverse_and_length_symmetry(w1, w2):
     b = from_word(rs, w2)
     assert (a * b).inverse() == b.inverse() * a.inverse()
     assert a.inverse().length == a.length
+    assert a * a.inverse() == identity(rs) == a.inverse() * a
