@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from itertools import permutations
 
 from . import grassmann
 from .parabolic import ParabolicData, make_parabolic
@@ -286,7 +287,7 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
                     f"top classical coefficient {classical_top} at {tag}"
                 )
             if u.length == 1:
-                beta = u.min_rep.word()[0]
+                beta = u.word()[0]
                 if prod.terms != quantum_chevalley(P, beta, v).terms:
                     rows["chevalley-column"].append(
                         f"product column differs from Chevalley at {tag}"
@@ -367,9 +368,17 @@ def check_quantum_monk(P: ParabolicData, label: str) -> list:
             1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
         )
 
-    for u in P.cosets():
-        up = grassmann.weyl_to_perm(u.min_rep)
-        lu = u.length
+    def point(p):
+        # the orbit point of p: y_{p(i)} = n - i and mu_j = y_j - y_{j+1}
+        y = [0] * n
+        for i, pi in enumerate(p, 1):
+            y[pi - 1] = n - i
+        return tuple(a - b for a, b in zip(y, y[1:]))
+
+    coset_at = {u.mu: u for u in P.cosets()}
+    for up in permutations(range(1, n + 1)):
+        u = coset_at[point(up)]
+        lu = inversions(up)
         for r in range(system.rank):
             count += 1
             expected: dict = {}
@@ -380,7 +389,7 @@ def check_quantum_monk(P: ParabolicData, label: str) -> list:
                     vp = list(up)
                     vp[a - 1], vp[b - 1] = vp[b - 1], vp[a - 1]
                     lv = inversions(vp)
-                    v = P.to_coset(grassmann.perm_to_weyl(system, tuple(vp)))
+                    v = coset_at[point(vp)]
                     zero = (0,) * system.rank
                     if lv == lu + 1:
                         expected[(zero, v)] = expected.get((zero, v), 0) + 1

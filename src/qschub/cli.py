@@ -80,7 +80,7 @@ def degree_str(inst: Instance, deg: tuple) -> str:
 def coset_str(inst: Instance, u: Coset) -> str:
     if inst.gr_spelled:
         return format_partition(partition_of_coset(inst.P, u))
-    return format_word(u.min_rep.word())
+    return format_word(u.word())
 
 
 def root_str(root) -> str:
@@ -211,7 +211,7 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
         return engine, RimHookEngine(P).product
     if u.length != 1:
         raise UsageError("--engine chevalley needs u to be a divisor class sigma[s<i>]")
-    return engine, lambda a, b: quantum_chevalley(P, a.min_rep.word()[0], b)
+    return engine, lambda a, b: quantum_chevalley(P, a.word()[0], b)
 
 
 def cmd_product(inst: Instance, args) -> tuple[str, int]:

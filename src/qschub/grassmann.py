@@ -6,7 +6,9 @@ box.  This module provides the dictionary between coset language and
 partition language, an exact classical Littlewood-Richardson expansion
 (horizontal-strip recursion with the lattice-word condition), and the
 quantum product computed by reducing wide partitions modulo rim hooks of
-size n, one power of q per hook.
+size n, one power of q per hook.  The dictionary reads and writes the
+coset's orbit point mu directly: in type A, mu_j = y_j - y_{j+1} for n
+values y, and on Gr(k, n) y is the indicator of S = {lam_{k+1-i} + i}.
 
 The abacus encoding does the heavy lifting: a partition with at most k
 rows becomes the k-element set B = {lam_i + k - i}, removing a rim hook
@@ -26,7 +28,7 @@ from typing import Iterable, Iterator
 from .parabolic import Coset, ParabolicData, make_parabolic
 from .quantum import QClass
 from .roots import InvariantError
-from .weyl import DEFAULT_ENUMERATION_GUARD, WeylElem, from_word
+from .weyl import DEFAULT_ENUMERATION_GUARD
 
 __all__ = [
     "normalize_partition",
@@ -38,8 +40,6 @@ __all__ = [
     "grassmannian_parabolic",
     "partition_of_coset",
     "coset_of_partition",
-    "perm_to_weyl",
-    "weyl_to_perm",
     "beta_set",
     "partition_from_beta",
     "rimhook_adjacent",
@@ -144,48 +144,20 @@ def grassmannian_parabolic(k: int, n: int,
     return make_parabolic("A", n - 1, delta_p, max_elements=max_elements)
 
 
-def _perm_word(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical reduced word (0-based nodes) of a permutation of 1..n."""
-    one_line = list(p)
-    collected = []
-    while True:
-        i = next(
-            (j for j in range(len(one_line) - 1) if one_line[j] > one_line[j + 1]),
-            None,
-        )
-        if i is None:
-            break
-        one_line[i], one_line[i + 1] = one_line[i + 1], one_line[i]
-        collected.append(i)
-    return tuple(reversed(collected))
-
-
-def perm_to_weyl(system, p: tuple[int, ...]) -> WeylElem:
-    """Permutation of 1..n as an element of W(A_{n-1})."""
-    n = system.rank + 1
-    if sorted(p) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {p}")
-    return from_word(system, _perm_word(tuple(p)))
-
-
-def weyl_to_perm(w: WeylElem) -> tuple[int, ...]:
-    """One-line notation (values 1..n) of a type-A Weyl element."""
-    n = w.system.rank + 1
-    one_line = list(range(1, n + 1))
-    for i in w.word():
-        one_line[i], one_line[i + 1] = one_line[i + 1], one_line[i]
-    return tuple(one_line)
-
-
 def partition_of_coset(P: ParabolicData, u: Coset) -> tuple[int, ...]:
     """Partition label of a Schubert coset of Gr(k, n)."""
     shape = P.grassmannian_shape()
     if shape is None:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
     k, n = shape
-    p = weyl_to_perm(u.min_rep)
-    lam = tuple(p[k - j] - (k + 1 - j) for j in range(1, k + 1))
-    lam = normalize_partition(lam)
+    # y_n, ..., y_1 up to a shift, from y_j = y_{j+1} + mu_j; the higher
+    # of its two values marks S
+    y = [0]
+    for m in reversed(u.mu):
+        y.append(y[-1] + m)
+    low = min(y)
+    ones = sorted(n - t for t, yt in enumerate(y) if yt > low)
+    lam = normalize_partition(reversed([s - i for i, s in enumerate(ones, 1)]))
     if sum(lam) != u.length:
         raise InvariantError("partition weight must match coset length")
     return lam
@@ -198,9 +170,9 @@ def coset_of_partition(P: ParabolicData, lam: Iterable[int]) -> Coset:
     k, n = shape
     lam = _require_box(k, n, lam)
     padded = lam + (0,) * (k - len(lam))
-    first = [padded[k - i] + i for i in range(1, k + 1)]
-    rest = sorted(set(range(1, n + 1)) - set(first))
-    u = P.to_coset(perm_to_weyl(P.system, tuple(first + rest)))
+    ones = {padded[k - i] + i for i in range(1, k + 1)}
+    y = [int(j in ones) for j in range(1, n + 1)]
+    u = P._intern(tuple(a - b for a, b in zip(y, y[1:])))
     if u.length != sum(lam):
         raise InvariantError(f"coset of {lam} has length {u.length}")
     return u
@@ -344,25 +316,15 @@ def qproduct_grassmann(k: int, n: int, lam, mu) -> dict:
 
 
 def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
-    """Same product, spoken in coset language.
-
-    Partition/coset conversions are memoised per quotient and filled on
-    demand, so a single product enumerates no cosets.
-    """
+    """Same product, spoken in coset language; it enumerates no cosets."""
     shape = P.grassmannian_shape()
     if shape is None:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
     k, n = shape
-    partition, coset = P._partition_memo
-    for x in (u, v):
-        if x not in partition:
-            partition[x] = partition_of_coset(P, x)
+    lam, mu = partition_of_coset(P, u), partition_of_coset(P, v)
     out = QClass.zero(P)
-    for (d, nu), c in qproduct_grassmann(k, n, partition[u], partition[v]).items():
-        w = coset.get(nu)
-        if w is None:
-            w = coset[nu] = coset_of_partition(P, nu)
-        out.add_term((d,), w, c)
+    for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items():
+        out.add_term((d,), coset_of_partition(P, nu), c)
     return out
 
 

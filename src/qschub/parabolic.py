@@ -2,12 +2,16 @@
 
 A parabolic datum is a root system together with the set Delta_P of
 simple roots generating W_P (Delta_P = Delta is rejected; the quotient
-must be a proper flag variety).  Cosets are stored through their
-minimal-length representatives, found by stripping right descents that
-lie in Delta_P, and interned: one table per quotient maps that matrix
-to the one `Coset` of the coset, which every method here hands out.  So
-cosets compare and hash by identity, at C speed, and equality holds
-within one quotient; cosets of two `ParabolicData` never compare equal.
+must be a proper flag variety).  W/W_P is the orbit W.lambda_P, with
+lambda_P the sum of the fundamental weights of the retained nodes
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.5), and a coset u W_P
+is its orbit point mu = u lambda_P in fundamental-weight coordinates: s_i
+acts in O(r), mu -> mu - mu_i alpha_i, and mu_i < 0 marks a left descent.
+`_intern` is the one constructor, one `Coset` per orbit point, so cosets
+compare and hash by identity, at C speed, within one quotient; cosets of
+two `ParabolicData` never compare equal.  Each coset keeps its parent one
+step down its smallest left descent; its minimal representative, for
+canonical words and printed output, is built from the parent's on first use.
 
 Every positive root alpha outside R_P^+ ("crossing" root) carries two
 integers used throughout:
@@ -23,11 +27,12 @@ integers used throughout:
 
 Both are computed once, in the crossing-root table (`crossing_table`):
 one `CrossingRoot` per crossing root, in `crossing_roots` order, holding
-the root, its reflection t_alpha, d(alpha) and n_alpha.  Beside it,
-`targets(u)` is the row of cosets [u t_alpha] aligned with that table,
-computed on first use and memoised per coset, so a single Chevalley
-product enumerates no cosets.  The graph, `adjacency` and the quantum
-Chevalley operator all read these rows.
+the root, d(alpha) and n_alpha.  Beside it, `targets(u)` is the row of
+cosets [u t_alpha] aligned with that table, computed on first use and
+memoised per coset, so a single Chevalley product enumerates no cosets.
+An entry is mu - <lambda_P, alpha^vee> u(alpha), the pairing being the
+sum of d(alpha), so it needs no projection.  The graph, `adjacency` and
+the quantum Chevalley operator all read these rows.
 
 Two cosets are adjacent when one is the projection of the other times a
 reflection; the resulting edge-weighted graph supports a multi-objective
@@ -51,9 +56,8 @@ interned, and the root and degree of an edge are read back from
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), closed over the cover edges (graph edges
 whose ends differ in length by one) and memoised per coset on first use.
-`bruhat_leq` stays the independent lifting walk on minimal
-representatives; the graph-structure check compares the two on every
-pair.
+`bruhat_leq` stays the independent lifting walk, on orbit points; the
+graph-structure check compares the two on every pair.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, le
+from functools import cached_property, lru_cache, reduce
+from operator import add, le, mul
 from typing import Iterable, NamedTuple, Optional
 
 from .roots import InvariantError, Root, RootSystem, build_root_system
@@ -70,11 +74,10 @@ from .weyl import (
     DEFAULT_ENUMERATION_GUARD,
     GroupSizeGuardError,
     WeylElem,
-    bruhat_leq_W,
+    bruhat_leq_W,  # noqa: F401 - the reference walk, traced under this name by perfbench
     format_word,
     identity,
     longest_element,
-    reflection_of_root,
     simple_reflection,
     weyl_group_order,
 )
@@ -114,12 +117,27 @@ def pareto_minima(degrees: Iterable[Degree]) -> tuple[Degree, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Coset:
-    """A coset of W_P by its minimal representative; one interned object."""
+    """A coset u W_P as its orbit point mu = u lambda_P; one interned object.
 
-    min_rep: WeylElem
+    `parent` is the coset of s_i mu for the least i with mu_i < 0, stored
+    as `descent`; the identity coset has neither.
+    """
+
+    mu: tuple
     length: int
+    parent: Optional["Coset"] = None
+    descent: Optional[int] = None
+    _min_rep: Optional[WeylElem] = None
+
+    @property
+    def min_rep(self) -> WeylElem:
+        """The minimal representative, s_i times the parent's; built on first use."""
+        if self._min_rep is None:
+            up = self.parent.min_rep
+            self._min_rep = simple_reflection(up.system, self.descent) * up
+        return self._min_rep
 
     def word(self) -> tuple[int, ...]:
         return self.min_rep.word()
@@ -145,7 +163,6 @@ class CrossingRoot(NamedTuple):
     """One entry of the crossing-root table."""
 
     root: Root
-    reflection: WeylElem  # t_alpha
     degree: Degree  # d(alpha)
     chern: int  # n_alpha
 
@@ -186,7 +203,6 @@ class ParabolicData:
         self.system = system
         self.delta_P = delta_P
         self.max_elements = max_elements
-        self.delta_P_sorted = tuple(sorted(delta_P))
         self.q_index = tuple(sorted(set(range(system.rank)) - delta_P))
         self.R_P_plus = tuple(
             a for a in system.positive_roots
@@ -200,18 +216,16 @@ class ParabolicData:
         )
         self.crossing_table = tuple(map(self._crossing_entry, self.crossing_roots))
         self._entry = {c.root.coeffs: c for c in self.crossing_table}
-        self._coset_of = {}  # minimal representative's matrix -> its one Coset
+        self._lambda_P = tuple(0 if i in delta_P else 1 for i in range(system.rank))
+        self._alpha = tuple(zip(*system.cartan))  # alpha_i in weight coordinates
+        self._coset_of = {}  # orbit point -> its one Coset
         self._targets = {}  # coset -> row [u t_alpha], aligned with crossing_table
         self._cosets = None
         self._graph = None
-        self._dual = {}
         self._up, self._down = {}, {}  # graph index -> Bruhat bitset
         self._labels = {}  # coset u -> frozen labels of the search from up_set(u)
         self._interned_degrees = {}
         self._divisor_engine = None
-        # Grassmannian labels (coset -> partition, partition -> coset),
-        # filled lazily by grassmann.qproduct_grassmann_cosets
-        self._partition_memo = ({}, {})
 
     # -- small derived data ----------------------------------------------
 
@@ -242,8 +256,7 @@ class ParabolicData:
         chern = Fraction(2 * self.system.inner(self.two_rho_P, alpha.coeffs), alpha.norm)
         if chern.denominator != 1 or chern <= 0:
             raise InvariantError(f"bad Chern number {chern} for {alpha}")
-        return CrossingRoot(alpha, reflection_of_root(self.system, alpha),
-                            tuple(int(c) for c in degree), int(chern))
+        return CrossingRoot(alpha, tuple(int(c) for c in degree), int(chern))
 
     def _lookup(self, alpha: Root, what: str) -> CrossingRoot:
         got = self._entry.get(alpha.coeffs)
@@ -261,85 +274,100 @@ class ParabolicData:
         """n_alpha = 4(rho_P, alpha)/(alpha, alpha); a positive integer."""
         return self._lookup(alpha, "Chern number").chern
 
-    def rho_pairing(self, i: int) -> Fraction:
-        """h_{b_i}(rho_P); vanishes on Delta_P, positive on retained nodes."""
-        b = self.system.simple_roots[i]
-        return Fraction(self.system.inner(b.coeffs, self.two_rho_P), b.norm)
-
     # -- cosets ------------------------------------------------------------
 
     def to_coset(self, w: WeylElem) -> Coset:
-        """Project onto the minimal-length coset representative."""
+        """The coset w W_P: w's canonical word applied to lambda_P."""
         if w.system is not self.system:
             raise ValueError("element belongs to a different root system")
-        while True:
-            for i in self.delta_P_sorted:
-                if w.is_right_descent(i):
-                    w = w * simple_reflection(self.system, i)
-                    break
-            else:
-                break
-        return self._intern(w)
+        word = reversed(w.word())
+        return self._intern(reduce(self._reflect, word, self._lambda_P))
 
-    def _intern(self, w: WeylElem) -> Coset:
-        """The one Coset whose minimal representative is w."""
-        got = self._coset_of.get(w.mat)
-        if got is None:
-            got = self._coset_of[w.mat] = Coset(w, w.length)
+    def _reflect(self, mu: tuple, i: int) -> tuple:
+        """s_i mu = mu - mu_i alpha_i."""
+        m = mu[i]
+        return tuple(x - m * a for x, a in zip(mu, self._alpha[i]))
+
+    def _intern(self, mu: tuple) -> Coset:
+        """The one Coset of the orbit point mu: walk mu down its smallest
+        left descents to an interned point (lambda_P, the one dominant
+        point, is the identity coset), then intern that chain going up."""
+        chain = []
+        while mu not in self._coset_of:
+            i = next((i for i, m in enumerate(mu) if m < 0), None)
+            if i is None:
+                if mu != self._lambda_P:
+                    raise InvariantError(f"{mu} is not in the orbit of {self._lambda_P}")
+                self._coset_of[mu] = Coset(mu, 0, _min_rep=identity(self.system))
+            else:
+                chain.append((mu, i))
+                mu = self._reflect(mu, i)
+        got = self._coset_of[mu]
+        for mu, i in reversed(chain):
+            got = self._coset_of[mu] = Coset(mu, got.length + 1, got, i)
         return got
 
     def identity_coset(self) -> Coset:
-        return self._intern(identity(self.system))
+        return self._intern(self._lambda_P)
+
+    @cached_property
+    def _opposition(self) -> tuple[int, ...]:
+        """sigma with w_o(b_i) = -b_sigma(i), read off the columns of w_o."""
+        return tuple(col.index(-1) for col in zip(*longest_element(self.system).mat))
 
     def dual(self, u: Coset) -> Coset:
-        """The coset of w_o u, of complementary length."""
-        got = self._dual.get(u)
-        if got is None:
-            got = self.to_coset(longest_element(self.system) * u.min_rep)
-            if got.length != self.dim - u.length:
-                raise InvariantError(f"dual of {u} has the wrong length")
-            self._dual[u] = got
+        """The coset of w_o u, of complementary length: w_o mu = -mu o sigma."""
+        got = self._intern(tuple(-u.mu[j] for j in self._opposition))
+        if got.length != self.dim - u.length:
+            raise InvariantError(f"dual of {u} has the wrong length")
         return got
 
     def bruhat_leq(self, u: Coset, v: Coset) -> bool:
-        """Quotient Bruhat order (induced on minimal representatives)."""
-        return bruhat_leq_W(u.min_rep, v.min_rep)
+        """Quotient Bruhat order, by the lifting walk on orbit points.
+
+        v walks down its parents; u steps down too when v's descent s_i is
+        a left descent of u.
+        """
+        mu, lu = u.mu, u.length
+        while lu <= v.length:
+            if lu == 0:
+                return True
+            i = v.descent
+            if mu[i] < 0:
+                mu, lu = self._reflect(mu, i), lu - 1
+            v = v.parent
+        return False
+
+    def _check_guard(self, size: int) -> None:
+        if size > self.max_elements:
+            raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
 
     def cosets(self) -> tuple[Coset, ...]:
         """All cosets, sorted by (length, canonical word).
 
-        Minimal representatives are closed downward under left
-        multiplication by simple reflections, so a level-synchronous BFS
-        by s_i * w finds each exactly once; its own seen-set, not the
-        intern table, drops a shorter s_i * w, found on a lower level.
+        A level BFS on orbit points: s_i u is a longer minimal
+        representative exactly when mu_i > 0, so level L holds the cosets
+        of length L.  The guard in force applies to a cached enumeration
+        too.
         """
         if self._cosets is not None:
+            self._check_guard(len(self._cosets))
             return self._cosets
-        if not self.delta_P and weyl_group_order(self.system) > self.max_elements:
+        if not self.delta_P:
             # full flag: every group element is its own coset, so the size
             # is known up front and an oversized request can refuse early
-            raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
-        start = self.identity_coset()
-        found, seen, level = [start], {start.min_rep.mat}, [start]
+            self._check_guard(weyl_group_order(self.system))
+        level = [self.identity_coset()]
+        found = list(level)
         while level:
-            nxt = []
+            nxt = {}
             for u in level:
-                for i in range(self.system.rank):
-                    cand = simple_reflection(self.system, i) * u.min_rep
-                    if cand.mat in seen:
-                        continue
-                    seen.add(cand.mat)
-                    # keep only minimal representatives
-                    if any(cand.is_right_descent(j) for j in self.delta_P):
-                        continue
-                    cand._length = u.length + 1
-                    nxt.append(self._intern(cand))
-                    if len(found) + len(nxt) > self.max_elements:
-                        raise GroupSizeGuardError(
-                            f"W/W_P for {self.label}", self.max_elements
-                        )
-            found += nxt
-            level = nxt
+                for i, m in enumerate(u.mu):
+                    if m > 0:
+                        nxt.setdefault(self._reflect(u.mu, i))
+                self._check_guard(len(found) + len(nxt))
+            level = list(map(self._intern, nxt))
+            found += level
         self._cosets = tuple(sorted(found, key=Coset.sort_key))
         return self._cosets
 
@@ -349,9 +377,14 @@ class ParabolicData:
         """The row [u t_alpha], aligned with crossing_table; memoised."""
         row = self._targets.get(u)
         if row is None:
-            row = self._targets[u] = tuple(
-                self.to_coset(u.min_rep * c.reflection) for c in self.crossing_table
-            )
+            w, cartan = u.min_rep, self.system.cartan
+            row = []
+            for c in self.crossing_table:
+                beta = w.apply_root(c.root).coeffs  # u(alpha) over the simple roots
+                k = sum(c.degree)  # <lambda_P, alpha^vee>
+                row.append(self._intern(tuple(
+                    m - k * sum(map(mul, r, beta)) for m, r in zip(u.mu, cartan))))
+            row = self._targets[u] = tuple(row)
         return row
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:
@@ -365,6 +398,7 @@ class ParabolicData:
 
     def graph(self) -> BruhatGraph:
         if self._graph is not None:
+            self._check_guard(self._graph.node_count)  # the guard in force, as in cosets()
             return self._graph
         nodes = self.cosets()
         index = {u: i for i, u in enumerate(nodes)}
@@ -529,13 +563,14 @@ def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],
     """Cached ParabolicData factory; delta_P lists 0-based nodes.
 
     The type label is case-insensitive and delta_P is taken as a set, so
-    "a" and "A", (0, 2), (2, 0) and [0, 2] all give the same object.
+    "a" and "A", (0, 2), (2, 0) and [0, 2] all give the same object;
+    max_elements sets that object's guard until the next call.
     """
-    return _make_parabolic(type_label.upper(), rank, tuple(sorted(set(delta_P))),
-                           max_elements)
+    P = _make_parabolic(type_label.upper(), rank, tuple(sorted(set(delta_P))))
+    P.max_elements = max_elements
+    return P
 
 
 @lru_cache(maxsize=None)
-def _make_parabolic(type_label, rank, delta_P, max_elements) -> ParabolicData:
-    return ParabolicData(build_root_system(type_label, rank), delta_P,
-                         max_elements=max_elements)
+def _make_parabolic(type_label, rank, delta_P) -> ParabolicData:
+    return ParabolicData(build_root_system(type_label, rank), delta_P)

@@ -112,13 +112,6 @@ class QClass:
             {(degree_add(d, degree), u): c for (d, u), c in self.terms.items()},
         )
 
-    def q0_part(self) -> "QClass":
-        zero = (0,) * len(self.context.q_index)
-        return QClass(
-            self.context,
-            {k: c for k, c in self.terms.items() if k[0] == zero},
-        )
-
     def coefficient(self, degree: Degree, u: Coset):
         return self.terms.get((degree, u), 0)
 

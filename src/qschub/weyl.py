@@ -8,11 +8,11 @@ sent to negatives; reduced words are recovered by walking down right
 descents, always taking the smallest index, which gives every element
 one canonical reduced word and makes all printed output deterministic.
 
-Bruhat order is decided by the standard lifting walk: strip a right
-descent s off the larger element, following the smaller element down
-only when it shares the descent.  That loop is linear in the length and
-is cross-checked in the test suite against brute-force subword
-enumeration for every group of order at most 120.
+`bruhat_leq_W` is the reference Bruhat walk: strip a right descent s off
+the larger element, following the smaller element down only when it
+shares the descent.  It is cross-checked in the test suite against
+brute-force subword enumeration for every group of order at most 120,
+and the quotient's own walk on orbit points is tested against it.
 """
 
 from __future__ import annotations

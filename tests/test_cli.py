@@ -203,6 +203,14 @@ def test_verify_guard_exits_2_in_workers(capsys):
 def test_exit_code_guard(capsys):
     assert main(["graph", "A3", "flag", "--max-group-order", "5"]) == 2
     assert main(["product", "B4", "flag", "--u", "s1", "--v", "s1"]) == 2
+    # the guard in force applies to a cached enumeration, and a later
+    # default call is not held to it
+    assert main(["graph", "A3", "flag"]) == 0
+    assert main(["graph", "A3", "flag", "--max-group-order", "5"]) == 2
+    assert main(["minq", "A3", "flag", "--u", "s1", "--v", "s2",
+                 "--max-group-order", "23"]) == 2
+    assert main(["graph", "A3", "flag"]) == 0
+    assert main(["graph", "A3", "flag", "--max-group-order", "24"]) == 0
 
 
 def test_exit_code_verify_failure(capsys, monkeypatch):

@@ -61,7 +61,6 @@ def test_table_entries_match_direct_formulas(P):
     assert tuple(c.root for c in P.crossing_table) == P.crossing_roots
     for c in P.crossing_table:
         alpha = c.root
-        assert c.reflection == reflection_of_root(system, alpha)
         assert c.degree == tuple(system.pairing(alpha, j) for j in P.q_index)
         assert c.chern == Fraction(2 * system.inner(P.two_rho_P, alpha.coeffs),
                                    alpha.norm)

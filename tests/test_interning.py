@@ -49,22 +49,24 @@ def test_cosets_interned_before_enumeration_are_enumerated(type_label, rank, del
     P = fresh(type_label, rank, delta_P)
     # intern a good part of the quotient through Chevalley rows and duals
     # before cosets() runs: the BFS must still find and expand all of them
-    seen_classes = []
+    seen_classes, duals = [], []
     frontier = [P.identity_coset()]
     for _ in range(3):
         nxt = []
         for u in frontier:
             for b in P.q_index:
                 nxt += [v for (_d, v) in quantum_chevalley(P, b, u).terms]
-            nxt.append(P.dual(u))
+            dual = P.dual(u)
+            duals.append((u, dual))
+            nxt.append(dual)
         seen_classes += nxt
         frontier = nxt
-    assert P._cosets is None and P._targets and P._dual
+    assert P._cosets is None and P._targets
     cosets = P.cosets()
     ids = {id(u) for u in cosets}
     assert len(ids) == len(cosets)
     assert all(id(v) in ids for row in P._targets.values() for v in row)
-    assert all(id(u) in ids and id(d) in ids for u, d in P._dual.items())
+    assert all(id(u) in ids and id(d) in ids for u, d in duals)
     assert all(id(v) in ids for v in seen_classes)
     untouched = fresh(type_label, rank, delta_P)
     assert [u.word() for u in cosets] == [u.word() for u in untouched.cosets()]

@@ -9,12 +9,15 @@ for Pareto minima.
 
 import pytest
 
+from qschub.checks import build_instance
 from qschub.parabolic import (
+    ParabolicData,
     degree_add,
     degree_leq,
     make_parabolic,
     pareto_minima,
 )
+from qschub.quantum import QClass
 from qschub.weyl import (
     GroupSizeGuardError,
     enumerate_parabolic_subgroup,
@@ -156,8 +159,10 @@ def test_chern_numbers_positive_integers():
             expected = Fraction(2 * rs.inner(tuple(two_rho), alpha.coeffs), alpha.norm)
             assert n == expected
         for i in P.q_index:
+            # h_{b_i}(rho_P) = (b_i, 2 rho_P) / (b_i, b_i)
             beta = rs.simple_roots[i]
-            assert P.chern_number(beta) == 2 * P.rho_pairing(i)
+            rho_pairing = Fraction(rs.inner(beta.coeffs, P.two_rho_P), beta.norm)
+            assert P.chern_number(beta) == 2 * rho_pairing
 
 
 def test_wp_invariance_of_degrees():
@@ -184,6 +189,38 @@ def test_make_parabolic_reads_delta_p_as_a_set():
     assert P is make_parabolic("a", 3, (0, 2, 2))
     with pytest.raises(ValueError):
         make_parabolic("A", 3, [0, 3])
+
+
+def test_one_parabolic_data_per_quotient():
+    # what `qschub product B3 flag --max-group-order 48` builds
+    _label, Q = build_instance(("B3", "flag"), max_elements=48)
+    P = make_parabolic("B", 3, ())
+    assert Q is P and Q.identity_coset() is P.identity_coset()
+    u = P.cosets()[5]
+    assert QClass.basis(P, u) + QClass.basis(Q, u) == QClass.basis(P, u, coeff=2)
+
+
+def test_enumeration_guard_ignores_call_order():
+    # a fresh quotient refuses during the BFS ...
+    with pytest.raises(GroupSizeGuardError):
+        ParabolicData(make_parabolic("A", 3, ()).system, (0, 2), max_elements=5).cosets()
+    # ... and a cached enumeration or graph refuses the same guard
+    for delta_P, size in (((0, 2), 6), ((), 24)):
+        assert len(make_parabolic("A", 3, delta_P).graph().nodes) == size
+        P = make_parabolic("A", 3, delta_P, max_elements=size - 1)
+        with pytest.raises(GroupSizeGuardError):
+            P.cosets()
+        with pytest.raises(GroupSizeGuardError):
+            P.graph()
+        assert make_parabolic("A", 3, delta_P, max_elements=size).cosets()
+
+
+def test_small_guard_does_not_leak_into_a_later_default_call():
+    with pytest.raises(GroupSizeGuardError):
+        make_parabolic("A", 3, (1,), max_elements=2).cosets()
+    P = make_parabolic("A", 3, (1,))
+    assert len(P.cosets()) == 12 and P.graph().node_count == 12
+    assert build_instance(("A3", "1", "3"))[1] is P and len(P.cosets()) == 12
 
 
 def test_graph_counts():

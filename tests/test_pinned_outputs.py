@@ -1,0 +1,79 @@
+"""Byte-for-byte pins of the command line's output.
+
+Each digest is the SHA-256 of what in-process `cli.main` returns and
+prints (the exit code, a newline, then stdout), recorded from the
+matrix-based coset layer that the orbit-point layer replaced.  A change
+to any printed byte, or to the order of cosets, fails here.  The minq
+pins hash the text output of every ordered pair of classes, in coset
+order.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qschub import cli
+from qschub.checks import build_instance
+from qschub.weyl import format_word
+
+COMMANDS = {
+    "verify default-suite":
+        "60fb90e0abdebf952173f0fedb154f16d3d479b2be322b85a1e96c0a5b3aedbd",
+    "verify default-suite --format json":
+        "3407883aeb2c28caa55e14e62d61e47bef321ec7c996a4e14085b1b5b42feb04",
+    "verify B3 2 C3 1 3":
+        "5d269e0181e275184f204cee145aa69d262a49f0788fd8cdc5af7381101a9b04",
+    "graph gr 2 5":
+        "0cae40e0eaef286cce25885459c2b7937721fea00421bd958f99a7ce84f514ea",
+    "graph gr 2 5 --format json":
+        "2fac110434cd678f6ae864e81d6ac105183b17e9e241dbf5ab825e21d30b02e9",
+    "graph gr 2 5 --format dot":
+        "740cc1337e48fe9bc57519fe953dd9a37195f7e3d75af3ef569de142e7c21e30",
+    "graph G2 flag --format json":
+        "4f70c2c2ceb3567f534d08e996b2b5027fba7575e5fcf352a2c05bedbe5744de",
+    "graph B3 2 --format json":
+        "d02368a5376b05018804e4a272ea3f36bd14f54de859a10a7e8f3e99abe9d478",
+    "product gr 4 9 --u 5,4,4,3 --v 5,4,4,1":
+        "4b1b40376386254c77a13795e18157aa4a19d6025703926fef7c3d21bbab8d78",
+    "product B3 flag --max-group-order 48 --u s1*s2 --v s3*s2":
+        "aa01c6f7b89439b4f5ce6b01d55fc8dcc77f8fea67f00048444031407515940f",
+    "product E7 flag --engine chevalley --u s3 --v s1*s4":
+        "022da32b9e26bd92f8333305a9bebf10cc2c689c60204ccab60ee7aece7060f2",
+}
+
+MINQ = {
+    "A3 flag":
+        "098d90025d3c0efa3766bd39bc5db18b3e459f7a154b14045f0685b7f9062f4b",
+    "B3 2":
+        "4385c094414d2faa2429106a543a8f83caa6deee62c8a700c3d6a6b02d2118a8",
+}
+
+
+def output(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return f"{code}\n{buf.getvalue()}"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def minq_all_pairs(tokens: str) -> str:
+    argv = tokens.split()
+    words = [format_word(u.word()) for u in build_instance(argv)[1].cosets()]
+    return "".join(
+        output(["minq", *argv, "--u", a, "--v", b]) for a in words for b in words)
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_command_output_is_pinned(argv):
+    assert digest(output(argv.split())) == COMMANDS[argv]
+
+
+@pytest.mark.parametrize("tokens", MINQ)
+def test_minq_output_is_pinned_on_all_pairs(tokens):
+    assert digest(minq_all_pairs(tokens)) == MINQ[tokens]
