@@ -21,8 +21,11 @@ lengths in increasing order), then corrects the expression degree by
 degree in q: evaluating a classical expression with the *quantum*
 divisor operators reproduces sigma_u plus error terms that all carry
 q-degree >= 1 and strictly smaller coset length, so they can be
-subtracted recursively.  All final structure constants must come out
-integral (checked); intermediate arithmetic is exact rational.
+subtracted recursively.  Fractions live only in that one-time
+elimination: each expression is stored as integer numerators over one
+common denominator, every product is summed in integers and divided by
+that denominator once, and a division that is not exact raises
+InvariantError.
 
 `product_engine` is the one place that decides which engine multiplies
 on a given quotient: the divisor recursion on full flags, the rim-hook
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .parabolic import Coset, Degree, ParabolicData, degree_add, pareto_minima
@@ -187,7 +191,7 @@ def min_occurring_degrees(c: QClass) -> tuple[Degree, ...]:
 
 
 class _RationalSolver:
-    """Solve A x = b over Fractions for several b, factoring A once."""
+    """Row-reduce [A | I] over Fractions once; read solutions of A x = e_k."""
 
     def __init__(self, columns: list[list[Fraction]], nrows: int):
         self.ncols = len(columns)
@@ -218,21 +222,27 @@ class _RationalSolver:
         self.rows = rows
         self.rank = r
 
-    def solve(self, b: list[Fraction]) -> list[Fraction]:
-        y = [
-            sum(row[self.ncols + k] * b[k] for k in range(self.nrows))
-            for row in self.rows
-        ]
+    def solve_unit(self, k: int) -> list[tuple[int, Fraction]]:
+        """The nonzero entries (col, x_col) of a solution of A x = e_k.
+
+        The transform maps e_k to its column ncols + k, so the solution is
+        read off that column at the pivot rows.
+        """
+        y = [row[self.ncols + k] for row in self.rows]
         if any(y[i] != 0 for i in range(self.rank, self.nrows)):
             raise InvariantError("inconsistent system: divisor classes do not span")
-        x = [Fraction(0)] * self.ncols
-        for r, col in self.pivots:
-            x[col] = y[r]
-        return x
+        return [(col, y[r]) for r, col in self.pivots if y[r] != 0]
 
 
 class DivisorEngine:
-    """Full quantum products on a full flag variety via divisor recursion."""
+    """Full quantum products on a full flag variety via divisor recursion.
+
+    Each basis class sigma_u is stored as integer numerators over one
+    common denominator den: den * sigma_u = sum n * sigma_b * sigma_w over
+    the chosen divisor pairs, plus sum n' * q^d * sigma_w' over the
+    negated quantum corrections.  A product accumulates those integer
+    terms into one dict and divides by den once, exactly or not at all.
+    """
 
     name = "divisor"
 
@@ -256,9 +266,12 @@ class DivisorEngine:
         for u in self.cosets:
             self.by_length.setdefault(u.length, []).append(u)
         self._qchev: dict = {}
-        self._decomp: dict = {}
+        self._decomp: dict = {}  # u -> (den, [(n, b, w)], [(n', d, w')])
         self._products: dict = {}
         self._column: dict = {}
+        # (a, b) -> a + b for degree vectors: a few hundred distinct pairs
+        # on D4, and a lookup is cheaper than building the tuple each time
+        self._sums: dict = {}
         self._build_decompositions()
 
     # -- divisor operators ---------------------------------------------------
@@ -271,12 +284,22 @@ class DivisorEngine:
         return got
 
     def apply_divisor(self, beta_index: int, c: QClass) -> QClass:
-        """Multiply a class by sigma_{s_beta} (exact, possibly rational)."""
-        out = QClass.zero(self.P)
+        """Multiply a class by sigma_{s_beta}."""
+        acc: dict = {}
         for (d, u), coeff in c.terms.items():
-            for (d2, v), h in self.qchev(beta_index, u).terms.items():
-                out.add_term(degree_add(d, d2), v, coeff * h)
-        return out
+            self._add_shifted(acc, coeff, d, self.qchev(beta_index, u).terms)
+        return QClass(self.P, {k: n for k, n in acc.items() if n})
+
+    def _add_shifted(self, acc: dict, n: int, d: Degree, terms: dict) -> None:
+        """acc += n * q^d * terms, in place."""
+        get = acc.get
+        sums = self._sums
+        for (d2, v), c in terms.items():
+            s = sums.get((d, d2))
+            if s is None:
+                s = sums[(d, d2)] = degree_add(d, d2)
+            key = (s, v)
+            acc[key] = get(key, 0) + n * c
 
     # -- classical expressions + quantum corrections --------------------------
 
@@ -296,25 +319,28 @@ class DivisorEngine:
                     col[pos[v]] += h
                 columns.append(col)
             solver = _RationalSolver(columns, len(level))
-            for u in level:
-                target = [Fraction(1 if x == u else 0) for x in level]
-                x = solver.solve(target)
-                chosen = [
-                    (x[i], b, w) for i, (b, w) in enumerate(pairs) if x[i] != 0
-                ]
-                # quantum evaluation of the same expression
-                acc = QClass.zero(P)
-                for coeff, b, w in chosen:
-                    acc += self.qchev(b, w).scale(coeff)
-                residue = acc - QClass.basis(P, u)
+            for i, u in enumerate(level):
+                x = solver.solve_unit(i)
+                den = lcm(*(c.denominator for _j, c in x))
+                chosen = [(int(c * den), *pairs[j]) for j, c in x]
+                # quantum evaluation of den times the same expression
+                acc: dict = {}
+                get = acc.get
+                for n, b, w in chosen:
+                    for key, h in self.qchev(b, w).terms.items():
+                        acc[key] = get(key, 0) + n * h
+                key = (self.zero_deg, u)
+                acc[key] = get(key, 0) - den
                 corrections = []
-                for (d, w2), c in residue.sorted_terms():
+                for (d, w2), c in acc.items():
+                    if not c:
+                        continue
                     if sum(d) == 0 or w2.length >= u.length:
                         raise InvariantError(
                             "divisor residue must be q-positive with shorter classes"
                         )
-                    corrections.append((c, d, w2))
-                self._decomp[u] = (chosen, corrections)
+                    corrections.append((-c, d, w2))
+                self._decomp[u] = (den, chosen, corrections)
 
     # -- products --------------------------------------------------------------
 
@@ -334,17 +360,29 @@ class DivisorEngine:
         if got is not None:
             return got
         if u.length == 0:
-            out = QClass.basis(self.P, v)
+            got = QClass.basis(self.P, v)
         else:
-            chosen, corrections = self._decomp[u]
-            out = QClass.zero(self.P)
-            for coeff, b, w in chosen:
-                out += self._column_product(b, w, v).scale(coeff)
-            for c, d, w2 in corrections:
-                out += self.product(w2, v).shift(d).scale(-c)
-            out = out.assert_integral()
-        self._products[key] = out
-        return out
+            den, chosen, corrections = self._decomp[u]
+            acc: dict = {}
+            get = acc.get
+            for n, b, w in chosen:
+                for k, c in self._column_product(b, w, v).terms.items():
+                    acc[k] = get(k, 0) + n * c
+            for n, d, w2 in corrections:
+                self._add_shifted(acc, n, d, self.product(w2, v).terms)
+            terms = {}
+            for k, c in acc.items():
+                if c:
+                    q, r = divmod(c, den)
+                    if r:
+                        raise InvariantError(
+                            f"non-integral coefficient {Fraction(c, den)} at {k} "
+                            f"in sigma_{u} * sigma_{v}"
+                        )
+                    terms[k] = q
+            got = QClass(self.P, terms)
+        self._products[key] = got
+        return got
 
 
 def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:

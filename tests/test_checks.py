@@ -87,3 +87,28 @@ def test_frontier_singleton_flags_a_two_degree_frontier():
     (row,) = checks.check_frontier_singleton(P, "A2 flag")
     assert not row.passed
     assert row.detail == "frontier ((0, 1), (1, 0)) at (0, 1, 0),(0, 1, 0)"
+
+
+def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
+    (row,) = checks.check_bruhat_duality(_fresh("A", 3, ()), "A3 flag")
+    assert row.passed and row.checked == 2 * 24 + 24 ** 2
+    # conjugate w_o by swapping s1 and s2: still a length-reversing
+    # involution, but s1 and s2 are not exchanged by any Bruhat automorphism
+    P = _fresh("A", 3, ())
+    s1, s2 = P.cosets()[1:3]
+    swap = {s1: s2, s2: s1}
+    real = P.dual
+
+    def dual(u):
+        d = real(swap.get(u, u))
+        return swap.get(d, d)
+
+    P.dual = dual
+    (row,) = checks.check_bruhat_duality(P, "A3 flag")
+    assert not row.passed
+    # the same row, failures and all, as the lifting walk gives
+    cosets = P.cosets()
+    bad = [f"u<=v vs dual(v)<=dual(u) differ at {u.word()},{v.word()}"
+           for u in cosets for v in cosets
+           if P.bruhat_leq(u, v) != P.bruhat_leq(P.dual(v), P.dual(u))]
+    assert bad and row == checks._result("A3 flag", "bruhat-duality", bad, row.checked)

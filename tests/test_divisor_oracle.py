@@ -1,0 +1,199 @@
+"""The integer divisor engine against the Fraction engine it replaced.
+
+`FractionEngine` is a test-local copy of the earlier `DivisorEngine`:
+the same elimination and quantum corrections, kept as exact rationals,
+and products built by `QClass` addition with one integrality check at
+the end.  The integer engine must give the same terms on every pair it
+is asked, and every coefficient must be a Python int.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from qschub import make_parabolic
+from qschub.quantum import (
+    DivisorEngine,
+    QClass,
+    classical_chevalley,
+    product_engine,
+    quantum_chevalley,
+)
+from qschub.roots import InvariantError
+
+
+class FractionEngine:
+    """Divisor recursion over Fractions, as before integer decompositions."""
+
+    def __init__(self, P):
+        self.P = P
+        self.by_length = {}
+        for u in P.cosets():
+            self.by_length.setdefault(u.length, []).append(u)
+        self.decomp = {}
+        self.products = {}
+        self.columns = {}
+        for k in range(1, max(self.by_length) + 1):
+            level, prev = self.by_length[k], self.by_length[k - 1]
+            pos = {u: i for i, u in enumerate(level)}
+            pairs = [(b, w) for b in range(P.system.rank) for w in prev]
+            columns = []
+            for b, w in pairs:
+                col = [Fraction(0)] * len(level)
+                for (_d, v), h in classical_chevalley(P, b, w).terms.items():
+                    col[pos[v]] += h
+                columns.append(col)
+            rows, pivots = self._reduce(columns, len(level))
+            for u in level:
+                target = [Fraction(1 if x == u else 0) for x in level]
+                x = self._solve(rows, pivots, len(columns), target)
+                chosen = [(x[i], b, w) for i, (b, w) in enumerate(pairs) if x[i] != 0]
+                acc = QClass.zero(P)
+                for coeff, b, w in chosen:
+                    acc += quantum_chevalley(P, b, w).scale(coeff)
+                residue = acc - QClass.basis(P, u)
+                corrections = [(c, d, w2) for (d, w2), c in residue.sorted_terms()]
+                self.decomp[u] = (chosen, corrections)
+
+    @staticmethod
+    def _reduce(columns, nrows):
+        ncols = len(columns)
+        rows = [[Fraction(columns[j][i]) for j in range(ncols)]
+                + [Fraction(1 if k == i else 0) for k in range(nrows)]
+                for i in range(nrows)]
+        pivots, r = [], 0
+        for col in range(ncols):
+            piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = 1 / rows[r][col]
+            rows[r] = [x * inv for x in rows[r]]
+            for i in range(nrows):
+                if i != r and rows[i][col] != 0:
+                    f = rows[i][col]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            pivots.append((r, col))
+            r += 1
+            if r == nrows:
+                break
+        return rows, pivots
+
+    @staticmethod
+    def _solve(rows, pivots, ncols, b):
+        y = [sum(row[ncols + k] * b[k] for k in range(len(b))) for row in rows]
+        x = [Fraction(0)] * ncols
+        for r, col in pivots:
+            x[col] = y[r]
+        return x
+
+    def column(self, b, w, v):
+        key = (b, w, v)
+        if key not in self.columns:
+            out = QClass.zero(self.P)
+            for (d, x), c in self.product(w, v).terms.items():
+                out += quantum_chevalley(self.P, b, x).shift(d).scale(c)
+            self.columns[key] = out
+        return self.columns[key]
+
+    def product(self, u, v):
+        key = (u, v)
+        if key not in self.products:
+            if u.length == 0:
+                out = QClass.basis(self.P, v)
+            else:
+                chosen, corrections = self.decomp[u]
+                out = QClass.zero(self.P)
+                for coeff, b, w in chosen:
+                    out += self.column(b, w, v).scale(coeff)
+                for c, d, w2 in corrections:
+                    out += self.product(w2, v).shift(d).scale(-c)
+                out = out.assert_integral()
+            self.products[key] = out
+        return self.products[key]
+
+
+@lru_cache(maxsize=None)
+def _engines(type_label, rank):
+    # the engine qproduct_GB uses, cached on the quotient
+    P = make_parabolic(type_label, rank, ())
+    return P, product_engine(P), FractionEngine(P)
+
+
+def _agree(new, old, u, v):
+    got, want = new.product(u, v), old.product(u, v)
+    assert got.terms == want.terms, (u, v)
+    assert all(type(c) is int for c in got.terms.values()), (u, v)
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3)])
+def test_integer_engine_matches_fraction_engine_on_all_pairs(type_label, rank):
+    P, new, old = _engines(type_label, rank)
+    for u in P.cosets():
+        for v in P.cosets():
+            _agree(new, old, u, v)
+
+
+@pytest.mark.parametrize("type_label,rank,pairs", [("A", 4, 40), ("D", 4, 6)])
+def test_integer_engine_matches_fraction_engine_on_seeded_pairs(type_label, rank, pairs):
+    P, new, old = _engines(type_label, rank)
+    rng = random.Random(7)
+    cosets = P.cosets()
+    for _ in range(pairs):
+        _agree(new, old, rng.choice(cosets), rng.choice(cosets))
+
+
+def test_d4_decompositions_have_denominator_two():
+    new = _engines("D", 4)[1]
+    assert {den for den, _c, _k in new._decomp.values()} == {1, 2}
+
+
+def corrupted_engine():
+    """A B2 engine with one stored numerator raised by one, and its class u.
+
+    The numerator is one whose divisor term has a coefficient that den
+    does not divide, so sigma_u * sigma_e can no longer divide exactly.
+    """
+    P = make_parabolic("B", 2, ())
+    engine = DivisorEngine(P)
+    for u in P.cosets()[1:]:
+        den, chosen, corrections = engine._decomp[u]
+        for i, (n, b, w) in enumerate(chosen):
+            if any(h % den for h in quantum_chevalley(P, b, w).terms.values()):
+                chosen = list(chosen)
+                chosen[i] = (n + 1, b, w)
+                engine._decomp[u] = (den, chosen, corrections)
+                return engine, u
+    raise AssertionError("no B2 decomposition has a denominator")
+
+
+def test_corrupted_numerator_raises():
+    engine, u = corrupted_engine()
+    with pytest.raises(InvariantError, match="non-integral coefficient"):
+        engine.product(u, engine.P.identity_coset())
+
+
+def test_corrupted_numerator_raises_under_optimisation():
+    # bare asserts vanish under -O; the exact-division check must not
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "from test_divisor_oracle import corrupted_engine\n"
+        "engine, u = corrupted_engine()\n"
+        "try:\n"
+        "    print(engine.product(u, engine.P.identity_coset()).terms)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, here, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError non-integral coefficient")

@@ -2,10 +2,11 @@
 
 Each digest is the SHA-256 of what in-process `cli.main` returns and
 prints (the exit code, a newline, then stdout), recorded from the
-matrix-based coset layer that the orbit-point layer replaced.  A change
-to any printed byte, or to the order of cosets, fails here.  The minq
-pins hash the text output of every ordered pair of classes, in coset
-order.
+matrix-based coset layer that the orbit-point layer replaced; the D4
+product pin was recorded from the Fraction divisor engine that the
+integer engine replaced.  A change to any printed byte, or to the order
+of cosets, fails here.  The minq pins hash the text output of every
+ordered pair of classes, in coset order.
 """
 
 import contextlib
@@ -39,6 +40,9 @@ COMMANDS = {
         "4b1b40376386254c77a13795e18157aa4a19d6025703926fef7c3d21bbab8d78",
     "product B3 flag --max-group-order 48 --u s1*s2 --v s3*s2":
         "aa01c6f7b89439b4f5ce6b01d55fc8dcc77f8fea67f00048444031407515940f",
+    # sigma[s1*s2*s4*s2] is stored over the denominator 2
+    "product D4 flag --max-group-order 192 --u s1*s2*s4*s2 --v s2*s4*s2*s3*s2*s1":
+        "820261daff94ea05b0a73e119116eec94eb20600ecbbcf88466757848dad8d85",
     "product E7 flag --engine chevalley --u s3 --v s1*s4":
         "022da32b9e26bd92f8333305a9bebf10cc2c689c60204ccab60ee7aece7060f2",
 }
