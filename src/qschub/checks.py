@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from itertools import permutations
+from operator import mul
 
 from . import grassmann
 from .parabolic import ParabolicData, make_parabolic
@@ -217,15 +218,10 @@ def check_frontier_singleton(P: ParabolicData, label: str) -> list:
 # product sweeps
 
 
-def _grading_ok(P: ParabolicData, c: QClass, total_len: int) -> bool:
-    for (d, w), _coeff in c.terms.items():
-        drop = sum(
-            di * P.chern_number(P.system.simple_roots[bi])
-            for di, bi in zip(d, P.q_index)
-        )
-        if w.length != total_len - drop:
-            return False
-    return True
+def _grading_ok(chern: tuple, c: QClass, total_len: int) -> bool:
+    """l(w) = total_len - sum d_i chern_i on every term q^d sigma_w; chern
+    holds the Chern numbers of the retained simple roots, in q_index order."""
+    return all(w.length == total_len - sum(map(mul, d, chern)) for d, w in c.terms)
 
 
 def _gr_shape(P: ParabolicData):
@@ -246,6 +242,7 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
     shape = _gr_shape(P)
     cosets = P.cosets()
     zero = (0,) * len(P.q_index)
+    chern = tuple(P.chern_number(P.system.simple_roots[b]) for b in P.q_index)
     top = max(cosets, key=lambda c: c.length)
     agreement = "degree-triple-agreement" if shape else "minimal-degree-agreement"
     names = ["nonvanishing", "grading", "nonnegativity", "commutativity",
@@ -264,7 +261,7 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
             if prod.is_zero:
                 rows["nonvanishing"].append(f"zero product at {tag}")
                 continue
-            if not _grading_ok(P, prod, u.length + v.length):
+            if not _grading_ok(chern, prod, u.length + v.length):
                 rows["grading"].append(f"grading broken at {tag}")
             if any(c <= 0 for c in prod.terms.values()):
                 rows["nonnegativity"].append(f"nonpositive coefficient at {tag}")

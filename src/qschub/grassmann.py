@@ -70,13 +70,19 @@ def normalize_partition(lam: Iterable[int]) -> tuple[int, ...]:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse "5443", "5,4,4,3" or "0" (the empty partition)."""
+    """Parse "5443", "5,4,4,3", "10," (one part) or "0" (the empty partition).
+
+    A digit spelling has one part per digit and no 0: "10" is refused.
+    """
     text = text.strip()
     if text == "0":
         return ()
+    if "," not in text and "0" in text:
+        raise ValueError(f"cannot read partition from {text!r}: a digit spelling "
+                         "has no 0; write parts of 10 or more with commas, e.g. '10,'")
     try:
         if "," in text:
-            parts = [int(p) for p in text.split(",")]
+            parts = [int(p) for p in text.removesuffix(",").split(",")]
         else:
             parts = [int(ch) for ch in text]
     except ValueError:
@@ -87,11 +93,12 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 def format_partition(lam: tuple[int, ...]) -> str:
+    """The spelling parse_partition reads back: "5443", "12,3", "10," or "0"."""
     if not lam:
         return "0"
     if lam[0] <= 9:
         return "".join(str(a) for a in lam)
-    return ",".join(str(a) for a in lam)
+    return ",".join(str(a) for a in lam) + ("," if len(lam) == 1 else "")
 
 
 def partition_in_box(k: int, n: int, lam: tuple[int, ...]) -> bool:

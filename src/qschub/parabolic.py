@@ -12,6 +12,9 @@ compare and hash by identity, at C speed, within one quotient; cosets of
 two `ParabolicData` never compare equal.  Each coset keeps its parent one
 step down its smallest left descent; its minimal representative, for
 canonical words and printed output, is built from the parent's on first use.
+The size |W/W_P| is the product of (ht alpha + 1)/ht alpha over the
+crossing roots (below), so `cosets()`, `graph()` and the divisor engine
+refuse an oversized quotient before any work.
 
 Every positive root alpha outside R_P^+ ("crossing" root) carries two
 integers used throughout:
@@ -35,14 +38,12 @@ sum of d(alpha), so it needs no projection.  The graph, `adjacency` and
 the quantum Chevalley operator all read these rows.
 
 Two cosets are adjacent when one is the projection of the other times a
-reflection; the resulting edge-weighted graph supports a multi-objective
-shortest-path search (`min_chain_degrees`) returning the Pareto frontier
-of degrees of chains joining two classes, where a chain may start at any
-coset above u and must end below the dual of v.  Labels are pruned by
-componentwise dominance; since edge degrees are nonnegative and any
-revisit is dominated by the shorter path, non-dominated labels always
-come from simple paths, which bounds every coordinate by
-(#nodes) * (largest edge coordinate) and guarantees termination.
+reflection; on that edge-weighted graph `min_chain_degrees` returns the
+Pareto frontier of degrees of chains that start at any coset above u and
+end below the dual of v.  Labels are pruned by componentwise dominance;
+edge degrees are nonnegative, so non-dominated labels come from simple
+paths, which bounds every coordinate by (#nodes) * (largest edge
+coordinate) and guarantees termination.
 
 The labels depend on u alone, so the search runs once per source coset
 and is memoised on the quotient; a pair (u, v) then only reads the
@@ -78,8 +79,8 @@ from .weyl import (
     format_word,
     identity,
     longest_element,
+    order_from_heights,
     simple_reflection,
-    weyl_group_order,
 )
 
 __all__ = [
@@ -234,6 +235,11 @@ class ParabolicData:
         """Complex dimension of the quotient = number of crossing roots."""
         return len(self.crossing_roots)
 
+    @cached_property
+    def size(self) -> int:
+        """|W/W_P|, the height product over the crossing roots."""
+        return order_from_heights(self.crossing_roots)
+
     @property
     def label(self) -> str:
         if not self.delta_P:
@@ -338,8 +344,9 @@ class ParabolicData:
             v = v.parent
         return False
 
-    def _check_guard(self, size: int) -> None:
-        if size > self.max_elements:
+    def check_guard(self) -> None:
+        """Refuse, before any work, a quotient larger than the guard in force."""
+        if self.size > self.max_elements:
             raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
 
     def cosets(self) -> tuple[Coset, ...]:
@@ -350,13 +357,9 @@ class ParabolicData:
         of length L.  The guard in force applies to a cached enumeration
         too.
         """
+        self.check_guard()
         if self._cosets is not None:
-            self._check_guard(len(self._cosets))
             return self._cosets
-        if not self.delta_P:
-            # full flag: every group element is its own coset, so the size
-            # is known up front and an oversized request can refuse early
-            self._check_guard(weyl_group_order(self.system))
         level = [self.identity_coset()]
         found = list(level)
         while level:
@@ -365,7 +368,6 @@ class ParabolicData:
                 for i, m in enumerate(u.mu):
                     if m > 0:
                         nxt.setdefault(self._reflect(u.mu, i))
-                self._check_guard(len(found) + len(nxt))
             level = list(map(self._intern, nxt))
             found += level
         self._cosets = tuple(sorted(found, key=Coset.sort_key))
@@ -397,8 +399,8 @@ class ParabolicData:
         return None
 
     def graph(self) -> BruhatGraph:
+        self.check_guard()  # the guard in force, as in cosets()
         if self._graph is not None:
-            self._check_guard(self._graph.node_count)  # the guard in force, as in cosets()
             return self._graph
         nodes = self.cosets()
         index = {u: i for i, u in enumerate(nodes)}

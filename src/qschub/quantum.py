@@ -255,10 +255,9 @@ class DivisorEngine:
                 "product oracle"
             )
         self.P = P
-        order = len(P.cosets())
-        if order > max_group_order:
+        if P.size > max_group_order:
             raise GroupSizeGuardError(
-                f"divisor engine on {P.label} (|W| = {order})", max_group_order
+                f"divisor engine on {P.label} (|W| = {P.size})", max_group_order
             )
         self.cosets = P.cosets()
         self.zero_deg = (0,) * len(P.q_index)
@@ -386,9 +385,11 @@ class DivisorEngine:
 
 
 def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:
-    # a cached engine obeys the guard too, whichever call built it: past
-    # the guard, the constructor raises before anything is replaced
-    if P._divisor_engine is None or len(P.cosets()) > max_group_order:
+    # the enumeration guard speaks first; a cached engine obeys both guards
+    # too, whichever call built it: past the product guard, the constructor
+    # raises before anything is replaced
+    P.check_guard()
+    if P._divisor_engine is None or P.size > max_group_order:
         P._divisor_engine = DivisorEngine(P, max_group_order=max_group_order)
     return P._divisor_engine
 

@@ -3,10 +3,18 @@
 An element is only the matrix of its action in the simple-root basis
 (columns are the images of the simple roots), so a product is one
 matrix product and a right descent one column sign check; the inverse
-comes from the reversed word.  Length is the number of positive roots
-sent to negatives; reduced words are recovered by walking down right
-descents, always taking the smallest index, which gives every element
-one canonical reduced word and makes all printed output deterministic.
+comes from the reversed word.  Words are read off xi = w^-1 rho in
+fundamental-weight coordinates: xi_j, the coroot height of w(alpha_j),
+is negative exactly when s_j is a right descent, and (w s_j)^-1 rho =
+s_j xi.  Stripping the smallest such j until xi = rho, O(r) per letter,
+gives every element one canonical reduced word and its length, so all
+printed output is deterministic; w_o's word is stripped from -rho.
+
+Group orders come from root heights, not from listing: |W| is the
+product of (ht alpha + 1)/ht alpha over the positive roots (Macdonald,
+The Poincare series of a Coxeter group, Math. Ann. 199, 1972), and over
+the roots spanned by some simple roots it is their parabolic subgroup's
+order, so every guard refuses before any enumeration.
 
 `bruhat_leq_W` is the reference Bruhat walk: strip a right descent s off
 the larger element, following the smaller element down only when it
@@ -17,7 +25,9 @@ and the quotient's own walk on orbit points is tested against it.
 
 from __future__ import annotations
 
-from math import factorial
+from functools import lru_cache
+from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .roots import InvariantError, Root, RootSystem
@@ -33,28 +43,26 @@ __all__ = [
     "from_word",
     "parse_word",
     "format_word",
+    "order_from_heights",
     "weyl_group_order",
     "enumerate_parabolic_subgroup",
 ]
 
 DEFAULT_ENUMERATION_GUARD = 1_000_000
 
-# Closed-form Weyl group orders by type, so an oversized request can be
-# refused before any enumeration work happens.
-_GROUP_ORDER = {
-    "A": lambda r: factorial(r + 1),
-    "B": lambda r: 2**r * factorial(r),
-    "C": lambda r: 2**r * factorial(r),
-    "D": lambda r: 2 ** (r - 1) * factorial(r),
-    "E": lambda r: {6: 51840, 7: 2903040, 8: 696729600}[r],
-    "F": lambda r: 1152,
-    "G": lambda r: 12,
-}
+
+def order_from_heights(roots: Iterable[Root]) -> int:
+    """The product of (ht alpha + 1)/ht alpha over some positive roots, exactly."""
+    heights = [alpha.height for alpha in roots]
+    order, rem = divmod(prod(h + 1 for h in heights), prod(heights))
+    if rem:
+        raise InvariantError(f"height product over {len(heights)} roots is not an integer")
+    return order
 
 
 def weyl_group_order(system: RootSystem) -> int:
-    """Order of the full Weyl group, computed from the type, not by listing."""
-    return _GROUP_ORDER[system.type_label](system.rank)
+    """Order of the full Weyl group, from the root heights, not by listing."""
+    return order_from_heights(system.positive_roots)
 
 
 class GroupSizeGuardError(RuntimeError):
@@ -84,10 +92,6 @@ def _mat_mul(a, b):
 
 def _mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a)
-
-
-def _identity_mat(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class WeylElem:
@@ -140,14 +144,9 @@ class WeylElem:
 
     @property
     def length(self) -> int:
-        """Number of positive roots mapped to negative roots."""
+        """Number of positive roots mapped to negative roots: the word's length."""
         if self._length is None:
-            n = 0
-            for alpha in self.system.positive_roots:
-                img = _mat_vec(self.mat, alpha.coeffs)
-                if any(c < 0 for c in img):
-                    n += 1
-            self._length = n
+            self._length = len(self.word())
         return self._length
 
     def is_right_descent(self, i: int) -> bool:
@@ -161,20 +160,21 @@ class WeylElem:
         return None
 
     def word(self) -> tuple[int, ...]:
-        """Canonical reduced word (smallest right descent stripped first)."""
+        """Canonical reduced word (smallest right descent stripped first).
+
+        Stripped from xi = w^-1 rho; xi_j = sum_k M[k][j] d_k / d_j is the
+        coroot height of w(alpha_j), d being the symmetrizer.
+        """
         if self._word is None:
-            rev = []
-            w = self
-            while True:
-                i = w.first_right_descent()
-                if i is None:
-                    break
-                rev.append(i)
-                w = w * simple_reflection(self.system, i)
-            self._word = tuple(reversed(rev))
-            if self._length is None:
-                self._length = len(self._word)
-            if self._length != len(self._word):
+            d = self.system.symmetrizer
+            xi = []
+            for dj, col in zip(d, zip(*self.mat)):
+                x, rem = divmod(sum(map(mul, col, d)), dj)
+                if rem:
+                    raise InvariantError(f"non-integral coroot height in {self.mat}")
+                xi.append(x)
+            self._word = _strip(self.system, xi)
+            if self._length is not None and self._length != len(self._word):
                 raise InvariantError(f"length {self._length} vs word {self._word}")
         return self._word
 
@@ -182,33 +182,37 @@ class WeylElem:
         return (self.length, self.word())
 
 
+def _strip(system: RootSystem, xi: list) -> tuple[int, ...]:
+    """The canonical word of the w with w^-1 rho = xi.
+
+    Strips the smallest i with xi_i < 0, xi <- s_i xi = xi - xi_i alpha_i
+    (alpha_i is column i of the Cartan matrix in fundamental-weight
+    coordinates), until xi is dominant; the letters come off right to left.
+    """
+    rev = []
+    while True:
+        i = next((i for i, x in enumerate(xi) if x < 0), None)
+        if i is None:
+            return tuple(reversed(rev))
+        rev.append(i)
+        m = xi[i]
+        xi = [x - m * row[i] for x, row in zip(xi, system.cartan)]
+
+
 def identity(system: RootSystem) -> WeylElem:
-    m = _identity_mat(system.rank)
-    return WeylElem(system, m, length=0)
+    rank = range(system.rank)
+    return WeylElem(system, tuple(tuple(int(i == j) for j in rank) for i in rank), length=0)
 
 
-_SIMPLE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def simple_reflection(system: RootSystem, i: int) -> WeylElem:
-    """Generator s_i; s_i(b_j) = b_j - c_ij b_i."""
+    """Generator s_i; s_i(b_j) = b_j - c_ij b_i.  One object per (system, i)."""
     if not 0 <= i < system.rank:
         raise ValueError(f"simple root index {i} out of range for {system.label}")
-    key = (id(system), i)
-    cached = _SIMPLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rank = system.rank
-    mat = tuple(
-        tuple(
-            (1 if r == j else 0) - (system.cartan[i][j] if r == i else 0)
-            for j in range(rank)
-        )
-        for r in range(rank)
-    )
-    s = WeylElem(system, mat, length=1)
-    _SIMPLE_CACHE[key] = s
-    return s
+    rank = range(system.rank)
+    mat = tuple(tuple(int(r == j) - (system.cartan[i][j] if r == i else 0) for j in rank)
+                for r in rank)
+    return WeylElem(system, mat, length=1)
 
 
 def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:
@@ -216,21 +220,14 @@ def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:
     alpha = system.root(alpha.coeffs)
     if not alpha.is_positive:
         raise ValueError(f"expected a positive root, got {alpha}")
-    rank = system.rank
     cols = []
-    for j in range(rank):
+    for j, row in enumerate(system.gram):
         # <b_j, alpha^vee> = 2(b_j, alpha)/(alpha, alpha)
-        t = 2 * system.inner(
-            tuple(1 if k == j else 0 for k in range(rank)), alpha.coeffs
-        )
-        if t % alpha.norm:
+        t, rem = divmod(2 * sum(map(mul, row, alpha.coeffs)), alpha.norm)
+        if rem:
             raise InvariantError(f"non-integral coroot pairing at {alpha}")
-        t //= alpha.norm
-        cols.append(
-            tuple((1 if r == j else 0) - t * alpha.coeffs[r] for r in range(rank))
-        )
-    mat = tuple(zip(*cols))
-    return WeylElem(system, mat)
+        cols.append(tuple(int(r == j) - t * a for r, a in enumerate(alpha.coeffs)))
+    return WeylElem(system, tuple(zip(*cols)))
 
 
 def from_word(system: RootSystem, indices: Iterable[int]) -> WeylElem:
@@ -304,22 +301,16 @@ def bruhat_leq_W(u: WeylElem, v: WeylElem) -> bool:
 
 
 def longest_element(system: RootSystem) -> WeylElem:
-    """The longest element, built greedily (no full enumeration)."""
+    """The longest element w_o: w_o^-1 rho = -rho, so its word is stripped from -rho."""
     if system._longest is None:
-        w = identity(system)
-        target = len(system.positive_roots)
-        while w.length < target:
-            for i in range(system.rank):
-                if not w.is_right_descent(i):
-                    w = w * simple_reflection(system, i)
-                    break
-            else:  # pragma: no cover - unreachable
-                raise InvariantError("stuck before reaching the longest element")
-        system._longest = w
+        word = _strip(system, [-1] * system.rank)
+        system._longest = from_word(system, word)
+        system._longest._length = len(word)
     return system._longest
 
 
-def _bfs_enumerate(system, generators, bound, what):
+def _bfs_enumerate(system, indices):
+    generators = [simple_reflection(system, i) for i in indices]
     start = identity(system)
     seen = {start.mat: start}
     queue = [start]
@@ -331,8 +322,6 @@ def _bfs_enumerate(system, generators, bound, what):
                 if ws.mat not in seen:
                     ws._length = w.length + 1
                     seen[ws.mat] = ws
-                    if len(seen) > bound:
-                        raise GroupSizeGuardError(what, bound)
                     nxt.append(ws)
         queue = nxt
     return sorted(seen.values(), key=WeylElem.sort_key)
@@ -352,10 +341,7 @@ class WeylGroup:
                 raise GroupSizeGuardError(
                     f"W({self.system.label})", self.max_elements
                 )
-            gens = [simple_reflection(self.system, i) for i in range(self.system.rank)]
-            self._elements = _bfs_enumerate(
-                self.system, gens, self.max_elements, f"W({self.system.label})"
-            )
+            self._elements = _bfs_enumerate(self.system, range(self.system.rank))
         return self._elements
 
     @property
@@ -376,6 +362,10 @@ def enumerate_parabolic_subgroup(
     max_elements: int = DEFAULT_ENUMERATION_GUARD,
 ) -> list[WeylElem]:
     """All elements of the subgroup generated by {s_i : i in indices}."""
-    gens = [simple_reflection(system, i) for i in sorted(set(indices))]
-    label = ",".join(str(i + 1) for i in sorted(set(indices)))
-    return _bfs_enumerate(system, gens, max_elements, f"W_P({system.label}; {label})")
+    indices = sorted(set(indices))
+    spanned = [a for a in system.positive_roots
+               if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
+    if order_from_heights(spanned) > max_elements:
+        label = ",".join(str(i + 1) for i in indices)
+        raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
+    return _bfs_enumerate(system, indices)

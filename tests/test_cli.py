@@ -213,6 +213,33 @@ def test_exit_code_guard(capsys):
     assert main(["graph", "A3", "flag", "--max-group-order", "24"]) == 0
 
 
+def test_graph_labels_feed_back_to_minq(capsys):
+    # gr 1 12 has classes sigma[10,] and sigma[11,]; each printed label
+    # must name its own class again, not (1,) or (1, 1)
+    _code, out = run(capsys, "graph", "gr", "1", "12")
+    labels = [line.split("[")[1].split("]")[0]
+              for line in out.splitlines() if line.startswith("node ")]
+    assert labels[10:] == ["10,", "11,"]
+    for label in labels:
+        code, out = run(capsys, "minq", "gr", "1", "12", "--u", label, "--v", "1")
+        assert code == 0 and f"# u: sigma[{label}]\n" in out
+
+
+@pytest.mark.parametrize("argv,what,bound", [
+    ("product A3 flag --u s1 --v s2 --max-group-order 5", "W/W_P for A3 flag", 5),
+    ("graph A3 2 --max-group-order 3", "W/W_P for A3 omit 2", 3),
+    ("verify A4 flag --max-group-order 100", "divisor engine on A4 flag (|W| = 120)", 100),
+    ("graph E8 flag", "W/W_P for E8 flag", 1000000),
+])
+def test_guard_messages(capsys, argv, what, bound):
+    # the enumeration guard speaks before the product guard
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {what} exceeds the enumeration guard of {bound} "
+                   "elements; raise the bound explicitly to proceed\n")
+
+
 def test_exit_code_verify_failure(capsys, monkeypatch):
     # corrupt the golden anchor: the sweep must notice and exit 3
     monkeypatch.setattr(checks, "GOLDEN_GR49", {(2, (5, 3, 2, 2)): 999})

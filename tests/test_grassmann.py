@@ -174,6 +174,23 @@ def test_parse_and_format_partition():
         parse_partition("")
 
 
+@pytest.mark.parametrize("k,width", [(1, 15), (2, 11), (3, 10)])
+def test_partition_labels_parse_back(k, width):
+    for lam in partitions_in_box(k, k + width):
+        assert parse_partition(format_partition(lam)) == lam
+
+
+def test_single_parts_of_ten_or_more_keep_a_comma():
+    assert format_partition((10,)) == "10,"
+    assert format_partition((11, 3)) == "11,3"
+    assert parse_partition("10,") == (10,)
+    assert parse_partition("5,4,") == (5, 4)
+    for text in ("10", "50", "5403"):  # digit spellings hold no 0 ...
+        with pytest.raises(ValueError):
+            parse_partition(text)
+    assert parse_partition("11") == (1, 1)  # ... and one part per digit
+
+
 def test_normalize_partition():
     assert normalize_partition((3, 2, 0, 0)) == (3, 2)
     assert normalize_partition([]) == ()

@@ -215,6 +215,17 @@ def test_enumeration_guard_ignores_call_order():
         assert make_parabolic("A", 3, delta_P, max_elements=size).cosets()
 
 
+def test_refused_cosets_enumerate_nothing():
+    # |W/W_P| is known before any work, so a refusal interns no coset
+    P = ParabolicData(make_parabolic("A", 3, ()).system, (1,), max_elements=5)
+    with pytest.raises(GroupSizeGuardError):
+        P.cosets()
+    with pytest.raises(GroupSizeGuardError):
+        P.graph()
+    assert P._cosets is None and P._graph is None and not P._coset_of
+    assert P.size == 12
+
+
 def test_small_guard_does_not_leak_into_a_later_default_call():
     with pytest.raises(GroupSizeGuardError):
         make_parabolic("A", 3, (1,), max_elements=2).cosets()

@@ -309,6 +309,13 @@ def test_product_engine_choice():
         product_engine(make_parabolic("B", 3, (1, 2)))
 
 
+def test_product_guard_refuses_before_enumerating():
+    P = ParabolicData(build_root_system("A", 5), ())  # |W| = 720, fresh
+    with pytest.raises(GroupSizeGuardError, match=r"divisor engine on A5 flag \(\|W\| = 720\)"):
+        product_engine(P, 100)
+    assert P._cosets is None and P._divisor_engine is None
+
+
 def test_product_guard_ignores_call_order():
     # a fresh quotient, so no earlier test's engine is cached on it
     P = ParabolicData(build_root_system("A", 3), ())
