@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 from . import checks
 from .grassmann import (
-    RimHookEngine,
     coset_of_partition,
     format_partition,
     parse_partition,
     partition_of_coset,
+    rimhook_engine,
 )
 from .parabolic import Coset, ParabolicData
 from .quantum import (
@@ -208,7 +208,7 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
     if engine == "rimhook":
         if P.grassmannian_shape() is None:
             raise UsageError("the rim-hook engine requires a Grassmannian instance")
-        return engine, RimHookEngine(P).product
+        return engine, rimhook_engine(P).product
     if u.length != 1:
         raise UsageError("--engine chevalley needs u to be a divisor class sigma[s<i>]")
     return engine, lambda a, b: quantum_chevalley(P, a.word()[0], b)

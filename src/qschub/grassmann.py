@@ -18,11 +18,20 @@ removal of an n-hook contributes a factor q and a sign (-1)^(k - height);
 a partition that is too wide but admits no removal reduces to zero.  The
 reduced class must not depend on the order of removals, which the
 recursion checks.
+
+Products are memoised per quotient: `product_engine` (and the command
+line's `--engine rimhook`) hands out the one `RimHookEngine` cached on the
+quotient, which keeps sigma_u * sigma_v per *ordered* pair (u, v), so
+sigma_v * sigma_u stays a separate computation.  Within one expansion the
+horizontal-strip step is memoised across pairs, and partitions the module
+built itself are not validated again; input through the public entry
+points still is.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Iterator
 
 from .parabolic import Coset, ParabolicData, make_parabolic
@@ -48,6 +57,7 @@ __all__ = [
     "qproduct_grassmann",
     "qproduct_grassmann_cosets",
     "RimHookEngine",
+    "rimhook_engine",
     "min_degree_diagonal",
     "monotone_chain_exists",
 ]
@@ -164,7 +174,7 @@ def partition_of_coset(P: ParabolicData, u: Coset) -> tuple[int, ...]:
         y.append(y[-1] + m)
     low = min(y)
     ones = sorted(n - t for t, yt in enumerate(y) if yt > low)
-    lam = normalize_partition(reversed([s - i for i, s in enumerate(ones, 1)]))
+    lam = _strip_zeros(tuple(reversed([s - i for i, s in enumerate(ones, 1)])))
     if sum(lam) != u.length:
         raise InvariantError("partition weight must match coset length")
     return lam
@@ -193,8 +203,21 @@ def beta_set(lam: tuple[int, ...], k: int) -> frozenset:
     lam = normalize_partition(lam)
     if len(lam) > k:
         raise ValueError(f"partition {lam} has more than {k} rows")
+    return _beta(lam, k)
+
+
+def _beta(lam: tuple[int, ...], k: int) -> frozenset:
+    """beta_set of a partition already known to have at most k rows."""
     padded = lam + (0,) * (k - len(lam))
     return frozenset(padded[i] + k - 1 - i for i in range(k))
+
+
+def _strip_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """A padded partition without its trailing zeros."""
+    end = len(parts)
+    while end and not parts[end - 1]:
+        end -= 1
+    return parts[:end]
 
 
 def partition_from_beta(beta: frozenset, k: int) -> tuple[int, ...]:
@@ -236,9 +259,6 @@ def _reduce(beta: frozenset, k: int, n: int):
 
 def reduce_mod_hooks(nu: tuple[int, ...], k: int, n: int):
     """Public wrapper around the memoized abacus reduction."""
-    nu = normalize_partition(nu)
-    if len(nu) > k:
-        raise ValueError(f"partition {nu} has more than {k} rows")
     return _reduce(beta_set(nu, k), k, n)
 
 
@@ -259,42 +279,46 @@ def classical_lr(lam: tuple[int, ...], mu: tuple[int, ...], k: int) -> dict:
         return {}
     out: dict = {}
 
-    def strips(shape, size, prev_cum):
-        """Yield (new shape, cumulative row counts) for one letter."""
-        found = []
-
-        def go(r, remaining, acc, cum):
-            if r == k:
-                if remaining == 0:
-                    found.append((tuple(acc), tuple(cum)))
-                return
-            hi = remaining
-            if r > 0:
-                hi = min(hi, shape[r - 1] - shape[r])
-            if prev_cum is not None:
-                cap = (prev_cum[r - 1] if r > 0 else 0) - (cum[-1] if cum else 0)
-                hi = min(hi, cap)
-            for a in range(hi + 1):
-                go(
-                    r + 1,
-                    remaining - a,
-                    acc + [shape[r] + a],
-                    cum + [(cum[-1] if cum else 0) + a],
-                )
-
-        go(0, size, [], [])
-        return found
-
     def place(idx, shape, prev_cum):
         if idx == len(mu):
-            key = normalize_partition(shape)
+            key = _strip_zeros(shape)
             out[key] = out.get(key, 0) + 1
             return
-        for new_shape, cum in strips(shape, mu[idx], prev_cum):
+        for new_shape, cum in _strips(shape, mu[idx], prev_cum):
             place(idx + 1, new_shape, cum)
 
     place(0, lam + (0,) * (k - len(lam)), None)
     return out
+
+
+@lru_cache(maxsize=None)
+def _strips(shape: tuple, size: int, prev_cum) -> tuple:
+    """(new shape, cumulative row counts) for each way to add one letter.
+
+    shape is padded to k = len(shape) rows; the letter fills a horizontal
+    strip of `size` boxes, and prev_cum (None for the first letter) holds
+    the previous letter's cumulative counts, which cap this letter's.
+    The same states recur across pairs, so the result is memoised.
+    """
+    k = len(shape)
+    found = []
+
+    def go(r, remaining, acc, cum):
+        if r == k:
+            if remaining == 0:
+                found.append((acc, cum))
+            return
+        total = cum[-1] if cum else 0
+        hi = remaining
+        if r > 0:
+            hi = min(hi, shape[r - 1] - shape[r])
+        if prev_cum is not None:
+            hi = min(hi, (prev_cum[r - 1] if r > 0 else 0) - total)
+        for a in range(hi + 1):
+            go(r + 1, remaining - a, acc + (shape[r] + a,), cum + (total + a,))
+
+    go(0, size, (), ())
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +331,7 @@ def qproduct_grassmann(k: int, n: int, lam, mu) -> dict:
     mu = _require_box(k, n, mu)
     out: dict = {}
     for nu, c in classical_lr(lam, mu, k).items():
-        red = reduce_mod_hooks(nu, k, n)
+        red = _reduce(_beta(nu, k), k, n)
         if red is None:
             continue
         hooks, sign, tgt = red
@@ -336,15 +360,31 @@ def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
 
 
 class RimHookEngine:
-    """Full quantum products on a Grassmannian by the rim-hook rule."""
+    """Full quantum products on a Grassmannian by the rim-hook rule.
+
+    Each product is memoised by its ordered pair (u, v), as the divisor
+    engine's are; callers share the returned QClass and must not change
+    it.  `rimhook_engine` keeps one engine per quotient.
+    """
 
     name = "rimhook"
 
     def __init__(self, P: ParabolicData):
         self.P = P
+        self._products: dict = {}  # (u, v) -> sigma_u * sigma_v
 
     def product(self, u: Coset, v: Coset) -> QClass:
-        return qproduct_grassmann_cosets(self.P, u, v)
+        got = self._products.get((u, v))
+        if got is None:
+            got = self._products[(u, v)] = qproduct_grassmann_cosets(self.P, u, v)
+        return got
+
+
+def rimhook_engine(P: ParabolicData) -> RimHookEngine:
+    """The quotient's one rim-hook engine, built on first use."""
+    if P._rimhook_engine is None:
+        P._rimhook_engine = RimHookEngine(P)
+    return P._rimhook_engine
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +426,14 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
     """
     lam = _require_box(k, n, lam)
     mu = _require_box(k, n, mu)
-    target = beta_set(dual_partition(k, n, mu), k)
+    # the abacus of dual(mu), sorted once: slot n-1-b for each bead b of mu
+    target = sorted((n - 1 - b for b in _beta(mu, k)), reverse=True)
 
     def inside(beta: frozenset) -> bool:
         # containment of partitions == componentwise on sorted abacus slots
-        mine = sorted(beta, reverse=True)
-        theirs = sorted(target, reverse=True)
-        return all(a <= b for a, b in zip(mine, theirs))
+        return all(map(le, sorted(beta, reverse=True), target))
 
-    frontier = {beta_set(lam, k)}
+    frontier = {_beta(lam, k)}
     seen = set(frontier)
     for _step in range(d + 1):
         if any(inside(beta) for beta in frontier):

@@ -188,6 +188,13 @@ class BruhatGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def label_bound(self) -> int:
+        """No coordinate of a chain label exceeds this: non-dominated labels
+        come from simple paths, so #nodes * the largest edge coordinate."""
+        return self.node_count * max(
+            (max(deg) for (_, deg) in self.edges.values()), default=0)
+
 
 class ParabolicData:
     """A proper parabolic quotient and its cached combinatorics."""
@@ -227,6 +234,7 @@ class ParabolicData:
         self._labels = {}  # coset u -> frozen labels of the search from up_set(u)
         self._interned_degrees = {}
         self._divisor_engine = None
+        self._rimhook_engine = None
 
     # -- small derived data ----------------------------------------------
 
@@ -510,10 +518,7 @@ class ParabolicData:
         """
         g = self.graph()
         zero = (0,) * len(self.q_index)
-        # belt-and-braces coordinate bound: non-dominated labels come from
-        # simple paths, so no coordinate can exceed #nodes * max edge coord
-        maxcoord = max((max(deg) for (_, deg) in g.edges.values()), default=0)
-        bound = g.node_count * maxcoord
+        bound = g.label_bound  # belt-and-braces coordinate bound, once per graph
         labels: list[dict] = [dict() for _ in g.nodes]
         work = deque()
         for i in _bits(sources):

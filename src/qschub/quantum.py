@@ -29,8 +29,8 @@ InvariantError.
 
 `product_engine` is the one place that decides which engine multiplies
 on a given quotient: the divisor recursion on full flags, the rim-hook
-rule on Grassmannians.  An engine is any object with
-``product(u, v) -> QClass``.
+rule on Grassmannians, each built once per quotient and cached on it.
+An engine is any object with ``product(u, v) -> QClass``.
 """
 
 from __future__ import annotations
@@ -404,15 +404,15 @@ def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUAR
     """The engine that multiplies Schubert classes on P.
 
     The cached divisor engine on full flags (tested first, so A1 = Gr(1,2)
-    keeps it), the rim-hook engine on Grassmannians; no other quotient
-    has a full-product engine.
+    keeps it), the cached rim-hook engine on Grassmannians; no other
+    quotient has a full-product engine.  Both memoise their products.
     """
     if not P.delta_P:
         return _engine(P, max_group_order)
     if P.grassmannian_shape() is not None:
-        from .grassmann import RimHookEngine  # deferred: grassmann imports this module
+        from .grassmann import rimhook_engine  # deferred: grassmann imports this module
 
-        return RimHookEngine(P)
+        return rimhook_engine(P)
     raise ValueError(
         f"no full-product engine applies to {P.label}: the divisor recursion "
         "needs the full flag and the rim-hook rule needs a Grassmannian"

@@ -1,7 +1,7 @@
 """The verification sweeps: one body for every product engine."""
 
 from qschub import checks
-from qschub.grassmann import grassmannian_parabolic
+from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import product_engine
 
@@ -58,6 +58,20 @@ def test_sweep_catches_a_wrong_grassmannian_engine():
 def _fresh(type_label, rank, delta_P):
     """An uncached quotient, so a deliberate corruption stays in the test."""
     return ParabolicData(make_parabolic(type_label, rank, delta_P).system, delta_P)
+
+
+def test_commutativity_compares_two_memoised_products():
+    # the rim-hook memo is keyed by the ordered pair, so one corrupted
+    # entry leaves its transpose intact and the sweep still sees the split
+    P = _fresh("A", 3, (0, 2))  # gr 2 4
+    engine = product_engine(P)
+    u, v = coset_of_partition(P, (1,)), coset_of_partition(P, (2, 1))
+    engine._products[(u, v)] = engine.product(u, v).shift((1,))
+    rows = rows_by_name(checks._product_sweep(P, "gr 2 4", engine))
+    assert not rows["commutativity"].passed
+    assert rows["commutativity"].detail == (
+        "not commutative at (1,),(2, 1); not commutative at (2, 1),(1,)")
+    assert rows["nonnegativity"].passed
 
 
 def test_graph_structure_reads_the_chain_search_bitsets():

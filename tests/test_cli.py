@@ -7,6 +7,8 @@ import pytest
 
 from qschub import checks
 from qschub.cli import main
+from qschub.grassmann import coset_of_partition, grassmannian_parabolic
+from qschub.quantum import product_engine
 from qschub.weyl import GroupSizeGuardError
 
 
@@ -60,6 +62,16 @@ def test_product_rimhook_classical_part(capsys):
     assert code == 0
     body = [l for l in out.splitlines() if not l.startswith("#")]
     assert body == ["sigma[2]", "sigma[11]"]
+
+
+def test_product_rimhook_uses_the_cached_engine(capsys):
+    code, _out = run(
+        capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32", "--engine", "rimhook"
+    )
+    assert code == 0
+    P = grassmannian_parabolic(3, 7)
+    u, v = coset_of_partition(P, (2, 1)), coset_of_partition(P, (3, 2))
+    assert (u, v) in product_engine(P)._products
 
 
 def test_product_golden_expansion(capsys):

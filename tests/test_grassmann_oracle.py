@@ -1,0 +1,225 @@
+"""The memoised Littlewood-Richardson kernel against the one it replaced.
+
+`old_classical_lr`, `old_qproduct_grassmann` and `old_monotone_chain_exists`
+are test-local copies of the earlier code: the horizontal strips are
+recomputed for every pair, every partition is validated again wherever
+it is read, and the rim-hook reduction goes through its own cache.  The
+package must give the same terms, in the same dict order, on every pair
+asked, and the rim-hook engine's memo must hold only such products.
+"""
+
+import contextlib
+import io
+import random
+from functools import lru_cache
+
+import pytest
+
+from qschub import cli
+from qschub.grassmann import (
+    classical_lr,
+    coset_of_partition,
+    grassmannian_parabolic,
+    monotone_chain_exists,
+    normalize_partition,
+    partition_from_beta,
+    partition_in_box,
+    partitions_in_box,
+    qproduct_grassmann,
+    qproduct_grassmann_cosets,
+)
+from qschub.parabolic import ParabolicData
+from qschub.quantum import product_engine
+from qschub.roots import InvariantError
+
+
+def old_require_box(k, n, lam):
+    lam = normalize_partition(lam)
+    if not partition_in_box(k, n, lam):
+        raise ValueError(f"partition {lam} does not fit in the {k} x {n - k} box")
+    return lam
+
+
+def old_beta_set(lam, k):
+    lam = normalize_partition(lam)
+    if len(lam) > k:
+        raise ValueError(f"partition {lam} has more than {k} rows")
+    padded = lam + (0,) * (k - len(lam))
+    return frozenset(padded[i] + k - 1 - i for i in range(k))
+
+
+@lru_cache(maxsize=None)
+def old_reduce(beta, k, n):
+    lam = partition_from_beta(beta, k)
+    if not lam or lam[0] <= n - k:
+        return (0, 1, lam)
+    results = []
+    for b in beta:
+        c = b - n
+        if c >= 0 and c not in beta:
+            height = sum(1 for x in beta if c < x < b) + 1
+            sub = old_reduce(beta - {b} | {c}, k, n)
+            results.append(
+                None if sub is None else (sub[0] + 1, (-1) ** (k - height) * sub[1], sub[2])
+            )
+    if not results:
+        return None
+    if any(r != results[0] for r in results[1:]):
+        raise InvariantError("rim-hook reduction must not depend on removal order")
+    return results[0]
+
+
+def old_classical_lr(lam, mu, k):
+    lam = normalize_partition(lam)
+    mu = normalize_partition(mu)
+    if len(lam) > k or len(mu) > k:
+        return {}
+    out = {}
+
+    def strips(shape, size, prev_cum):
+        found = []
+
+        def go(r, remaining, acc, cum):
+            if r == k:
+                if remaining == 0:
+                    found.append((tuple(acc), tuple(cum)))
+                return
+            hi = remaining
+            if r > 0:
+                hi = min(hi, shape[r - 1] - shape[r])
+            if prev_cum is not None:
+                cap = (prev_cum[r - 1] if r > 0 else 0) - (cum[-1] if cum else 0)
+                hi = min(hi, cap)
+            for a in range(hi + 1):
+                go(r + 1, remaining - a, acc + [shape[r] + a],
+                   cum + [(cum[-1] if cum else 0) + a])
+
+        go(0, size, [], [])
+        return found
+
+    def place(idx, shape, prev_cum):
+        if idx == len(mu):
+            key = normalize_partition(shape)
+            out[key] = out.get(key, 0) + 1
+            return
+        for new_shape, cum in strips(shape, mu[idx], prev_cum):
+            place(idx + 1, new_shape, cum)
+
+    place(0, lam + (0,) * (k - len(lam)), None)
+    return out
+
+
+def old_qproduct_grassmann(k, n, lam, mu):
+    lam = old_require_box(k, n, lam)
+    mu = old_require_box(k, n, mu)
+    out = {}
+    for nu, c in old_classical_lr(lam, mu, k).items():
+        red = old_reduce(old_beta_set(nu, k), k, n)
+        if red is None:
+            continue
+        hooks, sign, tgt = red
+        out[(hooks, tgt)] = out.get((hooks, tgt), 0) + sign * c
+    return {key: v for key, v in out.items() if v}
+
+
+def old_monotone_chain_exists(k, n, lam, mu, d):
+    lam = old_require_box(k, n, lam)
+    mu = old_require_box(k, n, mu)
+    padded = mu + (0,) * (k - len(mu))
+    dual = normalize_partition(tuple((n - k) - padded[k - 1 - i] for i in range(k)))
+    target = old_beta_set(dual, k)
+
+    def inside(beta):
+        mine = sorted(beta, reverse=True)
+        theirs = sorted(target, reverse=True)
+        return all(a <= b for a, b in zip(mine, theirs))
+
+    frontier = {old_beta_set(lam, k)}
+    seen = set(frontier)
+    for _step in range(d + 1):
+        if any(inside(beta) for beta in frontier):
+            return True
+        nxt = set()
+        for beta in frontier:
+            for b in beta:
+                for c in range(b):
+                    if c not in beta:
+                        cand = beta - {b} | {c}
+                        if cand not in seen:
+                            seen.add(cand)
+                            nxt.add(cand)
+        frontier = nxt
+        if not frontier:
+            break
+    return False
+
+
+def pairs(k, n, count=None):
+    box = list(partitions_in_box(k, n))
+    every = [(lam, mu) for lam in box for mu in box]
+    if count is None:
+        return every
+    return random.Random(f"gr {k} {n}|oracle").sample(every, count)
+
+
+CASES = [(2, 5, None), (3, 6, None), (3, 7, None), (4, 8, 300)]
+
+
+@pytest.mark.parametrize("k, n, count", CASES)
+def test_products_match_the_old_kernel_term_for_term(k, n, count):
+    for lam, mu in pairs(k, n, count):
+        assert list(classical_lr(lam, mu, k).items()) == \
+            list(old_classical_lr(lam, mu, k).items()), (lam, mu)
+        assert list(qproduct_grassmann(k, n, lam, mu).items()) == \
+            list(old_qproduct_grassmann(k, n, lam, mu).items()), (lam, mu)
+
+
+def test_monotone_chains_match_the_old_walk():
+    for lam, mu in pairs(3, 7):
+        for d in range(3):
+            assert monotone_chain_exists(3, 7, lam, mu, d) == \
+                old_monotone_chain_exists(3, 7, lam, mu, d), (lam, mu, d)
+
+
+def test_outside_input_is_still_validated():
+    with pytest.raises(ValueError):
+        qproduct_grassmann(3, 7, (1, 2), (1,))  # not weakly decreasing
+    with pytest.raises(ValueError):
+        monotone_chain_exists(3, 7, (5,), (1,), 1)  # wider than the box
+    with pytest.raises(ValueError):
+        classical_lr((1, -1), (1,), 3)
+
+
+def test_one_engine_per_grassmannian():
+    P = grassmannian_parabolic(3, 6)
+    engine = product_engine(P)
+    assert product_engine(P) is engine is P._rimhook_engine
+    u, v = coset_of_partition(P, (2, 1)), coset_of_partition(P, (1,))
+    assert engine.product(u, v) is engine.product(u, v)
+    # the memo is keyed by the ordered pair
+    assert engine.product(v, u) is not engine.product(u, v)
+
+
+def test_memoised_products_are_unchanged_after_verify():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "gr", "3", "6"]) == 0
+    P = grassmannian_parabolic(3, 6)  # the cached quotient verify used
+    memo = product_engine(P)._products
+    assert len(memo) == len(P.cosets()) ** 2
+    for (u, v), got in memo.items():
+        assert got == qproduct_grassmann_cosets(P, u, v)
+
+
+def test_engine_product_enumerates_no_cosets():
+    P = grassmannian_parabolic(8, 16)
+    u = coset_of_partition(P, (3, 2, 1))
+    v = coset_of_partition(P, (2, 2))
+    got = product_engine(P).product(u, v)
+    assert P._cosets is None
+    assert got == qproduct_grassmann_cosets(P, u, v)
+
+
+def test_a_fresh_quotient_gets_its_own_engine():
+    cached = grassmannian_parabolic(2, 4)
+    fresh = ParabolicData(cached.system, cached.delta_P)
+    assert product_engine(fresh) is not product_engine(cached)

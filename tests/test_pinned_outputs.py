@@ -4,7 +4,8 @@ Each digest is the SHA-256 of what in-process `cli.main` returns and
 prints (the exit code, a newline, then stdout), recorded from the
 matrix-based coset layer that the orbit-point layer replaced; the D4
 product pin was recorded from the Fraction divisor engine that the
-integer engine replaced.  A change to any printed byte, or to the order
+integer engine replaced, and the `verify gr 3 7` pin from the rim-hook
+engine before it memoised its products.  A change to any printed byte, or to the order
 of cosets, fails here.  The minq pins hash the text output of every
 ordered pair of classes, in coset order.
 """
@@ -24,6 +25,9 @@ COMMANDS = {
         "60fb90e0abdebf952173f0fedb154f16d3d479b2be322b85a1e96c0a5b3aedbd",
     "verify default-suite --format json":
         "3407883aeb2c28caa55e14e62d61e47bef321ec7c996a4e14085b1b5b42feb04",
+    # the command the gr-verify benchmark workload runs
+    "verify gr 3 7":
+        "f93081cf6ac73aea954083156171306711541a8b1f8c2c6357ab0b3b5b22957b",
     "verify B3 2 C3 1 3":
         "5d269e0181e275184f204cee145aa69d262a49f0788fd8cdc5af7381101a9b04",
     "graph gr 2 5":
