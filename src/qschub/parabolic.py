@@ -46,13 +46,18 @@ paths, which bounds every coordinate by (#nodes) * (largest edge
 coordinate) and guarantees termination.
 
 The labels depend on u alone, so the search runs once per source coset
-and is memoised on the quotient; a pair (u, v) then only reads the
-labels at the cosets below dual(v), takes their Pareto minima and walks
-the back-pointers of the witnesses.  The memo is frozen after each
-search to stay small: node i keeps a tuple of (degree, back) pairs, back
-being (previous node, its degree) or None at a source, degree tuples are
-interned, and the root and degree of an edge are read back from
-`graph().edges` (A4 flag, all 120 sources: about 2.2 MB).
+and is memoised on the quotient.  It runs on degrees packed into one int
+each (`PackedDegrees`, built once per graph as `BruhatGraph.packed`), so
+adding, the bound test and dominance are a few integer operations, and
+it is frozen back to tuples to stay small: node i keeps a tuple of
+(degree, back) pairs, back being (previous node, its degree) or None at
+a source, degree tuples are interned, and the root and degree of an edge
+are read back from `graph().edges`.  Beside the labels, each source
+keeps a map from each degree to the bitset of the nodes holding it (A4
+flag, all 120 sources: about 2.3 MB for both).  A pair (u, v) then takes
+the Pareto minima of the degrees whose bitset meets the cosets below
+dual(v), one step per distinct degree, and walks the back-pointers of
+the witnesses from the lowest such node.
 
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), closed over the cover edges (graph edges
@@ -67,7 +72,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import add, le, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .roots import InvariantError, Root, RootSystem, build_root_system
@@ -191,9 +196,66 @@ class BruhatGraph:
     @cached_property
     def label_bound(self) -> int:
         """No coordinate of a chain label exceeds this: non-dominated labels
-        come from simple paths, so #nodes * the largest edge coordinate."""
-        return self.node_count * max(
-            (max(deg) for (_, deg) in self.edges.values()), default=0)
+        come from simple paths, so #nodes * the largest edge coordinate.
+        The chain search packs degrees into fields sized by this bound
+        (`packed`), so a bound set by hand must be set before the first
+        search on the graph."""
+        return self.node_count * self._largest_edge_coordinate
+
+    @property
+    def _largest_edge_coordinate(self) -> int:
+        return max((max(deg) for (_, deg) in self.edges.values()), default=0)
+
+    @cached_property
+    def packed(self) -> "PackedDegrees":
+        """The adjacency rows with packed degrees, built at the first search."""
+        fields = len(next(iter(self.edges.values()))[1])
+        return PackedDegrees(fields, self.label_bound,
+                             self._largest_edge_coordinate, self.adj)
+
+
+class PackedDegrees:
+    """Degree vectors packed into one int each, for the chain search.
+
+    Coordinate k sits in field k of `width` + 1 bits: W = `width` data
+    bits, W = bit_length(bound + largest edge coordinate), under one
+    guard bit.  `guard` (G) has every guard bit set and `cap` (C) holds
+    2^W - 1 - bound in every field.  While every coordinate stays below
+    2^W, as a label within the bound plus one edge does:
+
+    * the sum of two packed degrees is the packed sum;
+    * `(x + C) & G` is nonzero exactly when a coordinate of x exceeds the
+      bound;
+    * y <= x componentwise exactly when `((x | G) - y) & G == G`.
+
+    `adj[i]` is the adjacency row i of the graph as (j, packed degree),
+    and `unpack` memoises one degree tuple per packed int, so the frozen
+    labels share their degree tuples.
+    """
+
+    __slots__ = ("fields", "width", "guard", "cap", "adj", "_unpacked")
+
+    def __init__(self, fields: int, bound: int, largest: int, adj: tuple = ()):
+        width = (bound + largest).bit_length()
+        ones = sum(1 << k * (width + 1) for k in range(fields))  # bit 0 of each field
+        self.fields, self.width = fields, width
+        self.guard = ones << width
+        self.cap = ones * ((1 << width) - 1 - bound)
+        self.adj = tuple(tuple((j, self.pack(deg)) for j, deg, _alpha in row)
+                         for row in adj)
+        self._unpacked = {}
+
+    def pack(self, d: Degree) -> int:
+        step = self.width + 1
+        return sum(c << k * step for k, c in enumerate(d))
+
+    def unpack(self, x: int) -> Degree:
+        got = self._unpacked.get(x)
+        if got is None:
+            step, low = self.width + 1, (1 << self.width) - 1
+            got = self._unpacked[x] = tuple(
+                x >> k * step & low for k in range(self.fields))
+        return got
 
 
 class ParabolicData:
@@ -232,7 +294,7 @@ class ParabolicData:
         self._graph = None
         self._up, self._down = {}, {}  # graph index -> Bruhat bitset
         self._labels = {}  # coset u -> frozen labels of the search from up_set(u)
-        self._interned_degrees = {}
+        self._holders = {}  # coset u -> {degree: bitset of the nodes holding it}
         self._divisor_engine = None
         self._rimhook_engine = None
 
@@ -479,11 +541,12 @@ class ParabolicData:
     def min_chain_witnesses(
         self, u: Coset, v: Coset
     ) -> tuple[tuple[Degree, ...], tuple[ChainWitness, ...]]:
-        frontier, labels, sinks = self._chain_search(u, v)
+        frontier, labels, at, sinks = self._chain_search(u, v)
         g = self.graph()
         found = []
         for d in frontier:
-            sink = next(i for i in sinks if any(e == d for e, _ in labels[i]))
+            hit = at[d] & sinks
+            sink = (hit & -hit).bit_length() - 1  # the lowest sink holding d
             path_nodes, roots, degs = [sink], [], []
             cur, back = sink, _back(labels[sink], d)
             while back is not None:
@@ -502,52 +565,63 @@ class ParabolicData:
         # the labels depend on u alone; v only picks the sinks
         labels = self._labels.get(u)
         if labels is None:
-            labels = self._labels[u] = self._label_search(self.up_set(u))
-        sinks = _bits(self.down_set(self.dual(v)))
-        frontier = pareto_minima(d for i in sinks for d, _ in labels[i])
+            labels, self._holders[u] = self._label_search(self.up_set(u))
+            self._labels[u] = labels
+        at = self._holders[u]
+        sinks = self.down_set(self.dual(v))
+        frontier = pareto_minima(d for d, nodes in at.items() if nodes & sinks)
         if not frontier:
             raise InvariantError("chain frontier is never empty")
-        return frontier, labels, sinks
+        return frontier, labels, at, sinks
 
-    def _label_search(self, sources: int) -> tuple:
+    def _label_search(self, sources: int) -> tuple[tuple, dict]:
         """Pareto labels of all chains starting in the bitset `sources`.
 
-        Entry i of the result holds node i's surviving labels as
+        Entry i of the first result holds node i's surviving labels as
         (degree, back) pairs, back being (previous node, its degree) or
-        None at a source.
+        None at a source; the second maps each degree to the bitset of
+        the nodes holding it.  The search runs on packed degrees
+        (`BruhatGraph.packed`) and is frozen back to degree tuples.
         """
-        g = self.graph()
-        zero = (0,) * len(self.q_index)
-        bound = g.label_bound  # belt-and-braces coordinate bound, once per graph
-        labels: list[dict] = [dict() for _ in g.nodes]
+        pk = self.graph().packed
+        adj, G, C = pk.adj, pk.guard, pk.cap
+        labels: list[dict] = [dict() for _ in adj]
         work = deque()
         for i in _bits(sources):
-            labels[i][zero] = None
-            work.append((i, zero))
+            labels[i][0] = None
+            work.append((i, 0))
+        # queued labels stay within the bound and edge coordinates within
+        # the largest, so every field of nd = d + e, nd + C and
+        # (nd | G) - x stays inside its W + 1 bits: no carry or borrow
+        # crosses into the next field
         while work:
             i, d = work.popleft()
             if d not in labels[i]:
                 continue  # dominated since queued
-            for j, edeg, _alpha in g.adj[i]:
-                nd = tuple(map(add, d, edeg))
-                if max(nd) > bound:
-                    continue
+            for j, e in adj[i]:
+                nd = d + e
+                if (nd + C) & G:
+                    continue  # a coordinate beyond the bound
                 lj = labels[j]
-                if nd in lj or any(all(map(le, e, nd)) for e in lj):
-                    continue
-                for e in [e for e in lj if all(map(le, nd, e))]:
-                    del lj[e]
-                lj[nd] = (i, d)
-                work.append((j, nd))
-        # freeze compactly: tuples instead of dicts, one object per degree
-        intern = self._interned_degrees
-
-        def frozen(d, back):
-            if back is not None:
-                back = (back[0], intern.setdefault(back[1], back[1]))
-            return (intern.setdefault(d, d), back)
-
-        return tuple(tuple(frozen(d, back) for d, back in lj.items()) for lj in labels)
+                guarded = nd | G
+                for x in lj:
+                    if (guarded - x) & G == G:
+                        break  # x <= nd: nd is dominated or already there
+                else:
+                    for x in [x for x in lj if ((x | G) - nd) & G == G]:
+                        del lj[x]
+                    lj[nd] = (i, d)
+                    work.append((j, nd))
+        # freeze compactly: tuples instead of dicts, one tuple per degree
+        unpack, at, frozen = pk.unpack, {}, []
+        for i, lj in enumerate(labels):
+            node = []
+            for d, back in lj.items():
+                t = unpack(d)
+                at[t] = at.get(t, 0) | 1 << i
+                node.append((t, None if back is None else (back[0], unpack(back[1]))))
+            frozen.append(tuple(node))
+        return tuple(frozen), at
 
 
 def _bits(mask: int) -> list[int]:

@@ -257,7 +257,8 @@ class DivisorEngine:
         self.P = P
         if P.size > max_group_order:
             raise GroupSizeGuardError(
-                f"divisor engine on {P.label} (|W| = {P.size})", max_group_order
+                f"divisor engine on {P.label} (|W| = {P.size})", max_group_order,
+                "group-order",
             )
         self.cosets = P.cosets()
         self.zero_deg = (0,) * len(P.q_index)

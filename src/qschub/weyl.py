@@ -66,20 +66,25 @@ def weyl_group_order(system: RootSystem) -> int:
 
 
 class GroupSizeGuardError(RuntimeError):
-    """Raised when an enumeration would exceed its configured bound."""
+    """Raised when a computation would exceed its configured bound.
 
-    def __init__(self, what: str, bound: int):
+    `guard` names the bound: "enumeration" for coset and group
+    enumerations, "group-order" for the divisor engine's |W| bound.
+    """
+
+    def __init__(self, what: str, bound: int, guard: str = "enumeration"):
         super().__init__(
-            f"{what} exceeds the enumeration guard of {bound} elements; "
+            f"{what} exceeds the {guard} guard of {bound} elements; "
             "raise the bound explicitly to proceed"
         )
         self.what = what
         self.bound = bound
+        self.guard = guard
 
     def __reduce__(self):
         # rebuild from the constructor's arguments, so the error survives
         # the pickle round trip out of a worker process
-        return (type(self), (self.what, self.bound))
+        return (type(self), (self.what, self.bound, self.guard))
 
 
 def _mat_mul(a, b):

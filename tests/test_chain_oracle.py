@@ -4,7 +4,9 @@
 for every pair (u, v), with its sources and sinks listed through the
 lifting walk `bruhat_leq`.  The library must give the same frontier and
 the same witness chains, node for node and edge for edge, and its answers
-must not depend on the order in which pairs are asked.
+must not depend on the order in which pairs are asked.  The library's
+search runs on packed degrees; `tuple_label_search` is a copy of the
+tuple search it replaced, kept to check the labels, bound cuts included.
 """
 
 import dataclasses
@@ -12,10 +14,12 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschub.checks import build_instance
 from qschub.parabolic import (
     ChainWitness,
+    PackedDegrees,
     ParabolicData,
     degree_add,
     degree_leq,
@@ -70,6 +74,53 @@ def per_pair_witnesses(P, u, v):
     return frontier, tuple(found)
 
 
+def tuple_label_search(P, sources, bound):
+    """Per-node (degree, back) labels of the chains from `sources`, on tuples."""
+    g = P.graph()
+    zero = (0,) * len(P.q_index)
+    labels = [dict() for _ in g.nodes]
+    work = deque()
+    for i in sources:
+        labels[i][zero] = None
+        work.append((i, zero))
+    while work:
+        i, d = work.popleft()
+        if d not in labels[i]:
+            continue
+        for j, edeg, _alpha in g.adj[i]:
+            nd = degree_add(d, edeg)
+            if max(nd) > bound:
+                continue
+            lj = labels[j]
+            if nd in lj or any(degree_leq(e, nd) for e in lj):
+                continue
+            for e in [e for e in lj if degree_leq(nd, e)]:
+                del lj[e]
+            lj[nd] = (i, d)
+            work.append((j, nd))
+    return tuple(tuple(lj.items()) for lj in labels)
+
+
+def several_label_instance():
+    """The A3 flag graph with seeded edge degrees, on fresh memos.
+
+    Every real quotient tried so far leaves one label per node; with
+    these degrees incomparable labels meet at nodes, and frontiers hold
+    several degrees.
+    """
+    P = ParabolicData(make_parabolic("A", 3, ()).system, ())
+    g = P.graph()
+    rng = random.Random("chain-oracle|degrees")
+    pool = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 1), (1, 1, 0)]
+    edges = {key: (root, rng.choice(pool)) for key, (root, _deg) in g.edges.items()}
+    adj = [[] for _ in g.nodes]
+    for (i, j), (root, deg) in edges.items():
+        adj[i].append((j, deg, root))
+        adj[j].append((i, deg, root))
+    P._graph = dataclasses.replace(g, edges=edges, adj=tuple(map(tuple, adj)))
+    return P
+
+
 def _flat(answer):
     """A witness answer as plain data: degrees, node words, root coefficients."""
     frontier, chains = answer
@@ -82,7 +133,7 @@ def _flat(answer):
 
 @pytest.mark.parametrize("tokens", [
     ("A3", "flag"), ("B2", "flag"), ("G2", "flag"), ("B3", "2"),
-    ("gr", "3", "6"), ("D4", "1", "3"),
+    ("gr", "3", "6"), ("D4", "1", "3"), ("A4", "1", "4"), ("C3", "1", "3"),
 ], ids="-".join)
 def test_witnesses_match_per_pair_search_on_all_pairs(tokens):
     _label, P = build_instance(tokens)
@@ -104,19 +155,7 @@ def test_witnesses_match_per_pair_search_on_a4_sample():
 
 
 def test_witnesses_match_with_several_labels_per_node():
-    # Every real quotient tried so far leaves one label per node, so the
-    # A3 flag graph gets seeded edge degrees here: incomparable labels
-    # then meet at nodes, and frontiers hold several degrees.
-    P = ParabolicData(make_parabolic("A", 3, ()).system, ())
-    g = P.graph()
-    rng = random.Random("chain-oracle|degrees")
-    pool = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 1), (1, 1, 0)]
-    edges = {key: (root, rng.choice(pool)) for key, (root, _deg) in g.edges.items()}
-    adj = [[] for _ in g.nodes]
-    for (i, j), (root, deg) in edges.items():
-        adj[i].append((j, deg, root))
-        adj[j].append((i, deg, root))
-    P._graph = dataclasses.replace(g, edges=edges, adj=tuple(map(tuple, adj)))
+    P = several_label_instance()
     cosets = P.cosets()
     widest = 0
     for u in cosets:
@@ -125,7 +164,46 @@ def test_witnesses_match_with_several_labels_per_node():
             assert _flat(got) == _flat(per_pair_witnesses(P, u, v)), (u, v)
             widest = max(widest, len(got[0]))
     assert widest > 1
+    assert all(len(labels) == P.graph().node_count for labels in P._labels.values())
     assert any(len(node) > 1 for labels in P._labels.values() for node in labels)
+
+
+def test_labels_match_the_tuple_search_under_a_low_bound():
+    P = several_label_instance()
+    g = P.graph()
+    natural = g.label_bound
+    g.label_bound = 2  # before the first search, which packs by the bound
+    identity = P.identity_coset()  # its dual is the top coset: every node a sink
+    cut = False
+    for u in P.cosets():
+        P.min_chain_degrees(u, identity)
+        sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
+        assert P._labels[u] == tuple_label_search(P, sources, 2), u
+        cut |= P._labels[u] != tuple_label_search(P, sources, natural)
+    assert cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_operations_match_tuple_operations(data):
+    fields = data.draw(st.integers(1, 8), label="fields")
+    largest = data.draw(st.integers(0, 6), label="largest edge coordinate")
+    bound = data.draw(st.integers(0, 300), label="bound")
+    pk = PackedDegrees(fields, bound, largest)
+    G, C = pk.guard, pk.cap
+
+    def vector(top):
+        coord = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+        return data.draw(st.tuples(*[coord] * fields))
+
+    d, e = vector(bound), vector(largest)  # a label and an edge degree
+    x, y = vector(bound + largest), vector(bound + largest)
+    assert pk.unpack(pk.pack(x)) == x
+    nd = pk.pack(d) + pk.pack(e)
+    assert pk.unpack(nd) == degree_add(d, e)
+    assert bool((nd + C) & G) == (max(degree_add(d, e)) > bound)
+    assert bool((pk.pack(x) + C) & G) == (max(x) > bound)
+    assert (((pk.pack(y) | G) - pk.pack(x)) & G == G) == degree_leq(x, y)
 
 
 def test_answers_do_not_depend_on_query_order():

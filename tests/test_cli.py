@@ -207,6 +207,16 @@ def test_guard_error_survives_pickle():
     assert exc.bound == 10 and "W(E7) exceeds the enumeration guard of 10" in str(exc)
 
 
+def test_group_order_guard_error_survives_pickle():
+    sent = GroupSizeGuardError("divisor engine on A4 flag (|W| = 120)", 100, "group-order")
+    exc = pickle.loads(pickle.dumps(sent))
+    assert isinstance(exc, GroupSizeGuardError)
+    assert (exc.what, exc.bound, exc.guard) == (sent.what, 100, "group-order")
+    assert str(exc) == str(sent) == (
+        "divisor engine on A4 flag (|W| = 120) exceeds the group-order guard "
+        "of 100 elements; raise the bound explicitly to proceed")
+
+
 def test_verify_guard_exits_2_in_workers(capsys):
     assert main(["verify", "E7", "flag", "--jobs", "2"]) == 2
     assert "exceeds the enumeration guard" in capsys.readouterr().err
@@ -244,11 +254,13 @@ def test_graph_labels_feed_back_to_minq(capsys):
     ("graph E8 flag", "W/W_P for E8 flag", 1000000),
 ])
 def test_guard_messages(capsys, argv, what, bound):
-    # the enumeration guard speaks before the product guard
+    # the enumeration guard speaks before the product guard, and each
+    # message names the guard that tripped
+    guard = "group-order" if what.startswith("divisor engine") else "enumeration"
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: {what} exceeds the enumeration guard of {bound} "
+    assert err == (f"error: {what} exceeds the {guard} guard of {bound} "
                    "elements; raise the bound explicitly to proceed\n")
 
 

@@ -2,12 +2,14 @@
 
 Each digest is the SHA-256 of what in-process `cli.main` returns and
 prints (the exit code, a newline, then stdout), recorded from the
-matrix-based coset layer that the orbit-point layer replaced; the D4
+matrix-based coset layer that the orbit-point layer replaced.  The D4
 product pin was recorded from the Fraction divisor engine that the
-integer engine replaced, and the `verify gr 3 7` pin from the rim-hook
-engine before it memoised its products.  A change to any printed byte, or to the order
-of cosets, fails here.  The minq pins hash the text output of every
-ordered pair of classes, in coset order.
+integer engine replaced, the `verify gr 3 7` pin from the rim-hook
+engine before it memoised its products, and the `A4 1 4` and `C3 flag`
+minq pins from the chain search on degree tuples, before it ran on
+packed ints.  A change to any printed byte, or to the order of cosets,
+fails here.  The minq pins hash the text output of every ordered pair
+of classes, in coset order.
 """
 
 import contextlib
@@ -56,6 +58,10 @@ MINQ = {
         "098d90025d3c0efa3766bd39bc5db18b3e459f7a154b14045f0685b7f9062f4b",
     "B3 2":
         "4385c094414d2faa2429106a543a8f83caa6deee62c8a700c3d6a6b02d2118a8",
+    "A4 1 4":
+        "6afd3c94872943a5be0d5451e9cf1b36d5592ce6a50e4f639ebeb3c65d49611f",
+    "C3 flag":
+        "65e741259827b299d58b7ad0871b52a98e32027544db1ddcf84fa35ec20c6e6b",
 }
 
 
