@@ -26,13 +26,11 @@ from .quantum import (
     product_engine,
     qproduct_GB,
     quantum_chevalley,
-    raising_witness_report,
 )
 from .roots import InvariantError, Root, RootSystem, build_root_system
 from .weyl import (
     GroupSizeGuardError,
     WeylElem,
-    WeylGroup,
     bruhat_leq_W,
     from_word,
     longest_element,
@@ -48,7 +46,6 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "WeylElem",
-    "WeylGroup",
     "GroupSizeGuardError",
     "bruhat_leq_W",
     "from_word",
@@ -64,7 +61,6 @@ __all__ = [
     "qproduct_GB",
     "product_engine",
     "min_occurring_degrees",
-    "raising_witness_report",
     "grassmannian_parabolic",
     "partition_of_coset",
     "coset_of_partition",

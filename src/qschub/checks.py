@@ -24,10 +24,9 @@ from .quantum import (
     multiply_classes,
     product_engine,
     quantum_chevalley,
-    raising_witness_report,
 )
-from .weyl import (DEFAULT_ENUMERATION_GUARD, WeylGroup, simple_reflection,
-                   weyl_group_order)
+from .weyl import (DEFAULT_ENUMERATION_GUARD, enumerate_parabolic_subgroup,
+                   longest_element, simple_reflection, weyl_group_order)
 
 __all__ = [
     "CheckResult",
@@ -88,16 +87,17 @@ def check_pairing_integrality(P: ParabolicData, label: str) -> list:
 
 def check_weyl_structure(P: ParabolicData, label: str) -> list:
     system = P.system
-    W = WeylGroup(system)
+    elements = enumerate_parabolic_subgroup(system, range(system.rank))
+    order = weyl_group_order(system)
     bad = []
     count = 2
-    if W.order != W.expected_order():
-        bad.append(f"|W| = {W.order}, expected {W.expected_order()}")
-    wo = W.longest
+    if len(elements) != order:
+        bad.append(f"|W| = {len(elements)}, expected {order}")
+    wo = longest_element(system)
     npos = len(system.positive_roots)
     if wo.length != npos or (wo * wo).length != 0:
         bad.append("longest element is not a length-|R+| involution")
-    for w in W.elements():
+    for w in elements:
         count += 2
         if (wo * w).length != npos - w.length:
             bad.append(f"l(wo*w) != l(wo)-l(w) at {w.word()}")
@@ -134,8 +134,6 @@ def check_bruhat_duality(P: ParabolicData, label: str) -> list:
 
 
 def check_wp_degree_invariance(P: ParabolicData, label: str) -> list:
-    from .weyl import enumerate_parabolic_subgroup
-
     bad = []
     count = 0
     wp = enumerate_parabolic_subgroup(P.system, P.delta_P)
@@ -407,10 +405,22 @@ def check_quantum_monk(P: ParabolicData, label: str) -> list:
     return [_result(label, "quantum-monk", bad, count)]
 
 
-def check_raising_witness(P: ParabolicData, label: str, guard: int) -> list:
-    report = raising_witness_report(P, max_group_order=guard)
-    bad = [f"no witness for {u.word()} <= {v.word()}" for u, v in report.failures]
-    return [_result(label, "raising-witness", bad, report.pairs_checked)]
+def check_raising_witness(P: ParabolicData, label: str, engine) -> list:
+    """For each pair u <= v, some sigma_w whose classical product with
+    sigma_u contains sigma_v with positive coefficient."""
+    cosets = P.cosets()
+    zero = (0,) * len(P.q_index)
+    bad = []
+    count = 0
+    for u in cosets:
+        for v in cosets:
+            if not P.bruhat_leq(u, v):
+                continue
+            count += 1
+            if not any(engine.product(u, w).coefficient(zero, v) > 0
+                       for w in cosets if w.length == v.length - u.length):
+                bad.append(f"no witness for {u.word()} <= {v.word()}")
+    return [_result(label, "raising-witness", bad, count)]
 
 
 def check_golden_product(P: ParabolicData, label: str) -> list:
@@ -508,5 +518,5 @@ def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) ->
         results.extend(_associativity(P, label, engine))
         if P.system.type_label == "A":
             results.extend(check_quantum_monk(P, label))
-    results.extend(check_raising_witness(P, label, max_group_order))
+    results.extend(check_raising_witness(P, label, engine))
     return results

@@ -371,7 +371,8 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--v", required=True, help="coset: word s1*s2, e, or partition")
         p.add_argument("--format", choices=["text", "json", "dot"])
         p.add_argument("--max-group-order", type=int, default=0,
-                       help="override the enumeration/product size guards")
+                       help="bound the coset enumeration and, on product, the "
+                            "divisor engine's |W| (0: 10^6 and 240)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_minq = sub.add_parser("minq", help="Pareto-minimal q-degrees with witness chains")
@@ -394,7 +395,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json"])
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel workers across instances")
-    p_verify.add_argument("--max-group-order", type=int, default=0)
+    p_verify.add_argument("--max-group-order", type=int, default=0,
+                          help="bound the divisor engine's |W| only; enumeration "
+                               "keeps its 10^6 guard (0: 240)")
     p_verify.add_argument("--out")
     return parser
 

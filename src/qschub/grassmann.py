@@ -52,7 +52,6 @@ __all__ = [
     "beta_set",
     "partition_from_beta",
     "rimhook_adjacent",
-    "reduce_mod_hooks",
     "classical_lr",
     "qproduct_grassmann",
     "qproduct_grassmann_cosets",
@@ -255,11 +254,6 @@ def _reduce(beta: frozenset, k: int, n: int):
     if any(r != results[0] for r in results[1:]):
         raise InvariantError("rim-hook reduction must not depend on removal order")
     return results[0]
-
-
-def reduce_mod_hooks(nu: tuple[int, ...], k: int, n: int):
-    """Public wrapper around the memoized abacus reduction."""
-    return _reduce(beta_set(nu, k), k, n)
 
 
 # ---------------------------------------------------------------------------

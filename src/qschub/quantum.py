@@ -2,7 +2,9 @@
 
 Classes live in the free module over Z[q_1..q_m] (one q per retained
 node) with basis the Schubert classes, i.e. the cosets of W_P.  A QClass
-is a finite map (degree vector, coset) -> coefficient.
+is a finite map (degree vector, coset) -> coefficient with no arithmetic
+of its own: the engines sum products in plain dicts, and
+`multiply_classes` extends a pair product bilinearly to whole classes.
 
 Multiplication by a divisor class sigma_{s_beta} is closed-form: the
 classical part raises length by one through a reflection, the quantum
@@ -35,7 +37,7 @@ An engine is any object with ``product(u, v) -> QClass``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
@@ -52,8 +54,6 @@ __all__ = [
     "multiply_classes",
     "product_engine",
     "min_occurring_degrees",
-    "raising_witness_report",
-    "RaisingWitnessReport",
     "DivisorEngine",
     "DEFAULT_PRODUCT_GUARD",
 ]
@@ -66,7 +66,7 @@ class QClass:
     """Finite Z[q]-linear combination of Schubert classes."""
 
     context: ParabolicData
-    terms: dict  # (Degree, Coset) -> int | Fraction, no explicit zeros
+    terms: dict  # (Degree, Coset) -> int, no explicit zeros
 
     @staticmethod
     def zero(context: ParabolicData) -> "QClass":
@@ -78,9 +78,6 @@ class QClass:
         if degree is None:
             degree = (0,) * len(context.q_index)
         return QClass(context, {(degree, u): coeff} if coeff else {})
-
-    def copy(self) -> "QClass":
-        return QClass(self.context, dict(self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -94,39 +91,8 @@ class QClass:
         else:
             self.terms.pop(key, None)
 
-    def __add__(self, other: "QClass") -> "QClass":
-        self._check(other)
-        out = self.copy()
-        for (d, u), c in other.terms.items():
-            out.add_term(d, u, c)
-        return out
-
-    def __sub__(self, other: "QClass") -> "QClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QClass":
-        if not c:
-            return QClass.zero(self.context)
-        return QClass(self.context, {k: c * v for k, v in self.terms.items()})
-
-    def shift(self, degree: Degree) -> "QClass":
-        """Multiply by the monomial q^degree."""
-        return QClass(
-            self.context,
-            {(degree_add(d, degree), u): c for (d, u), c in self.terms.items()},
-        )
-
     def coefficient(self, degree: Degree, u: Coset):
         return self.terms.get((degree, u), 0)
-
-    def assert_integral(self) -> "QClass":
-        out = {}
-        for k, c in self.terms.items():
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise InvariantError(f"non-integral coefficient {c} at {k}")
-            out[k] = int(f)
-        return QClass(self.context, out)
 
     def sorted_terms(self):
         """Deterministic order: by (sum of degree, degree, coset key)."""
@@ -134,10 +100,6 @@ class QClass:
             self.terms.items(),
             key=lambda kv: (sum(kv[0][0]), kv[0][0]) + kv[0][1].sort_key(),
         )
-
-    def _check(self, other: "QClass") -> None:
-        if self.context is not other.context:
-            raise ValueError("QClass arithmetic across different parabolic data")
 
     def __eq__(self, other) -> bool:
         return (
@@ -423,7 +385,8 @@ def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUAR
 def multiply_classes(c1: QClass, c2: QClass,
                      pair_product: Callable[[Coset, Coset], QClass]) -> QClass:
     """Bilinear extension of a basis-pair product to whole classes."""
-    c1._check(c2)
+    if c1.context is not c2.context:
+        raise ValueError("QClass arithmetic across different parabolic data")
     out = QClass.zero(c1.context)
     for (d1, u), a in c1.terms.items():
         for (d2, v), b in c2.terms.items():
@@ -433,48 +396,3 @@ def multiply_classes(c1: QClass, c2: QClass,
                 out.add_term(degree_add(shift, d3), w, a * b * c)
     return out
 
-
-@dataclass
-class RaisingWitnessReport:
-    """Outcome of the positivity search over Bruhat-comparable pairs.
-
-    For each pair u <= v the search looks for some class sigma_w whose
-    classical product with sigma_u contains sigma_v with positive
-    coefficient.
-    """
-
-    context_label: str
-    pairs_checked: int = 0
-    witnesses: dict = field(default_factory=dict)  # (u, v) -> w
-    failures: list = field(default_factory=list)
-
-    @property
-    def all_found(self) -> bool:
-        return not self.failures
-
-
-def raising_witness_report(P: ParabolicData,
-                           max_group_order: int = DEFAULT_PRODUCT_GUARD
-                           ) -> RaisingWitnessReport:
-    """Search classical products for raising witnesses on all pairs u <= v."""
-    product = product_engine(P, max_group_order).product
-    cosets = P.cosets()
-    zero = (0,) * len(P.q_index)
-    report = RaisingWitnessReport(context_label=P.label)
-    for u in cosets:
-        for v in cosets:
-            if not P.bruhat_leq(u, v):
-                continue
-            report.pairs_checked += 1
-            witness = None
-            for w in cosets:
-                if w.length != v.length - u.length:
-                    continue
-                if product(u, w).coefficient(zero, v) > 0:
-                    witness = w
-                    break
-            if witness is None:
-                report.failures.append((u, v))
-            else:
-                report.witnesses[(u, v)] = witness
-    return report

@@ -149,6 +149,10 @@ class RootSystem:
         if any(self.gram[i][j] != self.gram[j][i]
                for i in range(rank) for j in range(rank)):
             raise InvariantError("symmetrizer mismatch")
+        # the nonzero (j, (b_i, b_j)) of each row: at most four per row
+        self._gram_rows = tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram
+        )
         self._generate_roots()
         self.simple_roots = tuple(
             self._index[tuple(1 if j == i else 0 for j in range(rank))]
@@ -163,16 +167,18 @@ class RootSystem:
     def _generate_roots(self) -> None:
         rank = self.rank
         simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+        # s_i(v) = v - <v, coroot_i> b_i with <v, coroot_i> = sum_j c_ij v_j,
+        # read off the nonzero c_ij only: a Cartan row has at most four
+        rows = [[(j, c) for j, c in enumerate(row) if c] for row in self.cartan]
         seen = set(simples)
         queue = list(simples)
         while queue:
             vec = queue.pop()
-            for i in range(rank):
-                # s_i(v) = v - <v, coroot_i> b_i with <v, coroot_i> = sum_j c_ij v_j
-                t = sum(self.cartan[i][j] * vec[j] for j in range(rank))
-                img = tuple(
-                    vec[j] - t if j == i else vec[j] for j in range(rank)
-                )
+            for i, row in enumerate(rows):
+                t = sum(c * vec[j] for j, c in row)
+                if not t:
+                    continue  # s_i fixes vec
+                img = vec[:i] + (vec[i] - t,) + vec[i + 1:]
                 if img not in seen:
                     seen.add(img)
                     queue.append(img)
@@ -224,8 +230,7 @@ class RootSystem:
         total = 0
         for i, ui in enumerate(u):
             if ui:
-                row = self.gram[i]
-                total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
+                total += ui * sum(g * v[j] for j, g in self._gram_rows[i])
         return total
 
     # -- pairings ---------------------------------------------------------

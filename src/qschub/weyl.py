@@ -35,7 +35,6 @@ from .roots import InvariantError, Root, RootSystem
 __all__ = [
     "GroupSizeGuardError",
     "WeylElem",
-    "WeylGroup",
     "bruhat_leq_W",
     "identity",
     "simple_reflection",
@@ -43,6 +42,7 @@ __all__ = [
     "from_word",
     "parse_word",
     "format_word",
+    "longest_element",
     "order_from_heights",
     "weyl_group_order",
     "enumerate_parabolic_subgroup",
@@ -314,7 +314,19 @@ def longest_element(system: RootSystem) -> WeylElem:
     return system._longest
 
 
-def _bfs_enumerate(system, indices):
+def enumerate_parabolic_subgroup(
+    system: RootSystem,
+    indices: Iterable[int],
+    max_elements: int = DEFAULT_ENUMERATION_GUARD,
+) -> list[WeylElem]:
+    """All elements of the subgroup generated by {s_i : i in indices}, in
+    (length, canonical word) order; range(rank) gives the whole group."""
+    indices = sorted(set(indices))
+    spanned = [a for a in system.positive_roots
+               if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
+    if order_from_heights(spanned) > max_elements:
+        label = ",".join(str(i + 1) for i in indices)
+        raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
     generators = [simple_reflection(system, i) for i in indices]
     start = identity(system)
     seen = {start.mat: start}
@@ -330,47 +342,3 @@ def _bfs_enumerate(system, indices):
                     nxt.append(ws)
         queue = nxt
     return sorted(seen.values(), key=WeylElem.sort_key)
-
-
-class WeylGroup:
-    """Guarded enumeration of a full Weyl group."""
-
-    def __init__(self, system: RootSystem, max_elements: int = DEFAULT_ENUMERATION_GUARD):
-        self.system = system
-        self.max_elements = max_elements
-        self._elements = None
-
-    def elements(self) -> list[WeylElem]:
-        if self._elements is None:
-            if self.expected_order() > self.max_elements:
-                raise GroupSizeGuardError(
-                    f"W({self.system.label})", self.max_elements
-                )
-            self._elements = _bfs_enumerate(self.system, range(self.system.rank))
-        return self._elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements())
-
-    def expected_order(self) -> int:
-        return weyl_group_order(self.system)
-
-    @property
-    def longest(self) -> WeylElem:
-        return longest_element(self.system)
-
-
-def enumerate_parabolic_subgroup(
-    system: RootSystem,
-    indices: Iterable[int],
-    max_elements: int = DEFAULT_ENUMERATION_GUARD,
-) -> list[WeylElem]:
-    """All elements of the subgroup generated by {s_i : i in indices}."""
-    indices = sorted(set(indices))
-    spanned = [a for a in system.positive_roots
-               if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
-    if order_from_heights(spanned) > max_elements:
-        label = ",".join(str(i + 1) for i in indices)
-        raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
-    return _bfs_enumerate(system, indices)

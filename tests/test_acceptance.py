@@ -25,8 +25,8 @@ from qschub.parabolic import make_parabolic
 from qschub.quantum import (
     min_occurring_degrees,
     multiply_classes,
+    product_engine,
     qproduct_GB,
-    raising_witness_report,
 )
 
 FLAG_INSTANCES = {
@@ -262,9 +262,9 @@ def test_criterion_8_raising_witnesses():
     t0 = time.monotonic()
     bad = []
     for label, P in (("gr 2 4", gr("gr 2 4")), ("A2", flag("A2")), ("A3", flag("A3"))):
-        rep = raising_witness_report(P)
-        if not rep.all_found:
-            bad.append((label, rep.failures[:3]))
+        (row,) = checks.check_raising_witness(P, label, product_engine(P))
+        if not row.passed:
+            bad.append((label, row.detail))
     report("criterion-8 raising-witness search", not bad,
            time.monotonic() - t0, 120,
            detail="" if not bad else repr(bad))

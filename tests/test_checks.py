@@ -3,7 +3,14 @@
 from qschub import checks
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
-from qschub.quantum import product_engine
+from qschub.quantum import QClass, multiply_classes, product_engine
+
+
+def times_q(engine, c):
+    """c times the first q parameter, as a product with q * sigma_e."""
+    P = c.context
+    q = QClass.basis(P, P.identity_coset(), degree=(1,) + (0,) * (len(P.q_index) - 1))
+    return multiply_classes(c, q, engine.product)
 
 
 class ShiftedEngine:
@@ -11,10 +18,9 @@ class ShiftedEngine:
 
     def __init__(self, P):
         self.inner = product_engine(P)
-        self.q = (1,) + (0,) * (len(P.q_index) - 1)
 
     def product(self, u, v):
-        return self.inner.product(u, v).shift(self.q)
+        return times_q(self.inner, self.inner.product(u, v))
 
 
 def rows_by_name(rows):
@@ -66,7 +72,7 @@ def test_commutativity_compares_two_memoised_products():
     P = _fresh("A", 3, (0, 2))  # gr 2 4
     engine = product_engine(P)
     u, v = coset_of_partition(P, (1,)), coset_of_partition(P, (2, 1))
-    engine._products[(u, v)] = engine.product(u, v).shift((1,))
+    engine._products[(u, v)] = times_q(engine, engine.product(u, v))
     rows = rows_by_name(checks._product_sweep(P, "gr 2 4", engine))
     assert not rows["commutativity"].passed
     assert rows["commutativity"].detail == (
@@ -126,3 +132,28 @@ def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
            for u in cosets for v in cosets
            if P.bruhat_leq(u, v) != P.bruhat_leq(P.dual(v), P.dual(u))]
     assert bad and row == checks._result("A3 flag", "bruhat-duality", bad, row.checked)
+
+
+def test_raising_witness_reports_a_pair_without_witness():
+    P = make_parabolic("A", 2, ())
+
+    class ZeroEngine:
+        def product(self, u, v):
+            return QClass.zero(P)
+
+    (row,) = checks.check_raising_witness(P, "A2 flag", ZeroEngine())
+    cosets = P.cosets()
+    comparable = sum(P.bruhat_leq(u, v) for u in cosets for v in cosets)
+    assert not row.passed and row.checked == comparable
+    assert row.detail == ("no witness for () <= (); no witness for () <= (0,); "
+                          f"no witness for () <= (1,); ... {comparable} failures total")
+
+
+def test_verify_passes_on_larger_flags():
+    # the stretch flags beyond the default suite, weyl-structure and the
+    # witness search included
+    for tokens in (("B3", "flag"), ("C3", "flag"), ("A4", "flag")):
+        rows = checks.run_instance_checks(tokens)
+        assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+        names = {r.name for r in rows}
+        assert {"weyl-structure", "raising-witness"} <= names, tokens

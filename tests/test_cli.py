@@ -1,7 +1,11 @@
 """Command-line surface: frozen outputs, exit codes, determinism, round-trips."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -251,6 +255,10 @@ def test_graph_labels_feed_back_to_minq(capsys):
     ("product A3 flag --u s1 --v s2 --max-group-order 5", "W/W_P for A3 flag", 5),
     ("graph A3 2 --max-group-order 3", "W/W_P for A3 omit 2", 3),
     ("verify A4 flag --max-group-order 100", "divisor engine on A4 flag (|W| = 120)", 100),
+    # on minq, product and graph the flag bounds the enumeration too; on
+    # verify it bounds only the divisor engine
+    ("minq A3 flag --u s1 --v s2 --max-group-order 10", "W/W_P for A3 flag", 10),
+    ("verify A3 flag --max-group-order 10", "divisor engine on A3 flag (|W| = 24)", 10),
     ("graph E8 flag", "W/W_P for E8 flag", 1000000),
 ])
 def test_guard_messages(capsys, argv, what, bound):
@@ -262,6 +270,21 @@ def test_guard_messages(capsys, argv, what, bound):
     assert out == ""
     assert err == (f"error: {what} exceeds the {guard} guard of {bound} "
                    "elements; raise the bound explicitly to proceed\n")
+
+
+def test_guard_refuses_a_large_grassmannian_quickly():
+    # building the roots of A99 comes before the guard; it must stay cheap
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschub.cli", "minq", "gr", "50", "100", "--u", "1", "--v", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - t0 < 10.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: W/W_P for A99 omit 50 exceeds the enumeration guard "
+                           "of 1000000 elements; raise the bound explicitly to proceed\n")
 
 
 def test_exit_code_verify_failure(capsys, monkeypatch):

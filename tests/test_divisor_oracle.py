@@ -2,9 +2,11 @@
 
 `FractionEngine` is a test-local copy of the earlier `DivisorEngine`:
 the same elimination and quantum corrections, kept as exact rationals,
-and products built by `QClass` addition with one integrality check at
-the end.  The integer engine must give the same terms on every pair it
-is asked, and every coefficient must be a Python int.
+and products built by class addition with one integrality check at the
+end.  That arithmetic (`add`, `scale`, `shift`, `integral`) lives here
+too, as it was on `QClass` before the integer engine made it unused.
+The integer engine must give the same terms on every pair it is asked,
+and every coefficient must be a Python int.
 """
 
 import os
@@ -17,6 +19,7 @@ from functools import lru_cache
 import pytest
 
 from qschub import make_parabolic
+from qschub.parabolic import degree_add
 from qschub.quantum import (
     DivisorEngine,
     QClass,
@@ -25,6 +28,33 @@ from qschub.quantum import (
     quantum_chevalley,
 )
 from qschub.roots import InvariantError
+
+
+def add(a, b):
+    out = QClass(a.context, dict(a.terms))
+    for (d, u), c in b.terms.items():
+        out.add_term(d, u, c)
+    return out
+
+
+def scale(a, c):
+    return QClass(a.context, {k: c * v for k, v in a.terms.items()} if c else {})
+
+
+def shift(a, degree):
+    """a times the monomial q^degree."""
+    return QClass(a.context, {(degree_add(d, degree), u): c for (d, u), c in a.terms.items()})
+
+
+def integral(a):
+    """a with every coefficient an int; InvariantError on a proper fraction."""
+    out = {}
+    for k, c in a.terms.items():
+        f = Fraction(c)
+        if f.denominator != 1:
+            raise InvariantError(f"non-integral coefficient {c} at {k}")
+        out[k] = int(f)
+    return QClass(a.context, out)
 
 
 class FractionEngine:
@@ -55,8 +85,8 @@ class FractionEngine:
                 chosen = [(x[i], b, w) for i, (b, w) in enumerate(pairs) if x[i] != 0]
                 acc = QClass.zero(P)
                 for coeff, b, w in chosen:
-                    acc += quantum_chevalley(P, b, w).scale(coeff)
-                residue = acc - QClass.basis(P, u)
+                    acc = add(acc, scale(quantum_chevalley(P, b, w), coeff))
+                residue = add(acc, QClass.basis(P, u, coeff=-1))
                 corrections = [(c, d, w2) for (d, w2), c in residue.sorted_terms()]
                 self.decomp[u] = (chosen, corrections)
 
@@ -97,7 +127,7 @@ class FractionEngine:
         if key not in self.columns:
             out = QClass.zero(self.P)
             for (d, x), c in self.product(w, v).terms.items():
-                out += quantum_chevalley(self.P, b, x).shift(d).scale(c)
+                out = add(out, scale(shift(quantum_chevalley(self.P, b, x), d), c))
             self.columns[key] = out
         return self.columns[key]
 
@@ -110,10 +140,10 @@ class FractionEngine:
                 chosen, corrections = self.decomp[u]
                 out = QClass.zero(self.P)
                 for coeff, b, w in chosen:
-                    out += self.column(b, w, v).scale(coeff)
+                    out = add(out, scale(self.column(b, w, v), coeff))
                 for c, d, w2 in corrections:
-                    out += self.product(w2, v).shift(d).scale(-c)
-                out = out.assert_integral()
+                    out = add(out, scale(shift(self.product(w2, v), d), -c))
+                out = integral(out)
             self.products[key] = out
         return self.products[key]
 

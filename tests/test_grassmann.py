@@ -29,7 +29,6 @@ from qschub.grassmann import (
     partitions_in_box,
     qproduct_grassmann,
     qproduct_grassmann_cosets,
-    reduce_mod_hooks,
     rimhook_adjacent,
 )
 
@@ -298,6 +297,11 @@ def test_rimhook_adjacent_examples():
 
 # ---------------------------------------------------------------------------
 # rim-hook reduction
+
+
+def reduce_mod_hooks(nu, k, n):
+    """(hooks removed, sign, partition), or None when nu reduces to 0."""
+    return G._reduce(beta_set(nu, k), k, n)
 
 
 def test_reduce_mod_hooks_frozen():

@@ -9,7 +9,7 @@ import pytest
 
 from qschub.grassmann import coset_of_partition, qproduct_grassmann_cosets
 from qschub.parabolic import ParabolicData
-from qschub.quantum import QClass, qproduct_GB, quantum_chevalley
+from qschub.quantum import QClass, multiply_classes, qproduct_GB, quantum_chevalley
 from qschub.roots import build_root_system
 from qschub.weyl import from_word, identity
 
@@ -83,7 +83,9 @@ def test_cosets_of_two_quotients_never_compare_equal():
         assert u1 != u2
     assert P1.identity_coset() not in set(P2.cosets())
     with pytest.raises(ValueError, match="different parabolic data"):
-        QClass.basis(P1, P1.identity_coset()) + QClass.basis(P2, P2.identity_coset())
+        multiply_classes(QClass.basis(P1, P1.identity_coset()),
+                         QClass.basis(P2, P2.identity_coset()),
+                         lambda u, v: qproduct_GB(P1, u, v))
 
 
 @pytest.mark.parametrize("type_label,rank,delta_P",

@@ -17,7 +17,7 @@ from qschub.parabolic import (
     make_parabolic,
     pareto_minima,
 )
-from qschub.quantum import QClass
+from qschub.quantum import QClass, multiply_classes, qproduct_GB
 from qschub.weyl import (
     GroupSizeGuardError,
     enumerate_parabolic_subgroup,
@@ -197,7 +197,9 @@ def test_one_parabolic_data_per_quotient():
     P = make_parabolic("B", 3, ())
     assert Q is P and Q.identity_coset() is P.identity_coset()
     u = P.cosets()[5]
-    assert QClass.basis(P, u) + QClass.basis(Q, u) == QClass.basis(P, u, coeff=2)
+    two = QClass.basis(Q, Q.identity_coset(), coeff=2)
+    twice = multiply_classes(QClass.basis(P, u), two, lambda a, b: qproduct_GB(P, a, b))
+    assert twice == QClass.basis(Q, u, coeff=2)
 
 
 def test_enumeration_guard_ignores_call_order():

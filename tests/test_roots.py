@@ -197,3 +197,39 @@ def test_reflect_matches_coroot_formula(inst, data):
     t = sum(rs.cartan[i][j] * a for j, a in enumerate(alpha.coeffs))
     expected = tuple(a - t * b for a, b in zip(alpha.coeffs, beta.coeffs))
     assert reflection_of_root(rs, beta).apply_root(alpha).coeffs == expected
+
+
+def dense_positive_roots(rs):
+    """(coeffs, norm) of the positive roots as the dense generator built them:
+    every simple-reflection image from a full O(rank) pairing, every norm
+    from the full Gram matrix."""
+    rank = rs.rank
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    queue = list(simples)
+    while queue:
+        vec = queue.pop()
+        for i in range(rank):
+            t = sum(rs.cartan[i][j] * vec[j] for j in range(rank))
+            img = tuple(vec[j] - t if j == i else vec[j] for j in range(rank))
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    positives = sorted((v for v in seen if all(c >= 0 for c in v)),
+                       key=lambda v: (sum(v), v))
+    return [(v, sum(v[i] * rs.gram[i][j] * v[j] for i in range(rank) for j in range(rank)))
+            for v in positives]
+
+
+SPARSE_GENERATOR_TYPES = (
+    [("A", r) for r in range(1, 13)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("type_label,rank", SPARSE_GENERATOR_TYPES)
+def test_sparse_generator_matches_the_dense_one(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    assert [(a.coeffs, a.norm) for a in rs.positive_roots] == dense_positive_roots(rs)
