@@ -112,7 +112,8 @@ def _term_order(inst: Instance, terms):
         (deg, u), _coeff = item
         if inst.gr_spelled:
             lam = partition_of_coset(inst.P, u)
-            inner = tuple(-a for a in lam + (0,) * 32)[:32]
+            # k zeros of padding: partitions in the box differ within k parts
+            inner = tuple(-a for a in lam + (0,) * inst.P.grassmannian_shape()[0])
         else:
             inner = u.sort_key()
         return (sum(deg), deg, inner)

@@ -33,9 +33,12 @@ one `CrossingRoot` per crossing root, in `crossing_roots` order, holding
 the root, d(alpha) and n_alpha.  Beside it, `targets(u)` is the row of
 cosets [u t_alpha] aligned with that table, computed on first use and
 memoised per coset, so a single Chevalley product enumerates no cosets.
-An entry is mu - <lambda_P, alpha^vee> u(alpha), the pairing being the
-sum of d(alpha), so it needs no projection.  The graph, `adjacency` and
-the quantum Chevalley operator all read these rows.
+A row is its parent's, reflected: u = s_i parent(u) with i = u.descent,
+so [u t_alpha] = s_i [parent(u) t_alpha], one O(rank) step per entry and
+no Weyl matrix; a row not yet built builds its parent's first.  The
+identity's row is lambda_P - <lambda_P, alpha^vee> alpha, the pairing
+being the sum of d(alpha).  The graph, `adjacency` and the quantum
+Chevalley operator all read these rows.
 
 Two cosets are adjacent when one is the projection of the other times a
 reflection; on that edge-weighted graph `min_chain_degrees` returns the
@@ -449,14 +452,15 @@ class ParabolicData:
         """The row [u t_alpha], aligned with crossing_table; memoised."""
         row = self._targets.get(u)
         if row is None:
-            w, cartan = u.min_rep, self.system.cartan
-            row = []
-            for c in self.crossing_table:
-                beta = w.apply_root(c.root).coeffs  # u(alpha) over the simple roots
-                k = sum(c.degree)  # <lambda_P, alpha^vee>
-                row.append(self._intern(tuple(
-                    m - k * sum(map(mul, r, beta)) for m, r in zip(u.mu, cartan))))
-            row = self._targets[u] = tuple(row)
+            if u.parent is None:  # lambda_P - <lambda_P, alpha^vee> alpha
+                cartan = self.system.cartan
+                row = tuple(self._intern(tuple(
+                    m - sum(c.degree) * sum(map(mul, r, c.root.coeffs))
+                    for m, r in zip(u.mu, cartan))) for c in self.crossing_table)
+            else:  # s_i [parent(u) t_alpha], i = u.descent; u.length deep at most
+                row = tuple(self._intern(self._reflect(v.mu, u.descent))
+                            for v in self.targets(u.parent))
+            self._targets[u] = row
         return row
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:
@@ -587,9 +591,10 @@ class ParabolicData:
         adj, G, C = pk.adj, pk.guard, pk.cap
         labels: list[dict] = [dict() for _ in adj]
         work = deque()
-        for i in _bits(sources):
-            labels[i][0] = None
-            work.append((i, 0))
+        for i, bit in enumerate(reversed(bin(sources))):  # sources, ascending
+            if bit == "1":
+                labels[i][0] = None
+                work.append((i, 0))
         # queued labels stay within the bound and edge coordinates within
         # the largest, so every field of nd = d + e, nd + C and
         # (nd | G) - x stays inside its W + 1 bits: no carry or borrow
@@ -622,16 +627,6 @@ class ParabolicData:
                 node.append((t, None if back is None else (back[0], unpack(back[1]))))
             frozen.append(tuple(node))
         return tuple(frozen), at
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _back(node_labels: tuple, d: Degree):

@@ -68,6 +68,20 @@ def test_product_rimhook_classical_part(capsys):
     assert body == ["sigma[2]", "sigma[11]"]
 
 
+def test_product_order_is_reverse_lex_beyond_32_parts(capsys):
+    """Partitions that agree on their first 32 parts still print reverse-lex."""
+    v = ",".join(["2"] * 32 + ["1"])
+    want = ["2" * 33, "2" * 32 + "11"]
+    code, out = run(capsys, "product", "gr", "34", "36", "--u", "1", "--v", v)
+    assert code == 0
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert body == [f"sigma[{lam}]" for lam in want]
+    code, out = run(capsys, "product", "gr", "34", "36", "--u", "1", "--v", v,
+                    "--format", "json")
+    assert code == 0
+    assert [t["label"] for t in json.loads(out)["terms"]] == want
+
+
 def test_product_rimhook_uses_the_cached_engine(capsys):
     code, _out = run(
         capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32", "--engine", "rimhook"

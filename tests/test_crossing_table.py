@@ -3,7 +3,10 @@
 Every row entry [u t_alpha], every Chevalley product and every graph edge
 root is recomputed here the slow way, by projecting u * t_alpha with
 `to_coset`, on each default-suite instance except gr 4 9, plus B3 2,
-C3 flag and G2 1.
+C3 flag, G2 1, D4 flag, F4 1 4, E6 1 and B3 1 3.  The rows themselves
+come from parent rows by orbit-point reflections; the last tests build
+them on fresh quotients, longest coset first, and with the matrix action
+on roots disabled.
 """
 
 from fractions import Fraction
@@ -12,12 +15,13 @@ import pytest
 
 from qschub.checks import DEFAULT_SUITE, build_instance
 from qschub.grassmann import grassmannian_parabolic
-from qschub.parabolic import make_parabolic
+from qschub.parabolic import Coset, ParabolicData, make_parabolic
 from qschub.quantum import QClass, classical_chevalley, quantum_chevalley
-from qschub.weyl import reflection_of_root
+from qschub.weyl import WeylElem, reflection_of_root
 
 INSTANCES = [t for t in DEFAULT_SUITE if t != ("gr", "4", "9")] + [
     ("B3", "2"), ("C3", "flag"), ("G2", "1"),
+    ("D4", "flag"), ("F4", "1", "4"), ("E6", "1"), ("B3", "1", "3"),
 ]
 
 
@@ -108,3 +112,41 @@ def test_chevalley_enumerates_no_cosets(make):
         assert s_b.length == 1
         assert not quantum_chevalley(P, b, s_b).is_zero
     assert P._cosets is None
+
+
+def fresh(P):
+    """A new quotient of the same data, with no coset or row built yet."""
+    return ParabolicData(P.system, P.delta_P)
+
+
+def test_rows_built_lazily_from_the_longest_coset(P):
+    Q = fresh(P)
+    top = Q.dual(Q.identity_coset())
+    Q.targets(top)
+    # the row of the longest coset built the rows of its parent chain only
+    assert Q._cosets is None and len(Q._targets) == top.length + 1
+    for u in reversed(Q.cosets()):
+        for alpha, v in zip(Q.crossing_roots, Q.targets(u)):
+            assert v == direct_target(Q, u, alpha)
+
+
+def _no_matrix(*_args):
+    raise AssertionError("a Chevalley row reached the matrix path")
+
+
+@pytest.mark.parametrize("tokens", [("A4", "flag"), ("gr", "3", "7")], ids=" ".join)
+def test_rows_need_no_weyl_matrix(tokens, monkeypatch):
+    Q = fresh(build_instance(tokens)[1])
+    monkeypatch.setattr(WeylElem, "apply_root", _no_matrix)
+    with monkeypatch.context() as m:
+        # before any enumeration no coset needs its minimal representative
+        m.setattr(Coset, "min_rep", property(_no_matrix))
+        top = Q.dual(Q.identity_coset())
+        for b in Q.q_index:
+            quantum_chevalley(Q, b, top)
+    g = Q.graph()  # sorting the cosets reads their words, off min_rep
+    assert g.edge_count > 0
+    for u in g.nodes:
+        for b in Q.q_index:
+            quantum_chevalley(Q, b, u)
+            classical_chevalley(Q, b, u)

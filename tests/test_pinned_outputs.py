@@ -7,7 +7,9 @@ product pin was recorded from the Fraction divisor engine that the
 integer engine replaced, the `verify gr 3 7` pin from the rim-hook
 engine before it memoised its products, and the `A4 1 4` and `C3 flag`
 minq pins from the chain search on degree tuples, before it ran on
-packed ints.  A change to any printed byte, or to the order of cosets,
+packed ints, and the `D4 flag`, `F4 1 4`, `E6 1` and `B3 1 3` graph pins
+from rows built on Weyl matrices, before each row came from its
+parent's.  A change to any printed byte, or to the order of cosets,
 fails here.  The minq pins hash the text output of every ordered pair
 of classes, in coset order.
 """
@@ -42,6 +44,14 @@ COMMANDS = {
         "4f70c2c2ceb3567f534d08e996b2b5027fba7575e5fcf352a2c05bedbe5744de",
     "graph B3 2 --format json":
         "d02368a5376b05018804e4a272ea3f36bd14f54de859a10a7e8f3e99abe9d478",
+    "graph D4 flag --format json":
+        "1fe63228cf9308859afc7a8d0e682679e8827fba55d9e279c1060fa755dc55b0",
+    "graph F4 1 4 --format json":
+        "fb083673f73c3f1baed36a9b99ed9ffb2b249f22e5cf587efd09dcced924c457",
+    "graph E6 1 --format json":
+        "4402809dfea432902cc7a0391c46e03f782b2d4de8c31a8c3fa2bfb81fb9574d",
+    "graph B3 1 3 --format json":
+        "aaf1fbf5e96cc6e0f8108ebab0f663c01623de02dd8a3ed835e40945c2bfc2a2",
     "product gr 4 9 --u 5,4,4,3 --v 5,4,4,1":
         "4b1b40376386254c77a13795e18157aa4a19d6025703926fef7c3d21bbab8d78",
     "product B3 flag --max-group-order 48 --u s1*s2 --v s3*s2":
