@@ -321,8 +321,8 @@ def cmd_verify(args) -> tuple[str, int]:
             _build(tokens, None)
     guard = args.max_group_order if args.max_group_order else DEFAULT_PRODUCT_GUARD
     work = [(tokens, guard) for tokens in jobs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs > 1:  # no more workers than instances: the pool starts them all at once
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             reports = list(pool.map(_verify_worker, work))
     else:
         reports = [_verify_worker(w) for w in work]

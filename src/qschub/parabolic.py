@@ -10,8 +10,9 @@ acts in O(r), mu -> mu - mu_i alpha_i, and mu_i < 0 marks a left descent.
 `_intern` is the one constructor, one `Coset` per orbit point, so cosets
 compare and hash by identity, at C speed, within one quotient; cosets of
 two `ParabolicData` never compare equal.  Each coset keeps its parent one
-step down its smallest left descent; its minimal representative, for
-canonical words and printed output, is built from the parent's on first use.
+step down its smallest left descent and no Weyl matrix; its canonical
+word, for sorting and printed output, is stripped on first use from rho
+under the descents down that chain.
 The size |W/W_P| is the product of (ht alpha + 1)/ht alpha over the
 crossing roots (below), so `cosets()`, `graph()` and the divisor engine
 refuse an oversized quotient before any work.
@@ -35,7 +36,8 @@ cosets [u t_alpha] aligned with that table, computed on first use and
 memoised per coset, so a single Chevalley product enumerates no cosets.
 A row is its parent's, reflected: u = s_i parent(u) with i = u.descent,
 so [u t_alpha] = s_i [parent(u) t_alpha], one O(rank) step per entry and
-no Weyl matrix; a row not yet built builds its parent's first.  The
+no Weyl matrix; a missing row builds its ancestors' missing rows first,
+in a loop.  The
 identity's row is lambda_P - <lambda_P, alpha^vee> alpha, the pairing
 being the sum of d(alpha).  The graph, `adjacency` and the quantum
 Chevalley operator all read these rows.
@@ -83,12 +85,12 @@ from .weyl import (
     DEFAULT_ENUMERATION_GUARD,
     GroupSizeGuardError,
     WeylElem,
+    _strip,
     bruhat_leq_W,  # noqa: F401 - the reference walk, traced under this name by perfbench
     format_word,
-    identity,
+    from_word,
     longest_element,
     order_from_heights,
-    simple_reflection,
 )
 
 __all__ = [
@@ -126,30 +128,39 @@ def pareto_minima(degrees: Iterable[Degree]) -> tuple[Degree, ...]:
     return tuple(out)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Coset:
     """A coset u W_P as its orbit point mu = u lambda_P; one interned object.
 
     `parent` is the coset of s_i mu for the least i with mu_i < 0, stored
-    as `descent`; the identity coset has neither.
+    as `descent`; the identity coset has neither.  The coset holds no
+    Weyl matrix: its canonical word is read off the parent chain.
     """
 
     mu: tuple
     length: int
+    system: RootSystem
     parent: Optional["Coset"] = None
     descent: Optional[int] = None
-    _min_rep: Optional[WeylElem] = None
+    _word: Optional[tuple] = None
 
     @property
     def min_rep(self) -> WeylElem:
-        """The minimal representative, s_i times the parent's; built on first use."""
-        if self._min_rep is None:
-            up = self.parent.min_rep
-            self._min_rep = simple_reflection(up.system, self.descent) * up
-        return self._min_rep
+        """The minimal representative as a matrix, built from the word on each call."""
+        return from_word(self.system, self.word())
 
     def word(self) -> tuple[int, ...]:
-        return self.min_rep.word()
+        """The canonical word of the minimal representative w, stripped
+        from w^-1 rho: rho under the descents from u down to the identity."""
+        if self._word is None:
+            cartan, xi, u = self.system.cartan, [1] * self.system.rank, self
+            while u.parent is not None:
+                i = u.descent
+                m = xi[i]
+                xi = [x - m * row[i] for x, row in zip(xi, cartan)]
+                u = u.parent
+            self._word = _strip(self.system, xi)
+        return self._word
 
     def sort_key(self):
         return (self.length, self.word())
@@ -184,7 +195,6 @@ class BruhatGraph:
     index: dict
     # canonical (i, j) with i < j -> (witness root, degree vector)
     edges: dict
-    adj: tuple  # adj[i] = tuple of (j, degree, root)
     up: tuple  # up[i] = the j covering i: an edge with length one more
     down: tuple  # down[i] = the j that i covers
 
@@ -213,8 +223,8 @@ class BruhatGraph:
     def packed(self) -> "PackedDegrees":
         """The adjacency rows with packed degrees, built at the first search."""
         fields = len(next(iter(self.edges.values()))[1])
-        return PackedDegrees(fields, self.label_bound,
-                             self._largest_edge_coordinate, self.adj)
+        return PackedDegrees(fields, self.label_bound, self._largest_edge_coordinate,
+                             self.edges, self.node_count)
 
 
 class PackedDegrees:
@@ -231,21 +241,27 @@ class PackedDegrees:
       bound;
     * y <= x componentwise exactly when `((x | G) - y) & G == G`.
 
-    `adj[i]` is the adjacency row i of the graph as (j, packed degree),
-    and `unpack` memoises one degree tuple per packed int, so the frozen
-    labels share their degree tuples.
+    `adj[i]` is row i of the graph read from its `edges`: the (j, packed
+    degree) of each edge {i, j}, sorted by j.  `unpack` memoises one
+    degree tuple per packed int, so the frozen labels share their degree
+    tuples.
     """
 
     __slots__ = ("fields", "width", "guard", "cap", "adj", "_unpacked")
 
-    def __init__(self, fields: int, bound: int, largest: int, adj: tuple = ()):
+    def __init__(self, fields: int, bound: int, largest: int,
+                 edges: Optional[dict] = None, nodes: int = 0):
         width = (bound + largest).bit_length()
         ones = sum(1 << k * (width + 1) for k in range(fields))  # bit 0 of each field
         self.fields, self.width = fields, width
         self.guard = ones << width
         self.cap = ones * ((1 << width) - 1 - bound)
-        self.adj = tuple(tuple((j, self.pack(deg)) for j, deg, _alpha in row)
-                         for row in adj)
+        rows = [[] for _ in range(nodes)]
+        for (i, j), (_alpha, deg) in (edges or {}).items():
+            d = self.pack(deg)
+            rows[i].append((j, d))
+            rows[j].append((i, d))
+        self.adj = tuple(tuple(sorted(row)) for row in rows)
         self._unpacked = {}
 
     def pack(self, d: Degree) -> int:
@@ -377,13 +393,13 @@ class ParabolicData:
             if i is None:
                 if mu != self._lambda_P:
                     raise InvariantError(f"{mu} is not in the orbit of {self._lambda_P}")
-                self._coset_of[mu] = Coset(mu, 0, _min_rep=identity(self.system))
+                self._coset_of[mu] = Coset(mu, 0, self.system)
             else:
                 chain.append((mu, i))
                 mu = self._reflect(mu, i)
         got = self._coset_of[mu]
         for mu, i in reversed(chain):
-            got = self._coset_of[mu] = Coset(mu, got.length + 1, got, i)
+            got = self._coset_of[mu] = Coset(mu, got.length + 1, self.system, got, i)
         return got
 
     def identity_coset(self) -> Coset:
@@ -450,17 +466,20 @@ class ParabolicData:
 
     def targets(self, u: Coset) -> tuple[Coset, ...]:
         """The row [u t_alpha], aligned with crossing_table; memoised."""
+        missing = []  # u and its ancestors with no row, up to a built row or the identity
         row = self._targets.get(u)
-        if row is None:
-            if u.parent is None:  # lambda_P - <lambda_P, alpha^vee> alpha
-                cartan = self.system.cartan
-                row = tuple(self._intern(tuple(
-                    m - sum(c.degree) * sum(map(mul, r, c.root.coeffs))
-                    for m, r in zip(u.mu, cartan))) for c in self.crossing_table)
-            else:  # s_i [parent(u) t_alpha], i = u.descent; u.length deep at most
-                row = tuple(self._intern(self._reflect(v.mu, u.descent))
-                            for v in self.targets(u.parent))
-            self._targets[u] = row
+        while row is None and u.parent is not None:
+            missing.append(u)
+            u = u.parent
+            row = self._targets.get(u)
+        if row is None:  # the identity: lambda_P - <lambda_P, alpha^vee> alpha
+            cartan = self.system.cartan
+            row = self._targets[u] = tuple(self._intern(tuple(
+                m - sum(c.degree) * sum(map(mul, r, c.root.coeffs))
+                for m, r in zip(u.mu, cartan))) for c in self.crossing_table)
+        for u in reversed(missing):  # s_i [parent(u) t_alpha], i = u.descent
+            row = self._targets[u] = tuple(self._intern(self._reflect(v.mu, u.descent))
+                                           for v in row)
         return row
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:
@@ -479,7 +498,6 @@ class ParabolicData:
         nodes = self.cosets()
         index = {u: i for i, u in enumerate(nodes)}
         edges = {}
-        adj = [[] for _ in nodes]
         for i, u in enumerate(nodes):
             for c, v in zip(self.crossing_table, self.targets(u)):
                 j = index[v]
@@ -497,9 +515,7 @@ class ParabolicData:
                     )
         up = [[] for _ in nodes]
         down = [[] for _ in nodes]
-        for (i, j), (alpha, deg) in edges.items():
-            adj[i].append((j, deg, alpha))
-            adj[j].append((i, deg, alpha))
+        for i, j in edges:
             if nodes[j].length == nodes[i].length + 1:  # i < j: never shorter
                 up[i].append(j)
                 down[j].append(i)
@@ -507,7 +523,6 @@ class ParabolicData:
             nodes=nodes,
             index=index,
             edges=edges,
-            adj=tuple(tuple(sorted(a, key=lambda e: e[0])) for a in adj),
             up=tuple(map(tuple, up)),
             down=tuple(map(tuple, down)),
         )

@@ -28,8 +28,20 @@ from qschub.parabolic import (
 )
 
 
+def adjacency_rows(g):
+    """Row i of the graph read from `g.edges`: (j, degree, root) for each
+    edge {i, j}, sorted by j, the order in which the library's search
+    visits neighbours."""
+    rows = [[] for _ in g.nodes]
+    for (i, j), (root, deg) in g.edges.items():
+        rows[i].append((j, deg, root))
+        rows[j].append((i, deg, root))
+    return [sorted(row, key=lambda e: e[0]) for row in rows]
+
+
 def per_pair_witnesses(P, u, v):
     g = P.graph()
+    adj = adjacency_rows(g)
     vdual = P.dual(v)
     sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
     sinks = {i for i, x in enumerate(g.nodes) if P.bruhat_leq(x, vdual)}
@@ -45,7 +57,7 @@ def per_pair_witnesses(P, u, v):
         i, d = work.popleft()
         if d not in labels[i]:
             continue
-        for j, edeg, alpha in g.adj[i]:
+        for j, edeg, alpha in adj[i]:
             nd = degree_add(d, edeg)
             if any(c > bound for c in nd):
                 continue
@@ -77,6 +89,7 @@ def per_pair_witnesses(P, u, v):
 def tuple_label_search(P, sources, bound):
     """Per-node (degree, back) labels of the chains from `sources`, on tuples."""
     g = P.graph()
+    adj = adjacency_rows(g)
     zero = (0,) * len(P.q_index)
     labels = [dict() for _ in g.nodes]
     work = deque()
@@ -87,7 +100,7 @@ def tuple_label_search(P, sources, bound):
         i, d = work.popleft()
         if d not in labels[i]:
             continue
-        for j, edeg, _alpha in g.adj[i]:
+        for j, edeg, _alpha in adj[i]:
             nd = degree_add(d, edeg)
             if max(nd) > bound:
                 continue
@@ -113,11 +126,7 @@ def several_label_instance():
     rng = random.Random("chain-oracle|degrees")
     pool = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 1), (1, 1, 0)]
     edges = {key: (root, rng.choice(pool)) for key, (root, _deg) in g.edges.items()}
-    adj = [[] for _ in g.nodes]
-    for (i, j), (root, deg) in edges.items():
-        adj[i].append((j, deg, root))
-        adj[j].append((i, deg, root))
-    P._graph = dataclasses.replace(g, edges=edges, adj=tuple(map(tuple, adj)))
+    P._graph = dataclasses.replace(g, edges=edges)
     return P
 
 
@@ -204,6 +213,15 @@ def test_packed_operations_match_tuple_operations(data):
     assert bool((nd + C) & G) == (max(degree_add(d, e)) > bound)
     assert bool((pk.pack(x) + C) & G) == (max(x) > bound)
     assert (((pk.pack(y) | G) - pk.pack(x)) & G == G) == degree_leq(x, y)
+
+
+@pytest.mark.parametrize("tokens", [("A3", "flag"), ("B3", "2"), ("gr", "3", "6")],
+                         ids="-".join)
+def test_packed_rows_are_the_edges_sorted_by_neighbour(tokens):
+    g = build_instance(tokens)[1].graph()
+    pk = g.packed
+    assert pk.adj == tuple(tuple((j, pk.pack(deg)) for j, deg, _alpha in row)
+                           for row in adjacency_rows(g))
 
 
 def test_answers_do_not_depend_on_query_order():

@@ -9,11 +9,12 @@ import time
 
 import pytest
 
-from qschub import checks
+from qschub import checks, cli
 from qschub.cli import main
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.quantum import product_engine
-from qschub.weyl import GroupSizeGuardError
+from qschub.roots import build_root_system
+from qschub.weyl import GroupSizeGuardError, format_word, longest_element
 
 
 def run(capsys, *argv):
@@ -286,19 +287,50 @@ def test_guard_messages(capsys, argv, what, bound):
                    "elements; raise the bound explicitly to proceed\n")
 
 
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_guard_refuses_a_large_grassmannian_quickly():
     # building the roots of A99 comes before the guard; it must stay cheap
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "qschub.cli", "minq", "gr", "50", "100", "--u", "1", "--v", "1"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, timeout=60)
     assert time.monotonic() - t0 < 10.0
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: W/W_P for A99 omit 50 exceeds the enumeration guard "
                            "of 1000000 elements; raise the bound explicitly to proceed\n")
+
+
+def _longest_e8_word():
+    return format_word(longest_element(build_root_system("E", 8)).word())
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "gr", "12", "24", "--engine", "chevalley",
+     "--u", "1", "--v", ",".join(["12"] * 11 + ["11"])],
+    ["product", "E8", "flag", "--engine", "chevalley", "--u", "s1", "--v", _longest_e8_word()],
+], ids=["gr 12 24, length 143", "E8 flag, length 120"])
+def test_long_cosets_need_no_deep_recursion(capsys, argv):
+    # rows, words and interning walk parent chains in a loop, so a coset
+    # longer than the recursion limit prints its product
+    code = (
+        "import sys; sys.setrecursionlimit(100)\n"
+        "from qschub import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, *argv)[1]
+    if argv[1] == "gr":
+        assert proc.stdout.splitlines()[-2:] == [
+            "sigma[12,12,12,12,12,12,12,12,12,12,12,12]",
+            "q^1 * sigma[11,11,11,11,11,11,11,11,11,11,10]",
+        ]
 
 
 def test_exit_code_verify_failure(capsys, monkeypatch):
@@ -434,6 +466,36 @@ def test_verify_jobs_parallel(capsys):
     code, out = run(capsys, "verify", "A1", "gr", "2", "4", "--jobs", "2")
     assert code == 0
     assert "0 failed" in out
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_jobs_capped_at_the_instance_count(capsys, monkeypatch):
+    # a process pool forks all its workers at the first submit, so --jobs
+    # 5000 on one instance must not ask for 5000 of them
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    serial = run(capsys, "verify", "A1", "gr", "2", "4")
+    assert run(capsys, "verify", "A1", "--jobs", "5000") == run(capsys, "verify", "A1")
+    assert run(capsys, "verify", "A1", "gr", "2", "4", "--jobs", "5000") == serial
+    assert run(capsys, "verify", "A1", "gr", "2", "4", "--jobs", "2") == serial
+    assert RecordingExecutor.sizes == [1, 2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ root is recomputed here the slow way, by projecting u * t_alpha with
 `to_coset`, on each default-suite instance except gr 4 9, plus B3 2,
 C3 flag, G2 1, D4 flag, F4 1 4, E6 1 and B3 1 3.  The rows themselves
 come from parent rows by orbit-point reflections; the last tests build
-them on fresh quotients, longest coset first, and with the matrix action
-on roots disabled.
+them on fresh quotients, longest coset first, and with every Weyl matrix
+product, the matrix action on roots and `Coset.min_rep` disabled.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -17,7 +19,7 @@ from qschub.checks import DEFAULT_SUITE, build_instance
 from qschub.grassmann import grassmannian_parabolic
 from qschub.parabolic import Coset, ParabolicData, make_parabolic
 from qschub.quantum import QClass, classical_chevalley, quantum_chevalley
-from qschub.weyl import WeylElem, reflection_of_root
+from qschub.weyl import WeylElem, longest_element, reflection_of_root
 
 INSTANCES = [t for t in DEFAULT_SUITE if t != ("gr", "4", "9")] + [
     ("B3", "2"), ("C3", "flag"), ("G2", "1"),
@@ -30,8 +32,14 @@ def P(request):
     return build_instance(request.param)[1]
 
 
+@lru_cache(maxsize=1024)  # bounded: it holds the cosets it has seen
+def rep(u):
+    """u.min_rep, memoised here: the library rebuilds it from the word on each read."""
+    return u.min_rep
+
+
 def direct_target(P, u, alpha):
-    return P.to_coset(u.min_rep * reflection_of_root(P.system, alpha))
+    return P.to_coset(rep(u) * reflection_of_root(P.system, alpha))
 
 
 def direct_chevalley(P, beta_index, u, quantum):
@@ -131,22 +139,28 @@ def test_rows_built_lazily_from_the_longest_coset(P):
 
 
 def _no_matrix(*_args):
-    raise AssertionError("a Chevalley row reached the matrix path")
+    raise AssertionError("the coset path reached a Weyl matrix")
 
 
 @pytest.mark.parametrize("tokens", [("A4", "flag"), ("gr", "3", "7")], ids=" ".join)
 def test_rows_need_no_weyl_matrix(tokens, monkeypatch):
     Q = fresh(build_instance(tokens)[1])
-    monkeypatch.setattr(WeylElem, "apply_root", _no_matrix)
-    with monkeypatch.context() as m:
-        # before any enumeration no coset needs its minimal representative
-        m.setattr(Coset, "min_rep", property(_no_matrix))
-        top = Q.dual(Q.identity_coset())
-        for b in Q.q_index:
-            quantum_chevalley(Q, b, top)
-    g = Q.graph()  # sorting the cosets reads their words, off min_rep
-    assert g.edge_count > 0
-    for u in g.nodes:
+    longest_element(Q.system)  # the one w_o behind dual, cached on the system
+    for name in ("__mul__", "apply_root"):
+        monkeypatch.setattr(WeylElem, name, _no_matrix)
+    monkeypatch.setattr(Coset, "min_rep", property(_no_matrix))
+    top = Q.dual(Q.identity_coset())
+    for b in Q.q_index:  # before any enumeration
+        quantum_chevalley(Q, b, top)
+    cosets = Q.cosets()  # sorted by canonical words, read off the parent chains
+    g = Q.graph()
+    assert g.nodes == cosets and g.edge_count > 0
+    assert all(Q.dual(Q.dual(u)) is u for u in cosets)
+    rng = random.Random("no-matrix|" + " ".join(tokens))
+    for _ in range(20):
+        frontier, chains = Q.min_chain_witnesses(rng.choice(cosets), rng.choice(cosets))
+        assert frontier == tuple(w.degree for w in chains)
+    for u in cosets:
         for b in Q.q_index:
             quantum_chevalley(Q, b, u)
             classical_chevalley(Q, b, u)

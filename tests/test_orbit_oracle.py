@@ -7,10 +7,14 @@ a row entry [u t_alpha] strips u * s_alpha, with s_alpha from
 `weyl.bruhat_leq_W` on minimal representatives.  Cosets and canonical
 words, every row, every dual and `bruhat_leq` on all pairs must agree,
 on each default-suite instance except gr 4 9, plus B3 flag, C3 1 3,
-D4 2, G2 1 and F4 1 4 (500 seeded Bruhat pairs there).
+D4 2, G2 1, F4 1 4, E6 1 and D4 flag; Bruhat order is checked on 500
+seeded pairs of the quotients with more than 100 cosets (F4 1 4, D4 flag).
+The library reads its words off parent chains, with no matrix, so the
+word checks here compare the two paths.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -25,13 +29,20 @@ from qschub.weyl import (
 
 INSTANCES = [t for t in DEFAULT_SUITE if t != ("gr", "4", "9")] + [
     ("B3", "flag"), ("C3", "1", "3"), ("D4", "2"), ("G2", "1"), ("F4", "1", "4"),
+    ("E6", "1"), ("D4", "flag"),
 ]
-F4_PAIRS = 500
+SAMPLED_PAIRS = 500  # on quotients with more than 100 cosets
 
 
 @pytest.fixture(params=INSTANCES, ids=" ".join)
 def P(request):
     return build_instance(request.param)[1]
+
+
+@lru_cache(maxsize=1024)  # bounded: it holds the cosets it has seen
+def rep(u):
+    """u.min_rep, memoised here: the library rebuilds it from the word on each read."""
+    return u.min_rep
 
 
 def strip(P, w):
@@ -87,27 +98,27 @@ def test_to_coset_matches_stripping(P):
     for u in P.cosets():
         for i in range(P.system.rank):
             s_i = simple_reflection(P.system, i)
-            for w in (s_i * u.min_rep, u.min_rep * s_i):
-                assert P.to_coset(w).min_rep == strip(P, w)
+            for w in (s_i * rep(u), rep(u) * s_i):
+                assert rep(P.to_coset(w)) == strip(P, w)
 
 
 def test_rows_match_reflection_matrices(P):
     for u in P.cosets():
         for c, v in zip(P.crossing_table, P.targets(u)):
             t_alpha = reflection_of_root(P.system, c.root)
-            assert v.min_rep == strip(P, u.min_rep * t_alpha)
+            assert rep(v) == strip(P, rep(u) * t_alpha)
 
 
 def test_duals_match_w_o(P):
     w_o = longest_element(P.system)
     for u in P.cosets():
-        assert P.dual(u).min_rep == strip(P, w_o * u.min_rep)
+        assert rep(P.dual(u)) == strip(P, w_o * rep(u))
 
 
 def test_bruhat_leq_matches_the_reference_walk(P):
     cosets = P.cosets()
     pairs = [(u, v) for u in cosets for v in cosets]
-    if P.system.type_label == "F":
-        pairs = random.Random(4).sample(pairs, F4_PAIRS)
+    if len(cosets) > 100:
+        pairs = random.Random(4).sample(pairs, SAMPLED_PAIRS)
     for u, v in pairs:
-        assert P.bruhat_leq(u, v) == bruhat_leq_W(u.min_rep, v.min_rep), (u, v)
+        assert P.bruhat_leq(u, v) == bruhat_leq_W(rep(u), rep(v)), (u, v)

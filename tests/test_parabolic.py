@@ -26,9 +26,20 @@ from qschub.weyl import (
 )
 
 
+def adjacency_rows(g):
+    """Row i of the graph read from `g.edges`: (j, degree, root) for each
+    edge {i, j}, sorted by j."""
+    rows = [[] for _ in g.nodes]
+    for (i, j), (root, deg) in g.edges.items():
+        rows[i].append((j, deg, root))
+        rows[j].append((i, deg, root))
+    return [sorted(row, key=lambda e: e[0]) for row in rows]
+
+
 def brute_force_chain_degrees(P):
     """Map (u_idx, v_idx) -> Pareto frontier, via exhaustive simple paths."""
     g = P.graph()
+    adj = adjacency_rows(g)
     n = g.node_count
     leq = [[P.bruhat_leq(a, b) for b in g.nodes] for a in g.nodes]
     dual_idx = [g.index[P.dual(u)] for u in g.nodes]
@@ -38,7 +49,7 @@ def brute_force_chain_degrees(P):
 
     def dfs(start, node, visited, acc):
         reachable[start].setdefault(node, set()).add(acc)
-        for j, deg, _root in g.adj[node]:
+        for j, deg, _root in adj[node]:
             if j not in visited:
                 dfs(start, j, visited | {j}, tuple(a + b for a, b in zip(acc, deg)))
 

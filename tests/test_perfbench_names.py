@@ -13,6 +13,7 @@ from types import ModuleType, SimpleNamespace
 
 import pytest
 
+from qschub.checks import build_instance
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import product_engine
 
@@ -40,9 +41,11 @@ def test_every_traced_name_resolves(wl):
 
 
 def test_min_rep_words_work():
-    P = make_parabolic("A", 2, ())
-    for u in P.cosets():
-        assert u.min_rep.word() == u.word()
+    for tokens in (("A2", "flag"), ("B3", "2"), ("gr", "3", "6")):
+        P = build_instance(tokens)[1]
+        for u in P.cosets():
+            assert u.min_rep.word() == u.word()
+            assert P.to_coset(u.min_rep) is u
 
 
 def test_counters_read_what_exists(wl):
