@@ -54,15 +54,15 @@ The labels depend on u alone, so the search runs once per source coset
 and is memoised on the quotient.  It runs on degrees packed into one int
 each (`PackedDegrees`, built once per graph as `BruhatGraph.packed`), so
 adding, the bound test and dominance are a few integer operations, and
-it is frozen back to tuples to stay small: node i keeps a tuple of
-(degree, back) pairs, back being (previous node, its degree) or None at
-a source, degree tuples are interned, and the root and degree of an edge
-are read back from `graph().edges`.  Beside the labels, each source
-keeps a map from each degree to the bitset of the nodes holding it (A4
-flag, all 120 sources: about 2.3 MB for both).  A pair (u, v) then takes
-the Pareto minima of the degrees whose bitset meets the cosets below
-dual(v), one step per distinct degree, and walks the back-pointers of
-the witnesses from the lowest such node.
+its labels stay packed: node i keeps a tuple of (degree, back) pairs,
+back being (previous node, its degree) or None at a source, and the root
+and degree of an edge are read back from `graph().edges`.  Beside the
+labels, each source keeps a map from each packed degree to the bitset of
+the nodes holding it; both are one memo entry (A4 flag, all 120
+sources: about 2.7 MB).  A pair (u, v) then takes the minima of the
+packed degrees whose bitset meets the cosets below dual(v), in one pass
+in ascending packed order, unpacks and sorts only those, and walks the
+back-pointers of the witnesses from the lowest such node.
 
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), closed over the cover edges (graph edges
@@ -242,12 +242,12 @@ class PackedDegrees:
     * y <= x componentwise exactly when `((x | G) - y) & G == G`.
 
     `adj[i]` is row i of the graph read from its `edges`: the (j, packed
-    degree) of each edge {i, j}, sorted by j.  `unpack` memoises one
-    degree tuple per packed int, so the frozen labels share their degree
-    tuples.
+    degree) of each edge {i, j}, sorted by j.  Ascending packed order is
+    a linear extension of the componentwise order (y <= x, y != x gives
+    y < x as ints), so `minima` finds the minimal elements in one pass.
     """
 
-    __slots__ = ("fields", "width", "guard", "cap", "adj", "_unpacked")
+    __slots__ = ("fields", "width", "guard", "cap", "adj")
 
     def __init__(self, fields: int, bound: int, largest: int,
                  edges: Optional[dict] = None, nodes: int = 0):
@@ -262,19 +262,23 @@ class PackedDegrees:
             rows[i].append((j, d))
             rows[j].append((i, d))
         self.adj = tuple(tuple(sorted(row)) for row in rows)
-        self._unpacked = {}
 
     def pack(self, d: Degree) -> int:
         step = self.width + 1
         return sum(c << k * step for k, c in enumerate(d))
 
     def unpack(self, x: int) -> Degree:
-        got = self._unpacked.get(x)
-        if got is None:
-            step, low = self.width + 1, (1 << self.width) - 1
-            got = self._unpacked[x] = tuple(
-                x >> k * step & low for k in range(self.fields))
-        return got
+        step, low = self.width + 1, (1 << self.width) - 1
+        return tuple(x >> k * step & low for k in range(self.fields))
+
+    def minima(self, xs: Iterable[int]) -> list[int]:
+        """The minimal packed degrees of xs, componentwise, in ascending order."""
+        G, out = self.guard, []
+        for x in sorted(xs):
+            guarded = x | G
+            if not any((guarded - y) & G == G for y in out):
+                out.append(x)
+        return out
 
 
 class ParabolicData:
@@ -312,8 +316,8 @@ class ParabolicData:
         self._cosets = None
         self._graph = None
         self._up, self._down = {}, {}  # graph index -> Bruhat bitset
-        self._labels = {}  # coset u -> frozen labels of the search from up_set(u)
-        self._holders = {}  # coset u -> {degree: bitset of the nodes holding it}
+        self._labels = {}  # coset u -> (labels, at) of the search from up_set(u)
+        self._dual = {}  # coset u -> dual(u)
         self._divisor_engine = None
         self._rimhook_engine = None
 
@@ -411,10 +415,14 @@ class ParabolicData:
         return tuple(col.index(-1) for col in zip(*longest_element(self.system).mat))
 
     def dual(self, u: Coset) -> Coset:
-        """The coset of w_o u, of complementary length: w_o mu = -mu o sigma."""
-        got = self._intern(tuple(-u.mu[j] for j in self._opposition))
-        if got.length != self.dim - u.length:
-            raise InvariantError(f"dual of {u} has the wrong length")
+        """The coset of w_o u, of complementary length: w_o mu = -mu o sigma.
+        Memoised one way, so dual(dual(u)) is computed, not read back."""
+        got = self._dual.get(u)
+        if got is None:
+            got = self._intern(tuple(-u.mu[j] for j in self._opposition))
+            if got.length != self.dim - u.length:
+                raise InvariantError(f"dual of {u} has the wrong length")
+            self._dual[u] = got
         return got
 
     def bruhat_leq(self, u: Coset, v: Coset) -> bool:
@@ -560,21 +568,21 @@ class ParabolicData:
     def min_chain_witnesses(
         self, u: Coset, v: Coset
     ) -> tuple[tuple[Degree, ...], tuple[ChainWitness, ...]]:
-        frontier, labels, at, sinks = self._chain_search(u, v)
+        frontier, packed, labels, at, sinks = self._chain_search(u, v)
         g = self.graph()
         found = []
-        for d in frontier:
-            hit = at[d] & sinks
+        for d, x in zip(frontier, packed):
+            hit = at[x] & sinks
             sink = (hit & -hit).bit_length() - 1  # the lowest sink holding d
             path_nodes, roots, degs = [sink], [], []
-            cur, back = sink, _back(labels[sink], d)
+            cur, back = sink, dict(labels[sink])[x]
             while back is not None:
-                pi, pd = back
+                pi, px = back
                 alpha, edeg = g.edges[(min(cur, pi), max(cur, pi))]
                 roots.append(alpha)
                 degs.append(edeg)
                 path_nodes.append(pi)
-                cur, back = pi, _back(labels[pi], pd)
+                cur, back = pi, dict(labels[pi])[px]
             found.append(ChainWitness(
                 d, tuple(g.nodes[i] for i in reversed(path_nodes)),
                 tuple(reversed(roots)), tuple(reversed(degs))))
@@ -582,16 +590,17 @@ class ParabolicData:
 
     def _chain_search(self, u: Coset, v: Coset):
         # the labels depend on u alone; v only picks the sinks
-        labels = self._labels.get(u)
-        if labels is None:
-            labels, self._holders[u] = self._label_search(self.up_set(u))
-            self._labels[u] = labels
-        at = self._holders[u]
+        got = self._labels.get(u)
+        if got is None:
+            got = self._labels[u] = self._label_search(self.up_set(u))
+        labels, at = got
         sinks = self.down_set(self.dual(v))
-        frontier = pareto_minima(d for d, nodes in at.items() if nodes & sinks)
-        if not frontier:
+        pk = self.graph().packed
+        minima = pk.minima(x for x, nodes in at.items() if nodes & sinks)
+        if not minima:
             raise InvariantError("chain frontier is never empty")
-        return frontier, labels, at, sinks
+        frontier, packed = zip(*sorted((pk.unpack(x), x) for x in minima))
+        return frontier, packed, labels, at, sinks
 
     def _label_search(self, sources: int) -> tuple[tuple, dict]:
         """Pareto labels of all chains starting in the bitset `sources`.
@@ -599,8 +608,8 @@ class ParabolicData:
         Entry i of the first result holds node i's surviving labels as
         (degree, back) pairs, back being (previous node, its degree) or
         None at a source; the second maps each degree to the bitset of
-        the nodes holding it.  The search runs on packed degrees
-        (`BruhatGraph.packed`) and is frozen back to degree tuples.
+        the nodes holding it.  Every degree, back-pointers' too, stays
+        packed as the search ran on it (`BruhatGraph.packed`).
         """
         pk = self.graph().packed
         adj, G, C = pk.adj, pk.guard, pk.cap
@@ -632,21 +641,11 @@ class ParabolicData:
                         del lj[x]
                     lj[nd] = (i, d)
                     work.append((j, nd))
-        # freeze compactly: tuples instead of dicts, one tuple per degree
-        unpack, at, frozen = pk.unpack, {}, []
+        at = {}
         for i, lj in enumerate(labels):
-            node = []
-            for d, back in lj.items():
-                t = unpack(d)
-                at[t] = at.get(t, 0) | 1 << i
-                node.append((t, None if back is None else (back[0], unpack(back[1]))))
-            frozen.append(tuple(node))
-        return tuple(frozen), at
-
-
-def _back(node_labels: tuple, d: Degree):
-    """The back-pointer of degree d among one node's labels."""
-    return next(back for e, back in node_labels if e == d)
+            for d in lj:
+                at[d] = at.get(d, 0) | 1 << i
+        return tuple(tuple(lj.items()) for lj in labels), at
 
 
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],

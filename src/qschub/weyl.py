@@ -254,7 +254,7 @@ def parse_word(system: RootSystem, text: str) -> WeylElem:
     indices = []
     for token in text.split("*"):
         token = token.strip()
-        if not token.startswith("s") or not token[1:].isdigit():
+        if not (token[:1] == "s" and token[1:].isascii() and token[1:].isdigit()):
             raise ValueError(f"malformed Weyl word {text!r}: bad token {token!r}")
         i = int(token[1:])
         if not 1 <= i <= system.rank:

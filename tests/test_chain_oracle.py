@@ -5,8 +5,9 @@ for every pair (u, v), with its sources and sinks listed through the
 lifting walk `bruhat_leq`.  The library must give the same frontier and
 the same witness chains, node for node and edge for edge, and its answers
 must not depend on the order in which pairs are asked.  The library's
-search runs on packed degrees; `tuple_label_search` is a copy of the
-tuple search it replaced, kept to check the labels, bound cuts included.
+search runs on packed degrees and memoises them packed;
+`tuple_label_search` is a copy of the tuple search it replaced, kept to
+check the unpacked labels, bound cuts included.
 """
 
 import dataclasses
@@ -114,6 +115,22 @@ def tuple_label_search(P, sources, bound):
     return tuple(tuple(lj.items()) for lj in labels)
 
 
+def unpacked_labels(P, u):
+    """The memoised labels of the search from u, degrees unpacked to tuples,
+    after checking that the record's degree map is read off its labels."""
+    labels, at = P._labels[u]
+    held = {}
+    for i, node in enumerate(labels):
+        for d, _back in node:
+            held[d] = held.get(d, 0) | 1 << i
+    assert at == held
+    unpack = P.graph().packed.unpack
+    return tuple(
+        tuple((unpack(d), None if back is None else (back[0], unpack(back[1])))
+              for d, back in node)
+        for node in labels)
+
+
 def several_label_instance():
     """The A3 flag graph with seeded edge degrees, on fresh memos.
 
@@ -173,8 +190,10 @@ def test_witnesses_match_with_several_labels_per_node():
             assert _flat(got) == _flat(per_pair_witnesses(P, u, v)), (u, v)
             widest = max(widest, len(got[0]))
     assert widest > 1
-    assert all(len(labels) == P.graph().node_count for labels in P._labels.values())
-    assert any(len(node) > 1 for labels in P._labels.values() for node in labels)
+    records = [unpacked_labels(P, u) for u in P._labels]
+    assert len(records) == len(cosets)
+    assert all(len(labels) == P.graph().node_count for labels in records)
+    assert any(len(node) > 1 for labels in records for node in labels)
 
 
 def test_labels_match_the_tuple_search_under_a_low_bound():
@@ -187,8 +206,9 @@ def test_labels_match_the_tuple_search_under_a_low_bound():
     for u in P.cosets():
         P.min_chain_degrees(u, identity)
         sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
-        assert P._labels[u] == tuple_label_search(P, sources, 2), u
-        cut |= P._labels[u] != tuple_label_search(P, sources, natural)
+        labels = unpacked_labels(P, u)
+        assert labels == tuple_label_search(P, sources, 2), u
+        cut |= labels != tuple_label_search(P, sources, natural)
     assert cut
 
 
@@ -213,6 +233,27 @@ def test_packed_operations_match_tuple_operations(data):
     assert bool((nd + C) & G) == (max(degree_add(d, e)) > bound)
     assert bool((pk.pack(x) + C) & G) == (max(x) > bound)
     assert (((pk.pack(y) | G) - pk.pack(x)) & G == G) == degree_leq(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_minima_match_pareto_minima(data):
+    fields = data.draw(st.integers(1, 8), label="fields")
+    bound = data.draw(st.integers(0, 300), label="bound")
+    pk = PackedDegrees(fields, bound, 0)
+    coord = st.one_of(st.sampled_from([0, bound]), st.integers(0, bound))
+    vector = st.tuples(*[coord] * fields)
+    points = data.draw(st.lists(vector, min_size=1, max_size=10), label="points")
+    points += data.draw(st.lists(st.sampled_from(points), max_size=4), label="duplicates")
+    for p in data.draw(st.lists(st.sampled_from(points), max_size=4), label="dominated"):
+        step = data.draw(vector)
+        points.append(tuple(min(bound, c + s) for c, s in zip(p, step)))
+    extremes = [(0,) * fields, (bound,) * fields]
+    points += data.draw(st.lists(st.sampled_from(extremes), max_size=2), label="extremes")
+    points = data.draw(st.permutations(points), label="order")
+    got = pk.minima(map(pk.pack, points))
+    assert got == sorted(got)
+    assert tuple(sorted(map(pk.unpack, got))) == pareto_minima(points)
 
 
 @pytest.mark.parametrize("tokens", [("A3", "flag"), ("B3", "2"), ("gr", "3", "6")],

@@ -134,6 +134,17 @@ def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
     assert bad and row == checks._result("A3 flag", "bruhat-duality", bad, row.checked)
 
 
+def test_bruhat_duality_tests_the_involution_through_the_dual_memo():
+    # dual is memoised one way only, so dual(dual(u)) is looked up under
+    # dual(u): a wrong entry there, of the right length, must be caught
+    P = _fresh("A", 3, ())
+    s1, s2 = P.cosets()[1:3]
+    P._dual[P.dual(s1)] = s2
+    (row,) = checks.check_bruhat_duality(P, "A3 flag")
+    assert not row.passed
+    assert row.detail.startswith(f"dual not involutive at {s1.word()}")
+
+
 def test_raising_witness_reports_a_pair_without_witness():
     P = make_parabolic("A", 2, ())
 

@@ -203,6 +203,17 @@ def test_unwritable_out_is_an_error_line(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("word", [
+    "s\N{SUPERSCRIPT ONE}",  # a digit int() refuses
+    "s\N{ARABIC-INDIC DIGIT ONE}",  # a digit int() would read as 1
+], ids=["superscript", "arabic-indic"])
+def test_non_ascii_digits_are_malformed_words(capsys, word):
+    assert main(["minq", "A2", "flag", "--u", word, "--v", "s1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed Weyl word {word!r}: bad token {word!r}\n"
+
+
 def test_engine_auto_without_engine_is_usage_error(capsys):
     code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
     assert code == 1

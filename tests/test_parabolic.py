@@ -18,6 +18,7 @@ from qschub.parabolic import (
     pareto_minima,
 )
 from qschub.quantum import QClass, multiply_classes, qproduct_GB
+from qschub.roots import InvariantError
 from qschub.weyl import (
     GroupSizeGuardError,
     enumerate_parabolic_subgroup,
@@ -122,6 +123,17 @@ def test_dual_involution_and_length():
         for u in P.cosets():
             assert P.dual(P.dual(u)) == u
             assert P.dual(u).length == P.dim - u.length
+
+
+def test_dual_memo_keeps_the_length_check():
+    P = ParabolicData(make_parabolic("A", 2, ()).system, ())  # fresh memos
+    top = P.cosets()[-1]
+    assert P.dual(P.identity_coset()) is top and P._dual == {P.identity_coset(): top}
+    P.crossing_roots = P.crossing_roots[:-1]  # dim one too small: every dual is off
+    for _ in range(2):  # a refused dual is not memoised
+        with pytest.raises(InvariantError, match="wrong length"):
+            P.dual(top)
+    assert top not in P._dual
 
 
 def test_degree_of_simple_root_is_unit_vector():

@@ -9,9 +9,12 @@ engine before it memoised its products, and the `A4 1 4` and `C3 flag`
 minq pins from the chain search on degree tuples, before it ran on
 packed ints, and the `D4 flag`, `F4 1 4`, `E6 1` and `B3 1 3` graph pins
 from rows built on Weyl matrices, before each row came from its
-parent's.  A change to any printed byte, or to the order of cosets,
-fails here.  The minq pins hash the text output of every ordered pair
-of classes, in coset order.
+parent's.  The `G2 flag` (an edge coordinate of 3) and `B3 2 3` (two
+retained nodes) minq pins were recorded from the chain search that froze
+its labels back to degree tuples, before they stayed packed.  A change
+to any printed byte, or to the order of cosets, fails here.  The minq
+pins hash the text output of every ordered pair of classes, in coset
+order.
 """
 
 import contextlib
@@ -72,6 +75,10 @@ MINQ = {
         "6afd3c94872943a5be0d5451e9cf1b36d5592ce6a50e4f639ebeb3c65d49611f",
     "C3 flag":
         "65e741259827b299d58b7ad0871b52a98e32027544db1ddcf84fa35ec20c6e6b",
+    "G2 flag":
+        "b464eadf58a81f47c427a16204f6b68fb853bdeca379dea23fd5af1f008b920e",
+    "B3 2 3":
+        "24ea922de513c47ad2c155881703997442c2ccd5c4b43c092ca9389e90533f06",
 }
 
 
