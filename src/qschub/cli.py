@@ -35,7 +35,8 @@ from .quantum import (
     product_engine,
     quantum_chevalley,
 )
-from .weyl import DEFAULT_ENUMERATION_GUARD, GroupSizeGuardError, format_word, parse_word
+from .weyl import (DEFAULT_ENUMERATION_GUARD, GroupSizeGuardError, _ascii_int,
+                   format_word, parse_word)
 
 __all__ = ["main"]
 
@@ -302,7 +303,7 @@ def _split_instances(tokens: list[str]) -> list[tuple[str, ...]]:
     """Split "A2 flag gr 2 4 A1" into instance token groups."""
     groups: list[list[str]] = []
     for t in tokens:
-        starts = not (t.isdigit() or t == "flag")
+        starts = not ((t.isascii() and t.isdigit()) or t == "flag")
         if starts or not groups:
             if not starts:
                 raise UsageError(f"instance list cannot start with {t!r}")
@@ -355,6 +356,14 @@ def cmd_verify(args) -> tuple[str, int]:
 # argument plumbing
 
 
+def _int_arg(text: str) -> int:
+    """argparse's int, with non-ASCII digits refused as invalid ints."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -371,7 +380,7 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--u", required=True, help="coset: word s1*s2, e, or partition")
             p.add_argument("--v", required=True, help="coset: word s1*s2, e, or partition")
         p.add_argument("--format", choices=["text", "json", "dot"])
-        p.add_argument("--max-group-order", type=int, default=0,
+        p.add_argument("--max-group-order", type=_int_arg, default=0,
                        help="bound the coset enumeration and, on product, the "
                             "divisor engine's |W| (0: 10^6 and 240)")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -394,9 +403,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("instances", nargs="+",
                           help="'default-suite' or instance descriptions")
     p_verify.add_argument("--format", choices=["text", "json"])
-    p_verify.add_argument("--jobs", type=int, default=1,
+    p_verify.add_argument("--jobs", type=_int_arg, default=1,
                           help="parallel workers across instances")
-    p_verify.add_argument("--max-group-order", type=int, default=0,
+    p_verify.add_argument("--max-group-order", type=_int_arg, default=0,
                           help="bound the divisor engine's |W| only; enumeration "
                                "keeps its 10^6 guard (0: 240)")
     p_verify.add_argument("--out")

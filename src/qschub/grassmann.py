@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 from .parabolic import Coset, ParabolicData, make_parabolic
 from .quantum import QClass
 from .roots import InvariantError
-from .weyl import DEFAULT_ENUMERATION_GUARD
+from .weyl import DEFAULT_ENUMERATION_GUARD, _ascii_int
 
 __all__ = [
     "normalize_partition",
@@ -91,9 +91,9 @@ def parse_partition(text: str) -> tuple[int, ...]:
                          "has no 0; write parts of 10 or more with commas, e.g. '10,'")
     try:
         if "," in text:
-            parts = [int(p) for p in text.removesuffix(",").split(",")]
+            parts = [_ascii_int(p) for p in text.removesuffix(",").split(",")]
         else:
-            parts = [int(ch) for ch in text]
+            parts = [_ascii_int(ch) for ch in text]
     except ValueError:
         raise ValueError(f"cannot read partition from {text!r}") from None
     if not parts:

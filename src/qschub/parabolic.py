@@ -65,10 +65,12 @@ in ascending packed order, unpacks and sorts only those, and walks the
 back-pointers of the witnesses from the lowest such node.
 
 The up-set of u and the down-set of dual(v) are int bitsets over graph
-indices (`up_set`, `down_set`), closed over the cover edges (graph edges
-whose ends differ in length by one) and memoised per coset on first use.
-`bruhat_leq` stays the independent lifting walk, on orbit points; the
-graph-structure check compares the two on every pair.
+indices (`up_set`, `down_set`), memoised per coset on first use.  Every
+Bruhat cover of u in W/W_P is some [u t_alpha] (Bjorner-Brenti 2.5), so
+the covers are the entries of u's row one step longer or shorter, and a
+set is u with the sets of those entries.  `bruhat_leq` stays the
+independent lifting walk, on orbit points; the graph-structure check
+compares the two on every pair.
 """
 
 from __future__ import annotations
@@ -195,8 +197,6 @@ class BruhatGraph:
     index: dict
     # canonical (i, j) with i < j -> (witness root, degree vector)
     edges: dict
-    up: tuple  # up[i] = the j covering i: an edge with length one more
-    down: tuple  # down[i] = the j that i covers
 
     @property
     def node_count(self) -> int:
@@ -315,7 +315,7 @@ class ParabolicData:
         self._targets = {}  # coset -> row [u t_alpha], aligned with crossing_table
         self._cosets = None
         self._graph = None
-        self._up, self._down = {}, {}  # graph index -> Bruhat bitset
+        self._up, self._down = {}, {}  # coset -> Bruhat bitset over graph indices
         self._labels = {}  # coset u -> (labels, at) of the search from up_set(u)
         self._dual = {}  # coset u -> dual(u)
         self._divisor_engine = None
@@ -521,42 +521,32 @@ class ParabolicData:
                     raise InvariantError(
                         f"edge {key} carries degrees {prev[1]} and {c.degree}"
                     )
-        up = [[] for _ in nodes]
-        down = [[] for _ in nodes]
-        for i, j in edges:
-            if nodes[j].length == nodes[i].length + 1:  # i < j: never shorter
-                up[i].append(j)
-                down[j].append(i)
-        self._graph = BruhatGraph(
-            nodes=nodes,
-            index=index,
-            edges=edges,
-            up=tuple(map(tuple, up)),
-            down=tuple(map(tuple, down)),
-        )
+        self._graph = BruhatGraph(nodes=nodes, index=index, edges=edges)
         return self._graph
 
     # -- Bruhat up/down sets -------------------------------------------------
 
     def up_set(self, u: Coset) -> int:
         """Bitset over graph indices of the cosets x with u <= x."""
-        g = self.graph()
-        return self._cover_closure(g.index[u], g.up, self._up)
+        return self._cover_closure(u, 1, self._up)
 
     def down_set(self, u: Coset) -> int:
         """Bitset over graph indices of the cosets x with x <= u."""
-        g = self.graph()
-        return self._cover_closure(g.index[u], g.down, self._down)
+        return self._cover_closure(u, -1, self._down)
 
-    def _cover_closure(self, i: int, covers: tuple, memo: dict) -> int:
-        # the covers generate the order, so the set at i is i itself and
-        # the sets at its covers; recursion depth is at most dim
-        got = memo.get(i)
+    def _cover_closure(self, u: Coset, step: int, memo: dict) -> int:
+        # the covers of u (step 1) or the cosets it covers (step -1) are
+        # the entries of its row of length u.length + step, and the covers
+        # generate the order, so the set at u is u itself and the sets at
+        # those entries; recursion depth is at most dim
+        got = memo.get(u)
         if got is None:
-            got = 1 << i
-            for j in covers[i]:
-                got |= self._cover_closure(j, covers, memo)
-            memo[i] = got
+            got = 1 << self.graph().index[u]
+            length = u.length + step
+            for v in self.targets(u):
+                if v.length == length:
+                    got |= self._cover_closure(v, step, memo)
+            memo[u] = got
         return got
 
     # -- chain search --------------------------------------------------------

@@ -88,15 +88,12 @@ class GroupSizeGuardError(RuntimeError):
 
 
 def _mat_mul(a, b):
-    n = len(a)
     cols_b = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in cols_b) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols_b) for ra in a)
 
 
 def _mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 class WeylElem:
@@ -263,6 +260,14 @@ def parse_word(system: RootSystem, text: str) -> WeylElem:
             )
         indices.append(i - 1)
     return from_word(system, indices)
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) on ASCII text only, parse_word's digit rule for numbers:
+    int() alone reads every Unicode digit, Arabic-Indic and fullwidth too."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII number {text!r}")
+    return int(text)
 
 
 def format_word(indices: Sequence[int]) -> str:

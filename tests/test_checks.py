@@ -84,14 +84,16 @@ def test_graph_structure_reads_the_chain_search_bitsets():
     (row,) = checks.check_graph_structure(_fresh("A", 2, ()), "A2 flag")
     assert row.passed
     P = _fresh("A", 2, ())
-    P.up_set(P.graph().nodes[0])
-    P._up[0] = 1  # the identity's up-set, truncated to the identity
+    bottom = P.graph().nodes[0]
+    P.up_set(bottom)
+    P._up[bottom] = 1  # the identity's up-set, truncated to the identity
     (row,) = checks.check_graph_structure(P, "A2 flag")
     assert not row.passed
     assert row.detail.startswith("cover closure vs bruhat_leq differ at (),(0,)")
     P = _fresh("A", 2, ())
-    P.down_set(P.graph().nodes[-1])
-    P._down[len(P.graph().nodes) - 1] = 0  # the top's down-set, emptied
+    top = P.graph().nodes[-1]
+    P.down_set(top)
+    P._down[top] = 0  # the top's down-set, emptied
     (row,) = checks.check_graph_structure(P, "A2 flag")
     assert not row.passed
     assert row.detail.startswith("cover closure vs bruhat_leq differ at (),(0, 1, 0)")
@@ -99,14 +101,37 @@ def test_graph_structure_reads_the_chain_search_bitsets():
 
 def test_frontier_singleton_flags_a_two_degree_frontier():
     P = _fresh("A", 2, ())
-    (row,) = checks.check_frontier_singleton(P, "A2 flag")
+    _, row = checks.check_chain_symmetry(P, "A2 flag")
+    assert row.name == "frontier-singleton"
     assert row.passed and row.checked == 36
     top = P.cosets()[-1]
     real = P.min_chain_degrees
     P.min_chain_degrees = lambda u, v: ((0, 1), (1, 0)) if u == v == top else real(u, v)
-    (row,) = checks.check_frontier_singleton(P, "A2 flag")
+    _, row = checks.check_chain_symmetry(P, "A2 flag")
     assert not row.passed
     assert row.detail == "frontier ((0, 1), (1, 0)) at (0, 1, 0),(0, 1, 0)"
+
+
+def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
+    # chain-symmetry and frontier-singleton share one walk over the pairs:
+    # min_chain_degrees(u, v) and (v, u) once each, n^2 pairs
+    P = _fresh("A", 3, ())
+    real, calls = P.min_chain_degrees, []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    def no_engine(*args):
+        raise ValueError("no product sweep")  # the sweep reads frontiers too
+
+    P.min_chain_degrees = counted
+    monkeypatch.setattr(checks, "build_instance", lambda tokens: ("A3 flag", P))
+    monkeypatch.setattr(checks, "product_engine", no_engine)
+    rows = checks.run_instance_checks(("A3", "flag"))
+    assert [r.name for r in rows][-2:] == ["chain-symmetry", "frontier-singleton"]
+    assert all(r.passed for r in rows)
+    assert len(calls) == 2 * 24 ** 2
 
 
 def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():

@@ -214,6 +214,37 @@ def test_non_ascii_digits_are_malformed_words(capsys, word):
     assert captured.err == f"error: malformed Weyl word {word!r}: bad token {word!r}\n"
 
 
+ARABIC_ONE, ARABIC_TWO = "\N{ARABIC-INDIC DIGIT ONE}", "\N{ARABIC-INDIC DIGIT TWO}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["minq", f"A{ARABIC_TWO}", "flag", "--u", "s1", "--v", "s1"],
+     f"cannot read rank from 'A{ARABIC_TWO}'"),
+    (["minq", "gr", ARABIC_TWO, "4", "--u", "1", "--v", "1"],
+     f"gr needs integers, got ('{ARABIC_TWO}', '4')"),
+    (["minq", "A2", ARABIC_ONE, "--u", "s1", "--v", "s1"],
+     f"instance tail must be 'flag' or 1-based node indices, got ('{ARABIC_ONE}',)"),
+    (["verify", "A2", ARABIC_ONE],
+     f"cannot read instance type from '{ARABIC_ONE}'"),
+    (["minq", "gr", "2", "4", "--u", ARABIC_ONE, "--v", "1"],
+     f"cannot read partition from '{ARABIC_ONE}'"),
+    (["minq", "gr", "2", "4", "--u", f"{ARABIC_ONE},", "--v", "1"],
+     f"cannot read partition from '{ARABIC_ONE},'"),
+    (["graph", "A2", "flag", "--max-group-order", ARABIC_TWO + "4"],
+     f"argument --max-group-order: invalid int value: '{ARABIC_TWO}4'"),
+    (["verify", "A1", "--jobs", ARABIC_TWO],
+     f"argument --jobs: invalid int value: '{ARABIC_TWO}'"),
+], ids=["rank", "gr", "node", "split", "partition-digits", "partition-commas",
+        "max-group-order", "jobs"])
+def test_non_ascii_digits_are_not_numbers(capsys, argv, message):
+    # int() reads every Unicode digit; instances, partitions and numeric
+    # options take ASCII digits only, as Weyl words do
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_engine_auto_without_engine_is_usage_error(capsys):
     code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
     assert code == 1

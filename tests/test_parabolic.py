@@ -379,6 +379,30 @@ def test_cover_relations_have_length_one_gap():
             assert P.adjacency(u, v) is not None
 
 
+@pytest.mark.parametrize("tokens", [
+    ("A4", "flag"), ("D4", "flag"), ("B3", "2"), ("C3", "1", "3"),
+    ("F4", "1", "4"), ("G2", "1"), ("E6", "1"), ("gr", "3", "7"),
+], ids=" ".join)
+def test_row_covers_are_the_length_one_edges(tokens):
+    # up_set and down_set close over the entries of each row one longer
+    # or one shorter; the rule they replaced read the covers off the graph
+    # edges whose ends differ in length by one
+    P = build_instance(tokens)[1]
+    g = P.graph()
+    up, down = [set() for _ in g.nodes], [set() for _ in g.nodes]
+    for i, j in g.edges:
+        lo, hi = sorted((i, j), key=lambda k: g.nodes[k].length)
+        if g.nodes[hi].length == g.nodes[lo].length + 1:
+            up[lo].add(hi)
+            down[hi].add(lo)
+    rows = [{g.index[v] for v in P.targets(u)} for u in g.nodes]
+    for i, u in enumerate(g.nodes):
+        assert {j for j in rows[i] if g.nodes[j].length == u.length + 1} == up[i]
+        assert {j for j in rows[i] if g.nodes[j].length == u.length - 1} == down[i]
+        # the rows are symmetric as sets: W_P permutes the crossing roots
+        assert all(i in rows[j] for j in rows[i])
+
+
 def test_full_flag_coset_guard_is_immediate():
     # the full-flag coset count equals |W|, known in closed form, so a
     # hopeless request must be refused before any BFS work starts
