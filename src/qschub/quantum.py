@@ -18,14 +18,14 @@ and target coset [u t_alpha] from the quotient's crossing-root table.
 Full products are supported on full flag varieties (Delta_P empty),
 where the divisor classes generate the cohomology ring.  The engine
 expresses each basis class classically as a rational-coefficient
-polynomial in divisor classes (Gaussian elimination over Fractions,
-lengths in increasing order), then corrects the expression degree by
-degree in q: evaluating a classical expression with the *quantum*
-divisor operators reproduces sigma_u plus error terms that all carry
-q-degree >= 1 and strictly smaller coset length, so they can be
-subtracted recursively.  Fractions live only in that one-time
-elimination: each expression is stored as integer numerators over one
-common denominator, every product is summed in integers and divided by
+polynomial in divisor classes (fraction-free Gauss-Jordan elimination on
+integer rows, lengths in increasing order), then corrects the expression
+degree by degree in q: evaluating a classical expression with the
+*quantum* divisor operators reproduces sigma_u plus error terms that all
+carry q-degree >= 1 and strictly smaller coset length, so they can be
+subtracted recursively.  All arithmetic is in integers: each expression
+is stored as integer numerators over one common denominator, read off
+the eliminated rows, every product is summed in integers and divided by
 that denominator once, and a division that is not exact raises
 InvariantError.
 
@@ -38,8 +38,7 @@ An engine is any object with ``product(u, v) -> QClass``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .parabolic import Coset, Degree, ParabolicData, degree_add, pareto_minima
@@ -152,48 +151,49 @@ def min_occurring_degrees(c: QClass) -> tuple[Degree, ...]:
     return pareto_minima(d for (d, _u) in c.terms)
 
 
-class _RationalSolver:
-    """Row-reduce [A | I] over Fractions once; read solutions of A x = e_k."""
+class _IntegerSolver:
+    """Row-reduce [A | I] in integers once; read solutions of A x = e_k.
 
-    def __init__(self, columns: list[list[Fraction]], nrows: int):
+    Fraction-free Gauss-Jordan with the rational pivots: a row cleared by
+    cross-multiplying with the pivot row, then divided by its gcd, stays a
+    nonzero multiple of the rational row, so x_col = row[ncols + k] / row[col].
+    """
+
+    def __init__(self, columns: list[list[int]], nrows: int):
         self.ncols = len(columns)
-        self.nrows = nrows
         # augmented row-reduction transform: rows of [A | I]
-        rows = [
-            [Fraction(columns[j][i]) for j in range(self.ncols)]
-            + [Fraction(1 if k == i else 0) for k in range(nrows)]
-            for i in range(nrows)
-        ]
+        rows = [[col[i] for col in columns] + [int(k == i) for k in range(nrows)]
+                for i in range(nrows)]
         self.pivots = []  # (row, col)
         r = 0
         for col in range(self.ncols):
-            piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+            piv = next((i for i in range(r, nrows) if rows[i][col]), None)
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][col]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            prow = rows[r]
+            for i, row in enumerate(rows):
+                f = row[col]
+                if i != r and f:
+                    row = [prow[col] * a - f * b for a, b in zip(row, prow)]
+                    g = gcd(*row)
+                    rows[i] = [a // g for a in row] if g != 1 else row
             self.pivots.append((r, col))
             r += 1
             if r == nrows:
                 break
         self.rows = rows
-        self.rank = r
 
-    def solve_unit(self, k: int) -> list[tuple[int, Fraction]]:
-        """The nonzero entries (col, x_col) of a solution of A x = e_k.
-
-        The transform maps e_k to its column ncols + k, so the solution is
-        read off that column at the pivot rows.
-        """
-        y = [row[self.ncols + k] for row in self.rows]
-        if any(y[i] != 0 for i in range(self.rank, self.nrows)):
+    def solve_unit(self, k: int) -> tuple[int, list[tuple[int, int]]]:
+        """den and the nonzero (col, den * x_col) of a solution of A x = e_k,
+        den the least common denominator of the x_col in lowest terms."""
+        j = self.ncols + k
+        if any(row[j] for row in self.rows[len(self.pivots):]):
             raise InvariantError("inconsistent system: divisor classes do not span")
-        return [(col, y[r]) for r, col in self.pivots if y[r] != 0]
+        x = [(col, self.rows[r][j], self.rows[r][col]) for r, col in self.pivots
+             if self.rows[r][j]]
+        den = lcm(*(abs(d) // gcd(n, d) for _col, n, d in x))
+        return den, [(col, n * den // d) for col, n, d in x]
 
 
 class DivisorEngine:
@@ -274,17 +274,20 @@ class DivisorEngine:
             prev = self.by_length[k - 1]
             pos = {u: i for i, u in enumerate(level)}
             pairs = [(b, w) for b in range(rank) for w in prev]
+            # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha] of length k
+            ups = [[(c.degree, pos[v]) for c, v in zip(P.crossing_table, P.targets(w))
+                    if v.length == k] for w in prev]
             columns = []
-            for b, w in pairs:
-                col = [Fraction(0)] * len(level)
-                for (d, v), h in classical_chevalley(P, b, w).terms.items():
-                    col[pos[v]] += h
-                columns.append(col)
-            solver = _RationalSolver(columns, len(level))
+            for b in range(rank):
+                for up in ups:
+                    col = [0] * len(level)
+                    for d, i in up:
+                        col[i] += d[b]
+                    columns.append(col)
+            solver = _IntegerSolver(columns, len(level))
             for i, u in enumerate(level):
-                x = solver.solve_unit(i)
-                den = lcm(*(c.denominator for _j, c in x))
-                chosen = [(int(c * den), *pairs[j]) for j, c in x]
+                den, x = solver.solve_unit(i)
+                chosen = [(n, *pairs[j]) for j, n in x]
                 # quantum evaluation of den times the same expression
                 acc: dict = {}
                 get = acc.get
@@ -293,15 +296,10 @@ class DivisorEngine:
                         acc[key] = get(key, 0) + n * h
                 key = (self.zero_deg, u)
                 acc[key] = get(key, 0) - den
-                corrections = []
-                for (d, w2), c in acc.items():
-                    if not c:
-                        continue
-                    if sum(d) == 0 or w2.length >= u.length:
-                        raise InvariantError(
-                            "divisor residue must be q-positive with shorter classes"
-                        )
-                    corrections.append((-c, d, w2))
+                corrections = [(-c, d, w2) for (d, w2), c in acc.items() if c]
+                if any(sum(d) == 0 or w2.length >= u.length for _c, d, w2 in corrections):
+                    raise InvariantError(
+                        "divisor residue must be q-positive with shorter classes")
                 self._decomp[u] = (den, chosen, corrections)
 
     # -- products --------------------------------------------------------------
@@ -337,8 +335,9 @@ class DivisorEngine:
                 if c:
                     q, r = divmod(c, den)
                     if r:
+                        g = gcd(c, den)
                         raise InvariantError(
-                            f"non-integral coefficient {Fraction(c, den)} at {k} "
+                            f"non-integral coefficient {c // g}/{den // g} at {k} "
                             f"in sigma_{u} * sigma_{v}"
                         )
                     terms[k] = q

@@ -263,10 +263,10 @@ def parse_word(system: RootSystem, text: str) -> WeylElem:
 
 
 def _ascii_int(text: str) -> int:
-    """int(text) on ASCII text only, parse_word's digit rule for numbers:
-    int() alone reads every Unicode digit, Arabic-Indic and fullwidth too."""
-    if not text.isascii():
-        raise ValueError(f"non-ASCII number {text!r}")
+    """int(text) on -?[0-9]+ in ASCII, parse_word's digit rule for numbers:
+    int() alone also reads any Unicode digit, a '+', spaces and '_'."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 

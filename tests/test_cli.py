@@ -245,6 +245,36 @@ def test_non_ascii_digits_are_not_numbers(capsys, argv, message):
     assert captured.err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "A 3", "flag"], "cannot read rank from 'A 3'"),
+    (["minq", "A0_2", "flag", "--u", "s1", "--v", "s1"], "cannot read rank from 'A0_2'"),
+    (["minq", "gr", "2", "4", "--u", "+1,", "--v", "1"], "cannot read partition from '+1,'"),
+    (["minq", "gr", " 2", "4", "--u", "1", "--v", "1"], "gr needs integers, got (' 2', '4')"),
+    (["graph", "A2", "flag", "--max-group-order", "+24"],
+     "argument --max-group-order: invalid int value: '+24'"),
+], ids=["space", "underscore", "plus", "gr-space", "option-plus"])
+def test_numbers_are_spelled_in_ascii_digits_only(capsys, argv, message):
+    # int() also reads a '+', surrounding whitespace and '_' separators;
+    # numbers in instances, partitions and options are -?[0-9]+
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.err.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "A3", "-1"], "cannot read instance type from '-1'"),
+    (["minq", "A3", "-1", "--u", "e", "--v", "e"], "node indices must lie in 1..3: [-1]"),
+], ids=["split", "node"])
+def test_negative_numbers_keep_their_errors(capsys, argv, message):
+    # the optional '-' stays: a negative node index is out of range, not unreadable
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_engine_auto_without_engine_is_usage_error(capsys):
     code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
     assert code == 1

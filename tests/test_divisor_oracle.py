@@ -15,6 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -23,6 +24,7 @@ from qschub.parabolic import degree_add
 from qschub.quantum import (
     DivisorEngine,
     QClass,
+    _IntegerSolver,
     classical_chevalley,
     product_engine,
     quantum_chevalley,
@@ -57,38 +59,45 @@ def integral(a):
     return QClass(a.context, out)
 
 
+def fraction_expressions(P):
+    """(u, [(x, b, w)]) per coset of positive length, lengths in order:
+    sigma_u = sum x * sigma_{s_b} . sigma_w classically, x a nonzero
+    Fraction, from Gauss-Jordan elimination on [A | I] over Fractions."""
+    by_length = {}
+    for u in P.cosets():
+        by_length.setdefault(u.length, []).append(u)
+    for k in range(1, max(by_length) + 1):
+        level, prev = by_length[k], by_length[k - 1]
+        pos = {u: i for i, u in enumerate(level)}
+        pairs = [(b, w) for b in range(P.system.rank) for w in prev]
+        columns = []
+        for b, w in pairs:
+            col = [Fraction(0)] * len(level)
+            for (_d, v), h in classical_chevalley(P, b, w).terms.items():
+                col[pos[v]] += h
+            columns.append(col)
+        rows, pivots = FractionEngine._reduce(columns, len(level))
+        for u in level:
+            target = [Fraction(1 if x == u else 0) for x in level]
+            x = FractionEngine._solve(rows, pivots, len(columns), target)
+            yield u, [(x[i], b, w) for i, (b, w) in enumerate(pairs) if x[i] != 0]
+
+
 class FractionEngine:
     """Divisor recursion over Fractions, as before integer decompositions."""
 
     def __init__(self, P):
         self.P = P
-        self.by_length = {}
-        for u in P.cosets():
-            self.by_length.setdefault(u.length, []).append(u)
         self.decomp = {}
         self.products = {}
         self.columns = {}
-        for k in range(1, max(self.by_length) + 1):
-            level, prev = self.by_length[k], self.by_length[k - 1]
-            pos = {u: i for i, u in enumerate(level)}
-            pairs = [(b, w) for b in range(P.system.rank) for w in prev]
-            columns = []
-            for b, w in pairs:
-                col = [Fraction(0)] * len(level)
-                for (_d, v), h in classical_chevalley(P, b, w).terms.items():
-                    col[pos[v]] += h
-                columns.append(col)
-            rows, pivots = self._reduce(columns, len(level))
-            for u in level:
-                target = [Fraction(1 if x == u else 0) for x in level]
-                x = self._solve(rows, pivots, len(columns), target)
-                chosen = [(x[i], b, w) for i, (b, w) in enumerate(pairs) if x[i] != 0]
-                acc = QClass.zero(P)
-                for coeff, b, w in chosen:
-                    acc = add(acc, scale(quantum_chevalley(P, b, w), coeff))
-                residue = add(acc, QClass.basis(P, u, coeff=-1))
-                corrections = [(c, d, w2) for (d, w2), c in residue.sorted_terms()]
-                self.decomp[u] = (chosen, corrections)
+        for u, chosen in fraction_expressions(P):
+            acc = QClass.zero(P)
+            for coeff, b, w in chosen:
+                acc = add(acc, scale(quantum_chevalley(P, b, w), coeff))
+            residue = add(acc, QClass.basis(P, u, coeff=-1))
+            corrections = [(c, d, w2) for (d, w2), c in residue.sorted_terms()]
+            self.decomp[u] = (chosen, corrections)
 
     @staticmethod
     def _reduce(columns, nrows):
@@ -209,15 +218,14 @@ def test_corrupted_numerator_raises():
         engine.product(u, engine.P.identity_coset())
 
 
-def test_corrupted_numerator_raises_under_optimisation():
-    # bare asserts vanish under -O; the exact-division check must not
+def run_optimised(statement):
+    """Run `statement` under python -O; print the exception it raises."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     code = (
-        "from test_divisor_oracle import corrupted_engine\n"
-        "engine, u = corrupted_engine()\n"
+        "from test_divisor_oracle import *\n"
         "try:\n"
-        "    print(engine.product(u, engine.P.identity_coset()).terms)\n"
+        f"    print({statement})\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
     )
@@ -226,4 +234,79 @@ def test_corrupted_numerator_raises_under_optimisation():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvariantError non-integral coefficient")
+    return proc.stdout
+
+
+def corrupted_product():
+    engine, u = corrupted_engine()
+    return engine.product(u, engine.P.identity_coset()).terms
+
+
+def test_corrupted_numerator_raises_under_optimisation():
+    # bare asserts vanish under -O; the exact-division check must not
+    out = run_optimised("corrupted_product()")
+    assert out.startswith("InvariantError non-integral coefficient")
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the Fraction one
+
+
+def oracle_decompositions(P):
+    """The engine's (den, chosen, corrections) table, from Fraction solutions.
+
+    den is the least common denominator of the Fraction coefficients x,
+    chosen holds (den * x, b, w) in column order, and corrections the
+    negated residue of the quantum evaluation in the order the engine
+    sums it.
+    """
+    zero = (0,) * len(P.q_index)
+    table = {}
+    for u, x in fraction_expressions(P):
+        den = lcm(*(c.denominator for c, _b, _w in x))
+        chosen = [(int(c * den), b, w) for c, b, w in x]
+        acc = {}
+        for n, b, w in chosen:
+            for key, h in quantum_chevalley(P, b, w).terms.items():
+                acc[key] = acc.get(key, 0) + n * h
+        acc[(zero, u)] = acc.get((zero, u), 0) - den
+        table[u] = (den, chosen, [(-c, d, w2) for (d, w2), c in acc.items() if c])
+    return table
+
+
+@pytest.mark.parametrize("type_label,rank,guard", [
+    ("A", 1, 240), ("A", 2, 240), ("A", 3, 240), ("A", 4, 240), ("B", 2, 240),
+    ("B", 3, 240), ("C", 2, 240), ("C", 3, 240), ("D", 4, 240), ("G", 2, 240),
+    ("B", 4, 384), ("C", 4, 384)])
+def test_integer_decompositions_match_fraction_elimination(type_label, rank, guard):
+    P = make_parabolic(type_label, rank, ())
+    got = DivisorEngine(P, max_group_order=guard)._decomp
+    want = oracle_decompositions(P)
+    assert list(got) == list(want)
+    for u, entry in want.items():
+        assert got[u] == entry, u  # values and list order
+        den, chosen, _corrections = got[u]
+        assert type(den) is int and all(type(n) is int for n, _b, _w in chosen), u
+
+
+def test_solver_reads_lowest_terms_over_one_denominator():
+    # A = [[2, 1], [0, 3]] (columns [2, 0] and [1, 3]): A^-1 = [[1/2, -1/6], [0, 1/3]]
+    solver = _IntegerSolver([[2, 0], [1, 3]], 2)
+    assert solver.solve_unit(0) == (2, [(0, 1)])
+    assert solver.solve_unit(1) == (6, [(0, -1), (1, 2)])
+
+
+def rank_deficient_solve():
+    # the second column is twice the first: e_1 is not in the span
+    return _IntegerSolver([[1, 0], [2, 0]], 2).solve_unit(1)
+
+
+def test_rank_deficient_columns_raise():
+    assert _IntegerSolver([[1, 0], [2, 0]], 2).solve_unit(0) == (1, [(0, 1)])
+    with pytest.raises(InvariantError, match="inconsistent system"):
+        rank_deficient_solve()
+
+
+def test_rank_deficient_columns_raise_under_optimisation():
+    out = run_optimised("rank_deficient_solve()")
+    assert out.startswith("InvariantError inconsistent system")
