@@ -29,6 +29,15 @@ the eliminated rows, every product is summed in integers and divided by
 that denominator once, and a division that is not exact raises
 InvariantError.
 
+The product recursion runs on packed integer keys: a term q^d sigma_w is
+the one int ``pack(d) << b | index(w)``, degrees packed by
+`PackedDegrees` and cosets indexed in `P.cosets()` order, so a q-shift
+is an integer addition and every memo entry is a ``dict[int, int]``.
+The field width comes from the grading bound: on G/B each q_i has degree
+2, every term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
+coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
+carry.  Only the public answer is unpacked, into a QClass.
+
 `product_engine` is the one place that decides which engine multiplies
 on a given quotient: the divisor recursion on full flags, the rim-hook
 rule on Grassmannians, each built once per quotient and cached on it.
@@ -41,7 +50,14 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .parabolic import Coset, Degree, ParabolicData, degree_add, pareto_minima
+from .parabolic import (
+    Coset,
+    Degree,
+    PackedDegrees,
+    ParabolicData,
+    degree_add,
+    pareto_minima,
+)
 from .roots import InvariantError
 from .weyl import GroupSizeGuardError
 
@@ -204,6 +220,29 @@ class DivisorEngine:
     the chosen divisor pairs, plus sum n' * q^d * sigma_w' over the
     negated quantum corrections.  A product accumulates those integer
     terms into one dict and divides by den once, exactly or not at all.
+
+    The recursion runs on packed integer keys.  A term q^d sigma_w is the
+    int ``pack(d) << b | index(w)``, with b = n.bit_length() for the n
+    cosets, the index taken from ``P.cosets()`` and `pack` the
+    `PackedDegrees` packer.  Multiplying by q^d adds ``pack(d) << b`` and
+    the coset of a term is ``key & mask``.  Internal products (memo
+    `_packed`, keyed ``ui << b | vi``) and divisor columns (memo
+    `_column`, keyed ``(beta << b | wi) << b | vi``) are plain
+    ``dict[int, int]``.  Chevalley rows are packed once per (beta, coset)
+    and each decomposition in `_decomp` once per coset, both on first use
+    in a product, so the build does no packing.  The public `product`
+    returns a QClass with (Degree, Coset) keys, cached in `_products`,
+    read through one shared key -> (degree, coset) table.
+
+    The field width is the grading bound.  On G/B every simple coroot has
+    Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
+    sigma_u * sigma_v accumulates (Chevalley rows, corrections, columns
+    and shifted products alike) is homogeneous: l(w) + 2|d| =
+    l(u) + l(v) <= 2 l(w0).  Every degree the recursion forms, each sum
+    of a shift and a term included, therefore has every coordinate at
+    most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
+    each other or into the coset index.  A row or correction degree
+    outside 0..l(w0) breaks that argument and raises InvariantError.
     """
 
     name = "divisor"
@@ -227,13 +266,23 @@ class DivisorEngine:
         self.by_length: dict[int, list[Coset]] = {}
         for u in self.cosets:
             self.by_length.setdefault(u.length, []).append(u)
+        n = len(self.cosets)
+        self._index = {u: i for i, u in enumerate(self.cosets)}
+        self._bits = n.bit_length()
+        self._mask = (1 << self._bits) - 1
+        # fields of bit_length(l(w0)) bits: each q_i has degree 2 and every
+        # term of sigma_u * sigma_v has degree l(u) + l(v) <= 2 l(w0), so no
+        # coordinate of a degree the recursion forms exceeds l(w0)
+        self._bound = max(self.by_length)
+        self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
         self._qchev: dict = {}
         self._decomp: dict = {}  # u -> (den, [(n, b, w)], [(n', d, w')])
-        self._products: dict = {}
-        self._column: dict = {}
-        # (a, b) -> a + b for degree vectors: a few hundred distinct pairs
-        # on D4, and a lookup is cheaper than building the tuple each time
-        self._sums: dict = {}
+        self._plans: list = [None] * n  # _decomp[cosets[ui]] on packed keys
+        self._rows = [[None] * n for _ in range(P.system.rank)]  # [beta][wi]
+        self._packed: dict = {}  # ui << b | vi -> {key: coeff}
+        self._column: dict = {}  # (beta << b | wi) << b | vi -> {key: coeff}
+        self._products: dict = {}  # (u, v) -> QClass, the public answers
+        self._terms: dict = {}  # key -> (Degree, Coset), shared by every answer
         self._build_decompositions()
 
     # -- divisor operators ---------------------------------------------------
@@ -244,24 +293,6 @@ class DivisorEngine:
             got = quantum_chevalley(self.P, beta_index, u)
             self._qchev[(beta_index, u)] = got
         return got
-
-    def apply_divisor(self, beta_index: int, c: QClass) -> QClass:
-        """Multiply a class by sigma_{s_beta}."""
-        acc: dict = {}
-        for (d, u), coeff in c.terms.items():
-            self._add_shifted(acc, coeff, d, self.qchev(beta_index, u).terms)
-        return QClass(self.P, {k: n for k, n in acc.items() if n})
-
-    def _add_shifted(self, acc: dict, n: int, d: Degree, terms: dict) -> None:
-        """acc += n * q^d * terms, in place."""
-        get = acc.get
-        sums = self._sums
-        for (d2, v), c in terms.items():
-            s = sums.get((d, d2))
-            if s is None:
-                s = sums[(d, d2)] = degree_add(d, d2)
-            key = (s, v)
-            acc[key] = get(key, 0) + n * c
 
     # -- classical expressions + quantum corrections --------------------------
 
@@ -302,47 +333,117 @@ class DivisorEngine:
                         "divisor residue must be q-positive with shorter classes")
                 self._decomp[u] = (den, chosen, corrections)
 
-    # -- products --------------------------------------------------------------
+    # -- packed keys ------------------------------------------------------------
 
-    def _column_product(self, beta_index: int, w: Coset, v: Coset) -> QClass:
-        """sigma_{s_beta} * sigma_w * sigma_v, memoized."""
-        key = (beta_index, w, v)
-        got = self._column.get(key)
+    def _shift(self, d: Degree) -> int:
+        """pack(d) << b: the packed key of q^d sigma_e."""
+        if not all(0 <= c <= self._bound for c in d):
+            raise InvariantError(
+                f"degree {d} does not fit its packed field: coordinates must lie "
+                f"in 0..{self._bound} = l(w0) on {self.P.label}")
+        return self._packer.pack(d) << self._bits
+
+    def _key_index(self, u: Coset) -> int:
+        i = self._index.get(u)
+        if i is None:
+            raise ValueError(f"{u!r} is not a coset of this {self.P.label} quotient")
+        return i
+
+    def _row(self, beta_index: int, wi: int) -> tuple:
+        """sigma_{s_beta} * sigma_w as (key, h) pairs, packed once."""
+        index = self._index
+        row = self._rows[beta_index][wi] = tuple(
+            (self._shift(d) | index[v], h)
+            for (d, v), h in self.qchev(beta_index, self.cosets[wi]).terms.items())
+        return row
+
+    def _plan(self, ui: int) -> tuple:
+        """_decomp of the ui-th coset with packed corrections, packed once."""
+        den, chosen, corrections = self._decomp[self.cosets[ui]]
+        index = self._index
+        plan = self._plans[ui] = (
+            den,
+            [(n, b, index[w]) for n, b, w in chosen],
+            [(n, self._shift(d), index[w2]) for n, d, w2 in corrections],
+        )
+        return plan
+
+    def _term(self, key: int) -> tuple:
+        """The (degree, coset) of a packed key, from the shared table."""
+        got = self._terms.get(key)
         if got is None:
-            got = self.apply_divisor(beta_index, self.product(w, v))
-            self._column[key] = got
+            got = self._terms[key] = (self._packer.unpack(key >> self._bits),
+                                      self.cosets[key & self._mask])
         return got
 
-    def product(self, u: Coset, v: Coset) -> QClass:
-        """sigma_u * sigma_v with integer coefficients."""
-        key = (u, v)
-        got = self._products.get(key)
+    # -- products --------------------------------------------------------------
+
+    def _column_product(self, beta_index: int, wi: int, vi: int) -> dict:
+        """sigma_{s_beta} * sigma_w * sigma_v on packed keys, memoized."""
+        bits, mask = self._bits, self._mask
+        rows = self._rows[beta_index]
+        acc: dict = {}
+        get = acc.get
+        for k, c in self._packed_product(wi, vi).items():
+            j = k & mask
+            row = rows[j]
+            if row is None:
+                row = self._row(beta_index, j)
+            base = k ^ j  # the degree part, pack(d) << b
+            for rk, h in row:
+                t = base + rk
+                acc[t] = get(t, 0) + c * h
+        # coefficients of products and rows are positive: no term cancels
+        self._column[(beta_index << bits | wi) << bits | vi] = acc
+        return acc
+
+    def _packed_product(self, ui: int, vi: int) -> dict:
+        """sigma_u * sigma_v on packed keys, memoized."""
+        bits = self._bits
+        key = ui << bits | vi
+        got = self._packed.get(key)
         if got is not None:
             return got
-        if u.length == 0:
-            got = QClass.basis(self.P, v)
+        if ui == 0:  # the identity coset
+            got = {vi: 1}
         else:
-            den, chosen, corrections = self._decomp[u]
+            den, chosen, corrections = self._plans[ui] or self._plan(ui)
+            column = self._column
             acc: dict = {}
             get = acc.get
-            for n, b, w in chosen:
-                for k, c in self._column_product(b, w, v).terms.items():
+            for n, b, wi in chosen:
+                col = column.get((b << bits | wi) << bits | vi)
+                if col is None:
+                    col = self._column_product(b, wi, vi)
+                for k, c in col.items():
                     acc[k] = get(k, 0) + n * c
-            for n, d, w2 in corrections:
-                self._add_shifted(acc, n, d, self.product(w2, v).terms)
-            terms = {}
+            for n, shift, w2i in corrections:
+                for k, c in self._packed_product(w2i, vi).items():
+                    k += shift
+                    acc[k] = get(k, 0) + n * c
+            got = {}
             for k, c in acc.items():
                 if c:
                     q, r = divmod(c, den)
                     if r:
                         g = gcd(c, den)
                         raise InvariantError(
-                            f"non-integral coefficient {c // g}/{den // g} at {k} "
-                            f"in sigma_{u} * sigma_{v}"
+                            f"non-integral coefficient {c // g}/{den // g} at "
+                            f"{self._term(k)} in sigma_{self.cosets[ui]} * "
+                            f"sigma_{self.cosets[vi]}"
                         )
-                    terms[k] = q
-            got = QClass(self.P, terms)
-        self._products[key] = got
+                    got[k] = q
+        self._packed[key] = got
+        return got
+
+    def product(self, u: Coset, v: Coset) -> QClass:
+        """sigma_u * sigma_v with integer coefficients."""
+        got = self._products.get((u, v))
+        if got is None:
+            packed = self._packed_product(self._key_index(u), self._key_index(v))
+            term = self._term
+            got = self._products[(u, v)] = QClass(
+                self.P, {term(k): c for k, c in packed.items()})
         return got
 
 

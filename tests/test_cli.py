@@ -377,6 +377,16 @@ def test_guard_refuses_a_large_grassmannian_quickly():
                            "of 1000000 elements; raise the bound explicitly to proceed\n")
 
 
+def test_python_m_qschub_runs_the_cli():
+    argv = ["product", "A2", "flag", "--u", "s1", "--v", "s2"]
+    outs = [subprocess.run([sys.executable, "-m", module, *argv], env=_src_env(),
+                           capture_output=True, timeout=60)
+            for module in ("qschub", "qschub.cli")]
+    assert [(p.returncode, p.stderr) for p in outs] == [(0, b"")] * 2
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout.endswith(b"sigma[s1*s2]\nsigma[s2*s1]\n")
+
+
 def _longest_e8_word():
     return format_word(longest_element(build_root_system("E", 8)).word())
 

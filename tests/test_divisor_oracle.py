@@ -1,12 +1,14 @@
-"""The integer divisor engine against the Fraction engine it replaced.
+"""The integer divisor engine against the engines it replaced.
 
 `FractionEngine` is a test-local copy of the earlier `DivisorEngine`:
 the same elimination and quantum corrections, kept as exact rationals,
 and products built by class addition with one integrality check at the
 end.  That arithmetic (`add`, `scale`, `shift`, `integral`) lives here
 too, as it was on `QClass` before the integer engine made it unused.
-The integer engine must give the same terms on every pair it is asked,
-and every coefficient must be a Python int.
+`TupleEngine` is a test-local copy of the integer product recursion as
+it was before packed keys: terms keyed (degree, coset), every column and
+product a QClass.  The engine must give the same terms on every pair it
+is asked, and every coefficient must be a Python int.
 """
 
 import os
@@ -20,13 +22,14 @@ from math import lcm
 import pytest
 
 from qschub import make_parabolic
-from qschub.parabolic import degree_add
+from qschub.parabolic import ParabolicData, degree_add
 from qschub.quantum import (
     DivisorEngine,
     QClass,
     _IntegerSolver,
     classical_chevalley,
     product_engine,
+    qproduct_GB,
     quantum_chevalley,
 )
 from qschub.roots import InvariantError
@@ -198,6 +201,8 @@ def corrupted_engine():
 
     The numerator is one whose divisor term has a coefficient that den
     does not divide, so sigma_u * sigma_e can no longer divide exactly.
+    The engine reads `_decomp[u]` on its first product with u, so the
+    corruption, made before any product, is the one it multiplies with.
     """
     P = make_parabolic("B", 2, ())
     engine = DivisorEngine(P)
@@ -216,6 +221,48 @@ def test_corrupted_numerator_raises():
     engine, u = corrupted_engine()
     with pytest.raises(InvariantError, match="non-integral coefficient"):
         engine.product(u, engine.P.identity_coset())
+
+
+def overflowing_engine():
+    """An A2 engine with one correction degree raised past the grading
+    bound l(w0) = 3, and the class u whose decomposition holds it."""
+    P = ParabolicData(make_parabolic("A", 2, ()).system, ())
+    engine = DivisorEngine(P)
+    for u, (den, chosen, corrections) in engine._decomp.items():
+        if corrections:
+            n, d, w2 = corrections[0]
+            corrections = [(n, (P.dim + 1,) * len(d), w2)] + corrections[1:]
+            engine._decomp[u] = (den, chosen, corrections)
+            return engine, u
+    raise AssertionError("no A2 decomposition has a quantum correction")
+
+
+def overflowing_product():
+    engine, u = overflowing_engine()
+    return engine.product(u, engine.P.identity_coset()).terms
+
+
+def test_correction_degree_past_the_packed_field_raises():
+    with pytest.raises(InvariantError,
+                       match=r"degree \(4, 4\) does not fit its packed field: "
+                             r"coordinates must lie in 0\.\.3 = l\(w0\) on A2 flag"):
+        overflowing_product()
+
+
+def test_correction_degree_past_the_packed_field_raises_under_optimisation():
+    out = run_optimised("overflowing_product()")
+    assert out.startswith("InvariantError degree (4, 4) does not fit its packed field")
+
+
+def test_foreign_cosets_raise_value_error():
+    # a second quotient of the same group interns its own cosets
+    P = make_parabolic("A", 2, ())
+    foreign = ParabolicData(P.system, ()).cosets()[1]
+    u, e = P.cosets()[1], P.identity_coset()
+    for a, b in ((foreign, e), (u, foreign)):
+        with pytest.raises(ValueError,
+                           match=r"Coset\[s1\] is not a coset of this A2 flag quotient"):
+            qproduct_GB(P, a, b)
 
 
 def run_optimised(statement):
@@ -310,3 +357,90 @@ def test_rank_deficient_columns_raise():
 def test_rank_deficient_columns_raise_under_optimisation():
     out = run_optimised("rank_deficient_solve()")
     assert out.startswith("InvariantError inconsistent system")
+
+
+# ---------------------------------------------------------------------------
+# the packed product recursion against the tuple-keyed one
+
+
+class TupleEngine:
+    """The product recursion on (degree, coset) keys, as before packed keys.
+
+    It multiplies with the live `_decomp` of a DivisorEngine, so the two
+    differ only in how terms are keyed and summed.
+    """
+
+    def __init__(self, engine):
+        self.P, self._decomp = engine.P, engine._decomp
+        self._qchev, self._products, self._column, self._sums = {}, {}, {}, {}
+
+    def qchev(self, beta_index, u):
+        got = self._qchev.get((beta_index, u))
+        if got is None:
+            got = self._qchev[(beta_index, u)] = quantum_chevalley(self.P, beta_index, u)
+        return got
+
+    def apply_divisor(self, beta_index, c):
+        """Multiply a class by sigma_{s_beta}."""
+        acc = {}
+        for (d, u), coeff in c.terms.items():
+            self._add_shifted(acc, coeff, d, self.qchev(beta_index, u).terms)
+        return QClass(self.P, {k: n for k, n in acc.items() if n})
+
+    def _add_shifted(self, acc, n, d, terms):
+        """acc += n * q^d * terms, in place."""
+        get = acc.get
+        sums = self._sums
+        for (d2, v), c in terms.items():
+            s = sums.get((d, d2))
+            if s is None:
+                s = sums[(d, d2)] = degree_add(d, d2)
+            key = (s, v)
+            acc[key] = get(key, 0) + n * c
+
+    def _column_product(self, beta_index, w, v):
+        key = (beta_index, w, v)
+        got = self._column.get(key)
+        if got is None:
+            got = self._column[key] = self.apply_divisor(beta_index, self.product(w, v))
+        return got
+
+    def product(self, u, v):
+        key = (u, v)
+        got = self._products.get(key)
+        if got is not None:
+            return got
+        if u.length == 0:
+            got = QClass.basis(self.P, v)
+        else:
+            den, chosen, corrections = self._decomp[u]
+            acc = {}
+            get = acc.get
+            for n, b, w in chosen:
+                for k, c in self._column_product(b, w, v).terms.items():
+                    acc[k] = get(k, 0) + n * c
+            for n, d, w2 in corrections:
+                self._add_shifted(acc, n, d, self.product(w2, v).terms)
+            terms = {}
+            for k, c in acc.items():
+                if c:
+                    q, r = divmod(c, den)
+                    if r:
+                        raise InvariantError(f"non-integral coefficient at {k}")
+                    terms[k] = q
+            got = QClass(self.P, terms)
+        self._products[key] = got
+        return got
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 4), ("D", 4)])
+def test_packed_engine_matches_tuple_keyed_recursion_on_all_pairs(type_label, rank):
+    # a fresh quotient, so the memos of every pair are dropped after the test
+    P = ParabolicData(make_parabolic(type_label, rank, ()).system, ())
+    new = DivisorEngine(P)
+    old = TupleEngine(new)
+    for u in P.cosets():
+        for v in P.cosets():
+            got, want = new.product(u, v), old.product(u, v)
+            assert list(got.terms.items()) == list(want.terms.items()), (u, v)
+            assert all(type(c) is int for c in got.terms.values()), (u, v)

@@ -21,5 +21,6 @@ def test_star_import_brings_every_exported_name(module):
 
 
 def test_every_module_is_listed():
+    # __main__ is the `python -m qschub` entry point and exports nothing
     found = {p.stem for p in Path(qschub.__file__).parent.glob("*.py")}
-    assert found - {"__init__"} == set(MODULES)
+    assert found - {"__init__", "__main__"} == set(MODULES)
