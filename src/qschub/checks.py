@@ -479,6 +479,8 @@ def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
             ) from None
         if any(not 1 <= m <= rank for m in marked):
             raise ValueError(f"node indices must lie in 1..{rank}: {marked}")
+        if len(set(marked)) != len(marked):
+            raise ValueError(f"node indices must not repeat: {marked}")
         retained = tuple(m - 1 for m in marked)
     delta_p = tuple(i for i in range(rank) if i not in retained)
     return label, make_parabolic(type_label, rank, delta_p, max_elements=max_elements)

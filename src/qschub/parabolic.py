@@ -10,9 +10,9 @@ acts in O(r), mu -> mu - mu_i alpha_i, and mu_i < 0 marks a left descent.
 `_intern` is the one constructor, one `Coset` per orbit point, so cosets
 compare and hash by identity, at C speed, within one quotient; cosets of
 two `ParabolicData` never compare equal.  Each coset keeps its parent one
-step down its smallest left descent and no Weyl matrix; its canonical
-word, for sorting and printed output, is stripped on first use from rho
-under the descents down that chain.
+step down its smallest left descent; its minimal representative, kept on
+first use for sorting and printed output, is the `WeylElem` whose xi is
+rho under the descents down that chain.
 The size |W/W_P| is the product of (ht alpha + 1)/ht alpha over the
 crossing roots (below), so `cosets()`, `graph()` and the divisor engine
 refuse an oversized quotient before any work.
@@ -36,7 +36,7 @@ cosets [u t_alpha] aligned with that table, computed on first use and
 memoised per coset, so a single Chevalley product enumerates no cosets.
 A row is its parent's, reflected: u = s_i parent(u) with i = u.descent,
 so [u t_alpha] = s_i [parent(u) t_alpha], one O(rank) step per entry and
-no Weyl matrix; a missing row builds its ancestors' missing rows first,
+no Weyl element; a missing row builds its ancestors' missing rows first,
 in a loop.  The
 identity's row is lambda_P - <lambda_P, alpha^vee> alpha, the pairing
 being the sum of d(alpha).  The graph, `adjacency` and the quantum
@@ -78,7 +78,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -87,10 +87,10 @@ from .weyl import (
     DEFAULT_ENUMERATION_GUARD,
     GroupSizeGuardError,
     WeylElem,
-    _strip,
+    _act,
+    _reflect,
     bruhat_leq_W,  # noqa: F401 - the reference walk, traced under this name by perfbench
     format_word,
-    from_word,
     longest_element,
     order_from_heights,
 )
@@ -135,8 +135,8 @@ class Coset:
     """A coset u W_P as its orbit point mu = u lambda_P; one interned object.
 
     `parent` is the coset of s_i mu for the least i with mu_i < 0, stored
-    as `descent`; the identity coset has neither.  The coset holds no
-    Weyl matrix: its canonical word is read off the parent chain.
+    as `descent`; the identity coset has neither.  The minimal
+    representative is read off the parent chain and kept on first use.
     """
 
     mu: tuple
@@ -144,25 +144,25 @@ class Coset:
     system: RootSystem
     parent: Optional["Coset"] = None
     descent: Optional[int] = None
-    _word: Optional[tuple] = None
+    _rep: Optional[WeylElem] = None
 
-    @property
-    def min_rep(self) -> WeylElem:
-        """The minimal representative as a matrix, built from the word on each call."""
-        return from_word(self.system, self.word())
+    def _min_rep(self) -> WeylElem:
+        """The minimal representative w, as w^-1 rho: rho under the
+        descents from u down to the identity."""
+        if self._rep is None:
+            descents, u = [], self
+            while u.parent is not None:
+                descents.append(u.descent)
+                u = u.parent
+            self._rep = WeylElem(self.system,
+                                 _act(self.system, descents, (1,) * self.system.rank))
+        return self._rep
+
+    min_rep = property(_min_rep)
 
     def word(self) -> tuple[int, ...]:
-        """The canonical word of the minimal representative w, stripped
-        from w^-1 rho: rho under the descents from u down to the identity."""
-        if self._word is None:
-            cartan, xi, u = self.system.cartan, [1] * self.system.rank, self
-            while u.parent is not None:
-                i = u.descent
-                m = xi[i]
-                xi = [x - m * row[i] for x, row in zip(xi, cartan)]
-                u = u.parent
-            self._word = _strip(self.system, xi)
-        return self._word
+        """The canonical word of the minimal representative."""
+        return self._min_rep().word()
 
     def sort_key(self):
         return (self.length, self.word())
@@ -310,7 +310,6 @@ class ParabolicData:
         self.crossing_table = tuple(map(self._crossing_entry, self.crossing_roots))
         self._entry = {c.root.coeffs: c for c in self.crossing_table}
         self._lambda_P = tuple(0 if i in delta_P else 1 for i in range(system.rank))
-        self._alpha = tuple(zip(*system.cartan))  # alpha_i in weight coordinates
         self._coset_of = {}  # orbit point -> its one Coset
         self._targets = {}  # coset -> row [u t_alpha], aligned with crossing_table
         self._cosets = None
@@ -379,13 +378,7 @@ class ParabolicData:
         """The coset w W_P: w's canonical word applied to lambda_P."""
         if w.system is not self.system:
             raise ValueError("element belongs to a different root system")
-        word = reversed(w.word())
-        return self._intern(reduce(self._reflect, word, self._lambda_P))
-
-    def _reflect(self, mu: tuple, i: int) -> tuple:
-        """s_i mu = mu - mu_i alpha_i."""
-        m = mu[i]
-        return tuple(x - m * a for x, a in zip(mu, self._alpha[i]))
+        return self._intern(_act(self.system, reversed(w.word()), self._lambda_P))
 
     def _intern(self, mu: tuple) -> Coset:
         """The one Coset of the orbit point mu: walk mu down its smallest
@@ -400,7 +393,7 @@ class ParabolicData:
                 self._coset_of[mu] = Coset(mu, 0, self.system)
             else:
                 chain.append((mu, i))
-                mu = self._reflect(mu, i)
+                mu = _reflect(self.system, mu, i)
         got = self._coset_of[mu]
         for mu, i in reversed(chain):
             got = self._coset_of[mu] = Coset(mu, got.length + 1, self.system, got, i)
@@ -411,8 +404,11 @@ class ParabolicData:
 
     @cached_property
     def _opposition(self) -> tuple[int, ...]:
-        """sigma with w_o(b_i) = -b_sigma(i), read off the columns of w_o."""
-        return tuple(col.index(-1) for col in zip(*longest_element(self.system).mat))
+        """sigma with w_o omega_i = -omega_sigma(i): w_o's word applied to omega_i."""
+        system, rank = self.system, range(self.system.rank)
+        letters = longest_element(system).word()[::-1]
+        return tuple(_act(system, letters, tuple(int(j == i) for j in rank)).index(-1)
+                     for i in rank)
 
     def dual(self, u: Coset) -> Coset:
         """The coset of w_o u, of complementary length: w_o mu = -mu o sigma.
@@ -431,15 +427,23 @@ class ParabolicData:
         v walks down its parents; u steps down too when v's descent s_i is
         a left descent of u.
         """
+        self._check_own(u, v)
         mu, lu = u.mu, u.length
         while lu <= v.length:
             if lu == 0:
                 return True
             i = v.descent
             if mu[i] < 0:
-                mu, lu = self._reflect(mu, i), lu - 1
+                mu, lu = _reflect(self.system, mu, i), lu - 1
             v = v.parent
         return False
+
+    def _check_own(self, *cosets: Coset) -> None:
+        """Refuse a coset of another quotient, which would give a wrong
+        answer silently: each must be this quotient's interned coset."""
+        for u in cosets:
+            if self._coset_of.get(u.mu) is not u:
+                raise ValueError(f"{u!r} is not a coset of this {self.label} quotient")
 
     def check_guard(self) -> None:
         """Refuse, before any work, a quotient larger than the guard in force."""
@@ -464,7 +468,7 @@ class ParabolicData:
             for u in level:
                 for i, m in enumerate(u.mu):
                     if m > 0:
-                        nxt.setdefault(self._reflect(u.mu, i))
+                        nxt.setdefault(_reflect(self.system, u.mu, i))
             level = list(map(self._intern, nxt))
             found += level
         self._cosets = tuple(sorted(found, key=Coset.sort_key))
@@ -486,8 +490,8 @@ class ParabolicData:
                 m - sum(c.degree) * sum(map(mul, r, c.root.coeffs))
                 for m, r in zip(u.mu, cartan))) for c in self.crossing_table)
         for u in reversed(missing):  # s_i [parent(u) t_alpha], i = u.descent
-            row = self._targets[u] = tuple(self._intern(self._reflect(v.mu, u.descent))
-                                           for v in row)
+            row = self._targets[u] = tuple(
+                self._intern(_reflect(self.system, v.mu, u.descent)) for v in row)
         return row
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:

@@ -141,6 +141,8 @@ class RootSystem:
         self.rank = rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(type_label, rank))
         self.symmetrizer = _symmetrizer(type_label, rank)
+        # alpha_i in fundamental-weight coordinates: column i of the Cartan matrix
+        self.alpha_weights = tuple(zip(*self.cartan))
         # Gram matrix of the simple roots: (b_i, b_j) = d_i c_ij.
         self.gram = tuple(
             tuple(self.symmetrizer[i] * self.cartan[i][j] for j in range(rank))
@@ -158,7 +160,8 @@ class RootSystem:
             self._index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)
         )
-        # caches shared by the Weyl-group layer
+        # caches of the Weyl-group layer: bruhat_leq_W's memo, keyed by
+        # (u.xi, v.xi), and w_o
         self._bruhat_memo: dict = {}
         self._longest = None
 

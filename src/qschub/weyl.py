@@ -1,14 +1,17 @@
-"""Weyl group elements as exact integer matrices on the root lattice.
+"""Weyl group elements as the integer vector xi = w^-1 rho.
 
-An element is only the matrix of its action in the simple-root basis
-(columns are the images of the simple roots), so a product is one
-matrix product and a right descent one column sign check; the inverse
-comes from the reversed word.  Words are read off xi = w^-1 rho in
-fundamental-weight coordinates: xi_j, the coroot height of w(alpha_j),
-is negative exactly when s_j is a right descent, and (w s_j)^-1 rho =
-s_j xi.  Stripping the smallest such j until xi = rho, O(r) per letter,
-gives every element one canonical reduced word and its length, so all
-printed output is deterministic; w_o's word is stripped from -rho.
+An element is only xi, in fundamental-weight coordinates, and its
+memoised canonical word.  s_i acts there in O(r), xi -> xi - xi_i alpha_i
+(`_reflect`; alpha_i is column i of the Cartan matrix), and
+(w s_i)^-1 rho = s_i xi, so xi_j, the coroot height of w(alpha_j), is
+negative exactly when s_j is a right descent.  Stripping the smallest such
+j until xi = rho, O(r) per letter, gives every element one canonical
+reduced word and its length, so all printed output is deterministic.
+rho is regular, so xi determines w: equality and hashing read xi alone.
+The rest goes through the word: u * v applies v's letters to u's xi,
+w(alpha) applies w's letters right to left in root coordinates, and the
+inverse is the reversed word.  The identity is rho, s_i is rho - alpha_i,
+s_alpha is rho - <rho, alpha^vee> alpha and w_o is -rho.
 
 Group orders come from root heights, not from listing: |W| is the
 product of (ht alpha + 1)/ht alpha over the positive roots (Macdonald,
@@ -87,52 +90,60 @@ class GroupSizeGuardError(RuntimeError):
         return (type(self), (self.what, self.bound, self.guard))
 
 
-def _mat_mul(a, b):
-    cols_b = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols_b) for ra in a)
+def _reflect(system: RootSystem, xi: tuple, i: int) -> tuple:
+    """s_i xi = xi - xi_i alpha_i, on fundamental-weight coordinates."""
+    m = xi[i]
+    return tuple([x - m * a for x, a in zip(xi, system.alpha_weights[i])])
 
 
-def _mat_vec(a, v):
-    return tuple(sum(map(mul, row, v)) for row in a)
+def _act(system: RootSystem, letters: Iterable[int], xi: tuple) -> tuple:
+    """xi under s_i for each letter i in turn, the first letter applied first."""
+    for i in letters:
+        xi = _reflect(system, xi, i)
+    return xi
+
+
+def _node(system: RootSystem, i: int) -> int:
+    """i, if it indexes a simple root: a raw xi[-1] would wrap silently."""
+    if not 0 <= i < system.rank:
+        raise ValueError(f"simple root index {i} out of range for {system.label}")
+    return i
 
 
 class WeylElem:
-    """One Weyl group element; hashable, compared by its matrix."""
+    """One Weyl group element w, held as xi = w^-1 rho; hashable, compared by xi."""
 
-    __slots__ = ("system", "mat", "_length", "_word")
+    __slots__ = ("system", "xi", "_word")
 
-    def __init__(self, system: RootSystem, mat, length: Optional[int] = None):
+    def __init__(self, system: RootSystem, xi: tuple, word: Optional[tuple] = None):
         self.system = system
-        self.mat = mat
-        self._length = length
-        self._word = None
+        self.xi = xi
+        self._word = word
 
     # -- group structure -------------------------------------------------
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
+        """(uv)^-1 rho = v^-1 xi_u: v's letters applied to u's xi, first to last."""
         if self.system is not other.system:
             raise ValueError(
                 f"cannot compose elements of {self.system.label} and "
                 f"{other.system.label}"
             )
-        return WeylElem(self.system, _mat_mul(self.mat, other.mat))
+        return WeylElem(self.system, _act(self.system, other.word(), self.xi))
 
     def inverse(self) -> "WeylElem":
         """The reversed canonical word; l(w^-1) = l(w)."""
-        word = self.word()
-        w = from_word(self.system, reversed(word))
-        w._length = len(word)
-        return w
+        return from_word(self.system, reversed(self.word()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeylElem)
             and self.system is other.system
-            and self.mat == other.mat
+            and self.xi == other.xi
         )
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash(self.xi)
 
     def __repr__(self) -> str:
         return f"WeylElem({self.system.label}, {format_word(self.word())})"
@@ -140,56 +151,38 @@ class WeylElem:
     # -- action ----------------------------------------------------------
 
     def apply_root(self, alpha: Root) -> Root:
-        return self.system.root(_mat_vec(self.mat, alpha.coeffs))
+        """w(alpha): w's letters right to left, s_i v = v - <v, alpha_i^vee> alpha_i."""
+        cartan, v = self.system.cartan, list(alpha.coeffs)
+        for i in reversed(self.word()):
+            v[i] -= sum(map(mul, cartan[i], v))
+        return self.system.root(v)
 
     # -- length and descents ----------------------------------------------
 
     @property
     def length(self) -> int:
         """Number of positive roots mapped to negative roots: the word's length."""
-        if self._length is None:
-            self._length = len(self.word())
-        return self._length
+        return len(self.word())
 
     def is_right_descent(self, i: int) -> bool:
-        """True iff l(w s_i) < l(w), i.e. w(b_i) is negative."""
-        return any(row[i] < 0 for row in self.mat)
-
-    def first_right_descent(self) -> Optional[int]:
-        for i in range(self.system.rank):
-            if self.is_right_descent(i):
-                return i
-        return None
+        """True iff l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
+        return self.xi[_node(self.system, i)] < 0
 
     def word(self) -> tuple[int, ...]:
-        """Canonical reduced word (smallest right descent stripped first).
-
-        Stripped from xi = w^-1 rho; xi_j = sum_k M[k][j] d_k / d_j is the
-        coroot height of w(alpha_j), d being the symmetrizer.
-        """
+        """Canonical reduced word (smallest right descent stripped first)."""
         if self._word is None:
-            d = self.system.symmetrizer
-            xi = []
-            for dj, col in zip(d, zip(*self.mat)):
-                x, rem = divmod(sum(map(mul, col, d)), dj)
-                if rem:
-                    raise InvariantError(f"non-integral coroot height in {self.mat}")
-                xi.append(x)
-            self._word = _strip(self.system, xi)
-            if self._length is not None and self._length != len(self._word):
-                raise InvariantError(f"length {self._length} vs word {self._word}")
+            self._word = _strip(self.system, self.xi)
         return self._word
 
     def sort_key(self):
         return (self.length, self.word())
 
 
-def _strip(system: RootSystem, xi: list) -> tuple[int, ...]:
+def _strip(system: RootSystem, xi: tuple) -> tuple[int, ...]:
     """The canonical word of the w with w^-1 rho = xi.
 
-    Strips the smallest i with xi_i < 0, xi <- s_i xi = xi - xi_i alpha_i
-    (alpha_i is column i of the Cartan matrix in fundamental-weight
-    coordinates), until xi is dominant; the letters come off right to left.
+    Strips the smallest i with xi_i < 0, xi <- s_i xi, until xi is
+    dominant; the letters come off right to left.
     """
     rev = []
     while True:
@@ -197,47 +190,38 @@ def _strip(system: RootSystem, xi: list) -> tuple[int, ...]:
         if i is None:
             return tuple(reversed(rev))
         rev.append(i)
-        m = xi[i]
-        xi = [x - m * row[i] for x, row in zip(xi, system.cartan)]
+        xi = _reflect(system, xi, i)
 
 
 def identity(system: RootSystem) -> WeylElem:
-    rank = range(system.rank)
-    return WeylElem(system, tuple(tuple(int(i == j) for j in rank) for i in rank), length=0)
+    return WeylElem(system, (1,) * system.rank, ())
 
 
 @lru_cache(maxsize=None)
 def simple_reflection(system: RootSystem, i: int) -> WeylElem:
-    """Generator s_i; s_i(b_j) = b_j - c_ij b_i.  One object per (system, i)."""
-    if not 0 <= i < system.rank:
-        raise ValueError(f"simple root index {i} out of range for {system.label}")
-    rank = range(system.rank)
-    mat = tuple(tuple(int(r == j) - (system.cartan[i][j] if r == i else 0) for j in rank)
-                for r in rank)
-    return WeylElem(system, mat, length=1)
+    """Generator s_i, with s_i rho = rho - alpha_i.  One object per (system, i)."""
+    return WeylElem(system, _reflect(system, (1,) * system.rank, _node(system, i)), (i,))
 
 
 def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:
-    """The reflection s_alpha for a positive root alpha."""
+    """The reflection s_alpha for a positive root alpha: s_alpha rho =
+    rho - <rho, alpha^vee> alpha, with (rho, alpha_k) = d_k."""
     alpha = system.root(alpha.coeffs)
     if not alpha.is_positive:
         raise ValueError(f"expected a positive root, got {alpha}")
-    cols = []
-    for j, row in enumerate(system.gram):
-        # <b_j, alpha^vee> = 2(b_j, alpha)/(alpha, alpha)
-        t, rem = divmod(2 * sum(map(mul, row, alpha.coeffs)), alpha.norm)
-        if rem:
-            raise InvariantError(f"non-integral coroot pairing at {alpha}")
-        cols.append(tuple(int(r == j) - t * a for r, a in enumerate(alpha.coeffs)))
-    return WeylElem(system, tuple(zip(*cols)))
+    t, rem = divmod(2 * sum(map(mul, system.symmetrizer, alpha.coeffs)), alpha.norm)
+    if rem:
+        raise InvariantError(f"non-integral coroot pairing at {alpha}")
+    # alpha in weight coordinates: coordinate j is sum_k c_jk alpha_k
+    return WeylElem(system, tuple(1 - t * sum(map(mul, row, alpha.coeffs))
+                                  for row in system.cartan))
 
 
 def from_word(system: RootSystem, indices: Iterable[int]) -> WeylElem:
-    """Product s_{i1} s_{i2} ... (not required to be reduced)."""
-    w = identity(system)
-    for i in indices:
-        w = w * simple_reflection(system, i)
-    return w
+    """Product s_{i1} s_{i2} ... (not required to be reduced): its xi is
+    rho under s_{i1} first."""
+    nodes = (_node(system, i) for i in indices)
+    return WeylElem(system, _act(system, nodes, (1,) * system.rank))
 
 
 def parse_word(system: RootSystem, text: str) -> WeylElem:
@@ -278,44 +262,29 @@ def format_word(indices: Sequence[int]) -> str:
 
 
 def bruhat_leq_W(u: WeylElem, v: WeylElem) -> bool:
-    """Bruhat order on the full Weyl group, by the lifting walk."""
+    """Bruhat order on the full Weyl group, by the lifting walk on xi:
+    strip v's smallest right descent s_i, and u's too when u shares it."""
     if u.system is not v.system:
         raise ValueError("Bruhat comparison across different systems")
     system = u.system
     memo = system._bruhat_memo
-    key = (u.mat, v.mat)
+    key = (u.xi, v.xi)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    uu, vv = u, v
-    lu, lv = u.length, v.length
-    result = None
-    while True:
-        if lu > lv:
-            result = False
-            break
-        if lu == 0:
-            result = True
-            break
-        i = vv.first_right_descent()  # exists since l(vv) >= l(uu) > 0
-        s = simple_reflection(system, i)
-        vv = vv * s
-        lv -= 1
-        vv._length = lv
-        if uu.is_right_descent(i):
-            uu = uu * s
-            lu -= 1
-            uu._length = lu
-    memo[key] = result
-    return result
+    if hit is None:
+        x, lu, y, lv = u.xi, u.length, v.xi, v.length
+        while 0 < lu <= lv:
+            i = next(i for i, c in enumerate(y) if c < 0)  # lv >= lu > 0
+            y, lv = _reflect(system, y, i), lv - 1
+            if x[i] < 0:
+                x, lu = _reflect(system, x, i), lu - 1
+        hit = memo[key] = lu == 0
+    return hit
 
 
 def longest_element(system: RootSystem) -> WeylElem:
     """The longest element w_o: w_o^-1 rho = -rho, so its word is stripped from -rho."""
     if system._longest is None:
-        word = _strip(system, [-1] * system.rank)
-        system._longest = from_word(system, word)
-        system._longest._length = len(word)
+        system._longest = WeylElem(system, (-1,) * system.rank)
     return system._longest
 
 
@@ -325,25 +294,25 @@ def enumerate_parabolic_subgroup(
     max_elements: int = DEFAULT_ENUMERATION_GUARD,
 ) -> list[WeylElem]:
     """All elements of the subgroup generated by {s_i : i in indices}, in
-    (length, canonical word) order; range(rank) gives the whole group."""
-    indices = sorted(set(indices))
+    (length, canonical word) order; range(rank) gives the whole group.
+
+    A level BFS on xi: w s_i is longer exactly when xi_i > 0, so level L
+    holds the elements of length L.
+    """
+    indices = sorted({_node(system, i) for i in indices})
     spanned = [a for a in system.positive_roots
                if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
     if order_from_heights(spanned) > max_elements:
         label = ",".join(str(i + 1) for i in indices)
         raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
-    generators = [simple_reflection(system, i) for i in indices]
-    start = identity(system)
-    seen = {start.mat: start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for w in queue:
-            for s in generators:
-                ws = w * s
-                if ws.mat not in seen:
-                    ws._length = w.length + 1
-                    seen[ws.mat] = ws
-                    nxt.append(ws)
-        queue = nxt
-    return sorted(seen.values(), key=WeylElem.sort_key)
+    level = [(1,) * system.rank]
+    found = list(level)
+    while level:
+        nxt = {}
+        for xi in level:
+            for i in indices:
+                if xi[i] > 0:
+                    nxt.setdefault(_reflect(system, xi, i))
+        level = list(nxt)
+        found += level
+    return sorted((WeylElem(system, xi) for xi in found), key=WeylElem.sort_key)

@@ -264,6 +264,19 @@ def test_numbers_are_spelled_in_ascii_digits_only(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["minq", "A2", "1", "1", "--u", "s1", "--v", "e"], "node indices must not repeat: [1, 1]"),
+    (["verify", "A2", "1", "1"], "node indices must not repeat: [1, 1]"),
+    (["graph", "B3", "2", "1", "2"], "node indices must not repeat: [1, 2, 2]"),
+], ids=["minq", "verify", "graph"])
+def test_repeated_node_indices_are_malformed(capsys, argv, message):
+    # "A2 1 1" is not a third quotient beside "A2 1": it is refused, not read as it
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
     (["verify", "A3", "-1"], "cannot read instance type from '-1'"),
     (["minq", "A3", "-1", "--u", "e", "--v", "e"], "node indices must lie in 1..3: [-1]"),
 ], ids=["split", "node"])

@@ -5,8 +5,8 @@ root is recomputed here the slow way, by projecting u * t_alpha with
 `to_coset`, on each default-suite instance except gr 4 9, plus B3 2,
 C3 flag, G2 1, D4 flag, F4 1 4, E6 1 and B3 1 3.  The rows themselves
 come from parent rows by orbit-point reflections; the last tests build
-them on fresh quotients, longest coset first, and with every Weyl matrix
-product, the matrix action on roots and `Coset.min_rep` disabled.
+them on fresh quotients, longest coset first, and with every Weyl element
+product, the action of Weyl elements on roots and `Coset.min_rep` disabled.
 """
 
 import random
@@ -34,7 +34,7 @@ def P(request):
 
 @lru_cache(maxsize=1024)  # bounded: it holds the cosets it has seen
 def rep(u):
-    """u.min_rep, memoised here: the library rebuilds it from the word on each read."""
+    """u.min_rep, which the coset keeps after its first read."""
     return u.min_rep
 
 
@@ -139,7 +139,7 @@ def test_rows_built_lazily_from_the_longest_coset(P):
 
 
 def _no_matrix(*_args):
-    raise AssertionError("the coset path reached a Weyl matrix")
+    raise AssertionError("the coset path reached a Weyl element product")
 
 
 @pytest.mark.parametrize("tokens", [("A4", "flag"), ("gr", "3", "7")], ids=" ".join)

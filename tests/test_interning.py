@@ -8,8 +8,9 @@ must return the quotient's one object for it, whatever the call order.
 import pytest
 
 from qschub.grassmann import coset_of_partition, qproduct_grassmann_cosets
-from qschub.parabolic import ParabolicData
-from qschub.quantum import QClass, multiply_classes, qproduct_GB, quantum_chevalley
+from qschub.parabolic import ParabolicData, make_parabolic
+from qschub.quantum import (QClass, classical_chevalley, multiply_classes, qproduct_GB,
+                            quantum_chevalley)
 from qschub.roots import build_root_system
 from qschub.weyl import from_word, identity
 
@@ -113,3 +114,26 @@ def test_product_cosets_are_the_enumerated_ones():
     for u in cosets:
         for v in cosets:
             assert all(id(w) in ids for (_d, w) in qproduct_GB(P, u, v).terms)
+
+
+def test_foreign_cosets_are_refused_by_chevalley_and_bruhat_leq():
+    # a coset of another quotient, of another group or of the same group,
+    # must not be read as one of this quotient's
+    A2 = make_parabolic("A", 2, ())
+    B2 = make_parabolic("B", 2, ())
+    s1s2 = B2.to_coset(from_word(B2.system, (0, 1)))
+    for chevalley in (quantum_chevalley, classical_chevalley):
+        with pytest.raises(ValueError,
+                           match=r"Coset\[s1\*s2\] is not a coset of this A2 flag quotient"):
+            chevalley(A2, 0, s1s2)
+    partial = make_parabolic("A", 2, (1,))  # A2 1
+    s1 = A2.to_coset(from_word(A2.system, (0,)))
+    foreign = partial.to_coset(from_word(A2.system, (0,)))
+    for u, v in ((foreign, s1), (s1, foreign)):
+        with pytest.raises(ValueError,
+                           match=r"Coset\[s1\] is not a coset of this A2 flag quotient"):
+            A2.bruhat_leq(u, v)
+    twin = fresh("A", 2, ()).cosets()[1]
+    with pytest.raises(ValueError, match="is not a coset of this A2 flag quotient"):
+        A2.bruhat_leq(A2.identity_coset(), twin)
+    assert A2.bruhat_leq(A2.identity_coset(), s1)

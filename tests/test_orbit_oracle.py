@@ -1,4 +1,4 @@
-"""The orbit-point coset layer against the matrix path it replaced.
+"""The orbit-point coset layer against the Weyl-element path it replaced.
 
 A test-local copy of the former layer stands beside it: a coset is its
 minimal representative, found by stripping right descents in Delta_P;
@@ -9,8 +9,8 @@ words, every row, every dual and `bruhat_leq` on all pairs must agree,
 on each default-suite instance except gr 4 9, plus B3 flag, C3 1 3,
 D4 2, G2 1, F4 1 4, E6 1 and D4 flag; Bruhat order is checked on 500
 seeded pairs of the quotients with more than 100 cosets (F4 1 4, D4 flag).
-The library reads its words off parent chains, with no matrix, so the
-word checks here compare the two paths.
+The library reads its words off parent chains, with no Weyl product, so
+the word checks here compare the two paths.
 """
 
 import random
@@ -41,7 +41,7 @@ def P(request):
 
 @lru_cache(maxsize=1024)  # bounded: it holds the cosets it has seen
 def rep(u):
-    """u.min_rep, memoised here: the library rebuilds it from the word on each read."""
+    """u.min_rep, which the coset keeps after its first read."""
     return u.min_rep
 
 

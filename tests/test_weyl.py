@@ -126,6 +126,18 @@ def test_reflection_of_root_rejects_negative():
         reflection_of_root(rs, neg)
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_out_of_range_indices_raise(index):
+    # an element is its vector xi, where a raw xi[-1] would read node 2
+    rs = build_root_system("A", 2)
+    for call in (lambda: simple_reflection(rs, index),
+                 lambda: from_word(rs, (0, index)),
+                 lambda: enumerate_parabolic_subgroup(rs, (index,)),
+                 lambda: identity(rs).is_right_descent(index)):
+        with pytest.raises(ValueError, match=f"simple root index {index} out of range for A2"):
+            call()
+
+
 def test_word_round_trip():
     rs = build_root_system("A", 3)
     for w in elements(rs):
