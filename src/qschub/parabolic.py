@@ -146,7 +146,8 @@ class Coset:
     descent: Optional[int] = None
     _rep: Optional[WeylElem] = None
 
-    def _min_rep(self) -> WeylElem:
+    @property
+    def min_rep(self) -> WeylElem:
         """The minimal representative w, as w^-1 rho: rho under the
         descents from u down to the identity."""
         if self._rep is None:
@@ -158,11 +159,9 @@ class Coset:
                                  _act(self.system, descents, (1,) * self.system.rank))
         return self._rep
 
-    min_rep = property(_min_rep)
-
     def word(self) -> tuple[int, ...]:
         """The canonical word of the minimal representative."""
-        return self._min_rep().word()
+        return self.min_rep.word()
 
     def sort_key(self):
         return (self.length, self.word())
@@ -478,6 +477,7 @@ class ParabolicData:
 
     def targets(self, u: Coset) -> tuple[Coset, ...]:
         """The row [u t_alpha], aligned with crossing_table; memoised."""
+        self._check_own(u)
         missing = []  # u and its ancestors with no row, up to a built row or the identity
         row = self._targets.get(u)
         while row is None and u.parent is not None:

@@ -137,7 +137,6 @@ def _chevalley(P: ParabolicData, beta_index: int, u: Coset, quantum: bool) -> QC
             f"sigma_s{beta_index + 1} is not a class of this quotient"
         )
     pos = P.q_index.index(beta_index)
-    P._check_own(u)
     out = QClass.zero(P)
     zero = (0,) * len(P.q_index)
     for c, v in zip(P.crossing_table, P.targets(u)):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .roots import InvariantError, Root, RootSystem
 
@@ -115,10 +115,10 @@ class WeylElem:
 
     __slots__ = ("system", "xi", "_word")
 
-    def __init__(self, system: RootSystem, xi: tuple, word: Optional[tuple] = None):
+    def __init__(self, system: RootSystem, xi: tuple):
         self.system = system
         self.xi = xi
-        self._word = word
+        self._word = None
 
     # -- group structure -------------------------------------------------
 
@@ -194,13 +194,13 @@ def _strip(system: RootSystem, xi: tuple) -> tuple[int, ...]:
 
 
 def identity(system: RootSystem) -> WeylElem:
-    return WeylElem(system, (1,) * system.rank, ())
+    return WeylElem(system, (1,) * system.rank)
 
 
 @lru_cache(maxsize=None)
 def simple_reflection(system: RootSystem, i: int) -> WeylElem:
     """Generator s_i, with s_i rho = rho - alpha_i.  One object per (system, i)."""
-    return WeylElem(system, _reflect(system, (1,) * system.rank, _node(system, i)), (i,))
+    return WeylElem(system, _reflect(system, (1,) * system.rank, _node(system, i)))
 
 
 def reflection_of_root(system: RootSystem, alpha: Root) -> WeylElem:

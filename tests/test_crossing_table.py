@@ -6,7 +6,7 @@ root is recomputed here the slow way, by projecting u * t_alpha with
 C3 flag, G2 1, D4 flag, F4 1 4, E6 1 and B3 1 3.  The rows themselves
 come from parent rows by orbit-point reflections; the last tests build
 them on fresh quotients, longest coset first, and with every Weyl element
-product, the action of Weyl elements on roots and `Coset.min_rep` disabled.
+product and the action of Weyl elements on roots disabled.
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 
 from qschub.checks import DEFAULT_SUITE, build_instance
 from qschub.grassmann import grassmannian_parabolic
-from qschub.parabolic import Coset, ParabolicData, make_parabolic
+from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, classical_chevalley, quantum_chevalley
 from qschub.weyl import WeylElem, longest_element, reflection_of_root
 
@@ -148,7 +148,6 @@ def test_rows_need_no_weyl_matrix(tokens, monkeypatch):
     longest_element(Q.system)  # the one w_o behind dual, cached on the system
     for name in ("__mul__", "apply_root"):
         monkeypatch.setattr(WeylElem, name, _no_matrix)
-    monkeypatch.setattr(Coset, "min_rep", property(_no_matrix))
     top = Q.dual(Q.identity_coset())
     for b in Q.q_index:  # before any enumeration
         quantum_chevalley(Q, b, top)

@@ -116,16 +116,21 @@ def test_product_cosets_are_the_enumerated_ones():
             assert all(id(w) in ids for (_d, w) in qproduct_GB(P, u, v).terms)
 
 
-def test_foreign_cosets_are_refused_by_chevalley_and_bruhat_leq():
+def test_foreign_cosets_are_refused_by_chevalley_targets_and_bruhat_leq():
     # a coset of another quotient, of another group or of the same group,
     # must not be read as one of this quotient's
     A2 = make_parabolic("A", 2, ())
     B2 = make_parabolic("B", 2, ())
     s1s2 = B2.to_coset(from_word(B2.system, (0, 1)))
+    refuse = r"Coset\[s1\*s2\] is not a coset of this A2 flag quotient"
     for chevalley in (quantum_chevalley, classical_chevalley):
-        with pytest.raises(ValueError,
-                           match=r"Coset\[s1\*s2\] is not a coset of this A2 flag quotient"):
+        with pytest.raises(ValueError, match=refuse):
             chevalley(A2, 0, s1s2)
+    with pytest.raises(ValueError, match=refuse):
+        A2.targets(s1s2)
+    with pytest.raises(ValueError, match=refuse):
+        A2.adjacency(s1s2, A2.identity_coset())
+    assert s1s2 not in A2._targets  # no row memoised under the foreign coset
     partial = make_parabolic("A", 2, (1,))  # A2 1
     s1 = A2.to_coset(from_word(A2.system, (0,)))
     foreign = partial.to_coset(from_word(A2.system, (0,)))
