@@ -414,6 +414,7 @@ class ParabolicData:
         Memoised one way, so dual(dual(u)) is computed, not read back."""
         got = self._dual.get(u)
         if got is None:
+            self._check_own(u)
             got = self._intern(tuple(-u.mu[j] for j in self._opposition))
             if got.length != self.dim - u.length:
                 raise InvariantError(f"dual of {u} has the wrong length")
@@ -496,6 +497,7 @@ class ParabolicData:
 
     def adjacency(self, u: Coset, v: Coset) -> Optional[tuple[Root, Degree]]:
         """The first crossing root t with [u t] = v, and its degree, if any."""
+        self._check_own(v)  # u is checked by targets
         if u == v:
             raise ValueError("adjacency is a relation between distinct cosets")
         for c, w in zip(self.crossing_table, self.targets(u)):
@@ -545,6 +547,7 @@ class ParabolicData:
         # those entries; recursion depth is at most dim
         got = memo.get(u)
         if got is None:
+            self._check_own(u)
             got = 1 << self.graph().index[u]
             length = u.length + step
             for v in self.targets(u):

@@ -29,10 +29,11 @@ the eliminated rows, every product is summed in integers and divided by
 that denominator once, and a division that is not exact raises
 InvariantError.
 
-The product recursion runs on packed integer keys: a term q^d sigma_w is
-the one int ``pack(d) << b | index(w)``, degrees packed by
-`PackedDegrees` and cosets indexed in `P.cosets()` order, so a q-shift
-is an integer addition and every memo entry is a ``dict[int, int]``.
+The decompositions and the product recursion run on packed integer
+keys: a term q^d sigma_w is the one int ``pack(d) << b | index(w)``,
+degrees packed by `PackedDegrees` and cosets indexed in `P.cosets()`
+order, so a q-shift is an integer addition and every memo entry is a
+``dict[int, int]``.
 The field width comes from the grading bound: on G/B each q_i has degree
 2, every term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
 coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
@@ -228,11 +229,13 @@ class DivisorEngine:
     the coset of a term is ``key & mask``.  Internal products (memo
     `_packed`, keyed ``ui << b | vi``) and divisor columns (memo
     `_column`, keyed ``(beta << b | wi) << b | vi``) are plain
-    ``dict[int, int]``.  Chevalley rows are packed once per (beta, coset)
-    and each decomposition in `_decomp` once per coset, both on first use
-    in a product, so the build does no packing.  The public `product`
-    returns a QClass with (Degree, Coset) keys, cached in `_products`,
-    read through one shared key -> (degree, coset) table.
+    ``dict[int, int]``.  Each decomposition is built on those keys and
+    kept once, in `_plans[ui]`: den, the chosen (n, beta, wi) and the
+    corrections (n', pack(d) << b, w'i).  A Chevalley row is packed once
+    per (beta, coset), by `_row`: the rows the decompositions choose
+    during the build, the others on first use in a product.  The public
+    `product` returns a QClass with (Degree, Coset) keys, cached in
+    `_products`, read through one shared key -> (degree, coset) table.
 
     The field width is the grading bound.  On G/B every simple coroot has
     Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
@@ -241,8 +244,10 @@ class DivisorEngine:
     l(u) + l(v) <= 2 l(w0).  Every degree the recursion forms, each sum
     of a shift and a term included, therefore has every coordinate at
     most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
-    each other or into the coset index.  A row or correction degree
-    outside 0..l(w0) breaks that argument and raises InvariantError.
+    each other or into the coset index.  `_row` is the one place a degree
+    is packed (a correction's key is a row key or a coset index), and a
+    row degree outside 0..l(w0) breaks that argument and raises
+    InvariantError there.
     """
 
     name = "divisor"
@@ -262,7 +267,6 @@ class DivisorEngine:
                 "group-order",
             )
         self.cosets = P.cosets()
-        self.zero_deg = (0,) * len(P.q_index)
         self.by_length: dict[int, list[Coset]] = {}
         for u in self.cosets:
             self.by_length.setdefault(u.length, []).append(u)
@@ -275,36 +279,24 @@ class DivisorEngine:
         # coordinate of a degree the recursion forms exceeds l(w0)
         self._bound = max(self.by_length)
         self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
-        self._qchev: dict = {}
-        self._decomp: dict = {}  # u -> (den, [(n, b, w)], [(n', d, w')])
-        self._plans: list = [None] * n  # _decomp[cosets[ui]] on packed keys
+        self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
         self._rows = [[None] * n for _ in range(P.system.rank)]  # [beta][wi]
         self._packed: dict = {}  # ui << b | vi -> {key: coeff}
         self._column: dict = {}  # (beta << b | wi) << b | vi -> {key: coeff}
         self._products: dict = {}  # (u, v) -> QClass, the public answers
         self._terms: dict = {}  # key -> (Degree, Coset), shared by every answer
-        self._build_decompositions()
-
-    # -- divisor operators ---------------------------------------------------
-
-    def qchev(self, beta_index: int, u: Coset) -> QClass:
-        got = self._qchev.get((beta_index, u))
-        if got is None:
-            got = quantum_chevalley(self.P, beta_index, u)
-            self._qchev[(beta_index, u)] = got
-        return got
+        self._build_plans()
 
     # -- classical expressions + quantum corrections --------------------------
 
-    def _build_decompositions(self) -> None:
-        P = self.P
+    def _build_plans(self) -> None:
+        P, index, mask, cosets = self.P, self._index, self._mask, self.cosets
         rank = P.system.rank
-        top = max(self.by_length)
-        for k in range(1, top + 1):
+        for k in range(1, self._bound + 1):
             level = self.by_length[k]
             prev = self.by_length[k - 1]
             pos = {u: i for i, u in enumerate(level)}
-            pairs = [(b, w) for b in range(rank) for w in prev]
+            pairs = [(b, index[w]) for b in range(rank) for w in prev]
             # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha] of length k
             ups = [[(c.degree, pos[v]) for c, v in zip(P.crossing_table, P.targets(w))
                     if v.length == k] for w in prev]
@@ -322,16 +314,16 @@ class DivisorEngine:
                 # quantum evaluation of den times the same expression
                 acc: dict = {}
                 get = acc.get
-                for n, b, w in chosen:
-                    for key, h in self.qchev(b, w).terms.items():
+                for n, b, wi in chosen:
+                    for key, h in self._rows[b][wi] or self._row(b, wi):
                         acc[key] = get(key, 0) + n * h
-                key = (self.zero_deg, u)
-                acc[key] = get(key, 0) - den
-                corrections = [(-c, d, w2) for (d, w2), c in acc.items() if c]
-                if any(sum(d) == 0 or w2.length >= u.length for _c, d, w2 in corrections):
+                ui = index[u]
+                acc[ui] = get(ui, 0) - den
+                corrections = [(-c, key & ~mask, key & mask) for key, c in acc.items() if c]
+                if any(not shift or cosets[wi].length >= k for _c, shift, wi in corrections):
                     raise InvariantError(
                         "divisor residue must be q-positive with shorter classes")
-                self._decomp[u] = (den, chosen, corrections)
+                self._plans[ui] = (den, chosen, corrections)
 
     # -- packed keys ------------------------------------------------------------
 
@@ -343,30 +335,13 @@ class DivisorEngine:
                 f"in 0..{self._bound} = l(w0) on {self.P.label}")
         return self._packer.pack(d) << self._bits
 
-    def _key_index(self, u: Coset) -> int:
-        i = self._index.get(u)
-        if i is None:
-            raise ValueError(f"{u!r} is not a coset of this {self.P.label} quotient")
-        return i
-
     def _row(self, beta_index: int, wi: int) -> tuple:
         """sigma_{s_beta} * sigma_w as (key, h) pairs, packed once."""
         index = self._index
         row = self._rows[beta_index][wi] = tuple(
-            (self._shift(d) | index[v], h)
-            for (d, v), h in self.qchev(beta_index, self.cosets[wi]).terms.items())
+            (self._shift(d) | index[v], h) for (d, v), h in
+            quantum_chevalley(self.P, beta_index, self.cosets[wi]).terms.items())
         return row
-
-    def _plan(self, ui: int) -> tuple:
-        """_decomp of the ui-th coset with packed corrections, packed once."""
-        den, chosen, corrections = self._decomp[self.cosets[ui]]
-        index = self._index
-        plan = self._plans[ui] = (
-            den,
-            [(n, b, index[w]) for n, b, w in chosen],
-            [(n, self._shift(d), index[w2]) for n, d, w2 in corrections],
-        )
-        return plan
 
     def _term(self, key: int) -> tuple:
         """The (degree, coset) of a packed key, from the shared table."""
@@ -407,7 +382,7 @@ class DivisorEngine:
         if ui == 0:  # the identity coset
             got = {vi: 1}
         else:
-            den, chosen, corrections = self._plans[ui] or self._plan(ui)
+            den, chosen, corrections = self._plans[ui]
             column = self._column
             acc: dict = {}
             get = acc.get
@@ -440,7 +415,8 @@ class DivisorEngine:
         """sigma_u * sigma_v with integer coefficients."""
         got = self._products.get((u, v))
         if got is None:
-            packed = self._packed_product(self._key_index(u), self._key_index(v))
+            self.P._check_own(u, v)
+            packed = self._packed_product(self._index[u], self._index[v])
             term = self._term
             got = self._products[(u, v)] = QClass(
                 self.P, {term(k): c for k, c in packed.items()})

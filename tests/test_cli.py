@@ -563,6 +563,15 @@ def test_verify_jobs_parallel(capsys):
     assert "0 failed" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_jobs_two_prints_what_the_serial_run_prints(capsys, fmt):
+    # a real pool of two workers (three instances, --jobs 2), byte for byte
+    argv = ("verify", "A1", "flag", "A2", "flag", "gr", "2", "4", "--format", fmt)
+    serial = run(capsys, *argv, "--jobs", "1")
+    assert serial[0] == 0 and serial[1]
+    assert run(capsys, *argv, "--jobs", "2") == serial
+
+
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 

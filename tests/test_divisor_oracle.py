@@ -21,6 +21,7 @@ from math import lcm
 
 import pytest
 
+import qschub.quantum
 from qschub import make_parabolic
 from qschub.parabolic import ParabolicData, degree_add
 from qschub.quantum import (
@@ -160,6 +161,22 @@ class FractionEngine:
         return self.products[key]
 
 
+def decompositions(engine):
+    """The engine's `_plans` unpacked: {u: (den, [(n, b, w)], [(n', d, w')])}
+    for each coset of positive length, each list in the engine's order."""
+    cosets, unpack = engine.cosets, engine._packer.unpack
+    table = {}
+    for ui, plan in enumerate(engine._plans):
+        if plan is not None:
+            den, chosen, corrections = plan
+            table[cosets[ui]] = (
+                den,
+                [(n, b, cosets[wi]) for n, b, wi in chosen],
+                [(n, unpack(shift >> engine._bits), cosets[wi])
+                 for n, shift, wi in corrections])
+    return table
+
+
 @lru_cache(maxsize=None)
 def _engines(type_label, rank):
     # the engine qproduct_GB uses, cached on the quotient
@@ -193,7 +210,7 @@ def test_integer_engine_matches_fraction_engine_on_seeded_pairs(type_label, rank
 
 def test_d4_decompositions_have_denominator_two():
     new = _engines("D", 4)[1]
-    assert {den for den, _c, _k in new._decomp.values()} == {1, 2}
+    assert {den for den, _c, _k in decompositions(new).values()} == {1, 2}
 
 
 def corrupted_engine():
@@ -201,19 +218,19 @@ def corrupted_engine():
 
     The numerator is one whose divisor term has a coefficient that den
     does not divide, so sigma_u * sigma_e can no longer divide exactly.
-    The engine reads `_decomp[u]` on its first product with u, so the
-    corruption, made before any product, is the one it multiplies with.
+    The engine reads `_plans[ui]` on every product with u, and the
+    corruption is made before any product.
     """
     P = make_parabolic("B", 2, ())
     engine = DivisorEngine(P)
-    for u in P.cosets()[1:]:
-        den, chosen, corrections = engine._decomp[u]
-        for i, (n, b, w) in enumerate(chosen):
-            if any(h % den for h in quantum_chevalley(P, b, w).terms.values()):
+    for ui in range(1, len(engine.cosets)):
+        den, chosen, corrections = engine._plans[ui]
+        for i, (n, b, wi) in enumerate(chosen):
+            if any(h % den for _key, h in engine._rows[b][wi]):
                 chosen = list(chosen)
-                chosen[i] = (n + 1, b, w)
-                engine._decomp[u] = (den, chosen, corrections)
-                return engine, u
+                chosen[i] = (n + 1, b, wi)
+                engine._plans[ui] = (den, chosen, corrections)
+                return engine, engine.cosets[ui]
     raise AssertionError("no B2 decomposition has a denominator")
 
 
@@ -224,33 +241,37 @@ def test_corrupted_numerator_raises():
 
 
 def overflowing_engine():
-    """An A2 engine with one correction degree raised past the grading
-    bound l(w0) = 3, and the class u whose decomposition holds it."""
+    """Build an A2 engine whose Chevalley rows have every quantum degree
+    raised past the grading bound l(w0) = 3.
+
+    A correction's key is a row key, so the row is where the degree gets
+    packed: the build packs the rows its decompositions choose, and
+    sigma_s1 * sigma_s1 = sigma_{s2 s1} + q_1 is one of them.
+    """
     P = ParabolicData(make_parabolic("A", 2, ()).system, ())
-    engine = DivisorEngine(P)
-    for u, (den, chosen, corrections) in engine._decomp.items():
-        if corrections:
-            n, d, w2 = corrections[0]
-            corrections = [(n, (P.dim + 1,) * len(d), w2)] + corrections[1:]
-            engine._decomp[u] = (den, chosen, corrections)
-            return engine, u
-    raise AssertionError("no A2 decomposition has a quantum correction")
+    chevalley = qschub.quantum.quantum_chevalley
+    raised = (P.dim + 1,) * len(P.q_index)
 
+    def overflowing(P, beta_index, u):
+        terms = chevalley(P, beta_index, u).terms
+        return QClass(P, {(raised if any(d) else d, v): h for (d, v), h in terms.items()})
 
-def overflowing_product():
-    engine, u = overflowing_engine()
-    return engine.product(u, engine.P.identity_coset()).terms
+    qschub.quantum.quantum_chevalley = overflowing
+    try:
+        return DivisorEngine(P)
+    finally:
+        qschub.quantum.quantum_chevalley = chevalley
 
 
 def test_correction_degree_past_the_packed_field_raises():
     with pytest.raises(InvariantError,
                        match=r"degree \(4, 4\) does not fit its packed field: "
                              r"coordinates must lie in 0\.\.3 = l\(w0\) on A2 flag"):
-        overflowing_product()
+        overflowing_engine()
 
 
 def test_correction_degree_past_the_packed_field_raises_under_optimisation():
-    out = run_optimised("overflowing_product()")
+    out = run_optimised("overflowing_engine()")
     assert out.startswith("InvariantError degree (4, 4) does not fit its packed field")
 
 
@@ -327,7 +348,7 @@ def oracle_decompositions(P):
     ("B", 4, 384), ("C", 4, 384)])
 def test_integer_decompositions_match_fraction_elimination(type_label, rank, guard):
     P = make_parabolic(type_label, rank, ())
-    got = DivisorEngine(P, max_group_order=guard)._decomp
+    got = decompositions(DivisorEngine(P, max_group_order=guard))
     want = oracle_decompositions(P)
     assert list(got) == list(want)
     for u, entry in want.items():
@@ -366,12 +387,12 @@ def test_rank_deficient_columns_raise_under_optimisation():
 class TupleEngine:
     """The product recursion on (degree, coset) keys, as before packed keys.
 
-    It multiplies with the live `_decomp` of a DivisorEngine, so the two
-    differ only in how terms are keyed and summed.
+    It multiplies with the live decompositions of a DivisorEngine, so the
+    two differ only in how terms are keyed and summed.
     """
 
     def __init__(self, engine):
-        self.P, self._decomp = engine.P, engine._decomp
+        self.P, self._decomp = engine.P, decompositions(engine)
         self._qchev, self._products, self._column, self._sums = {}, {}, {}, {}
 
     def qchev(self, beta_index, u):

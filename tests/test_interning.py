@@ -131,6 +131,15 @@ def test_foreign_cosets_are_refused_by_chevalley_targets_and_bruhat_leq():
     with pytest.raises(ValueError, match=refuse):
         A2.adjacency(s1s2, A2.identity_coset())
     assert s1s2 not in A2._targets  # no row memoised under the foreign coset
+    e = A2.identity_coset()
+    for method, args in ((A2.dual, (s1s2,)), (A2.up_set, (s1s2,)), (A2.down_set, (s1s2,)),
+                         (A2.adjacency, (e, s1s2)),
+                         (A2.min_chain_degrees, (s1s2, e)), (A2.min_chain_degrees, (e, s1s2)),
+                         (A2.min_chain_witnesses, (s1s2, e)),
+                         (A2.min_chain_witnesses, (e, s1s2))):
+        with pytest.raises(ValueError, match=refuse):
+            method(*args)
+    assert all(s1s2 not in memo for memo in (A2._dual, A2._up, A2._down, A2._labels))
     partial = make_parabolic("A", 2, (1,))  # A2 1
     s1 = A2.to_coset(from_word(A2.system, (0,)))
     foreign = partial.to_coset(from_word(A2.system, (0,)))
@@ -141,4 +150,6 @@ def test_foreign_cosets_are_refused_by_chevalley_targets_and_bruhat_leq():
     twin = fresh("A", 2, ()).cosets()[1]
     with pytest.raises(ValueError, match="is not a coset of this A2 flag quotient"):
         A2.bruhat_leq(A2.identity_coset(), twin)
+    with pytest.raises(ValueError, match="is not a coset of this A2 flag quotient"):
+        A2.dual(twin)  # same group: the orbit point is A2's, the object is not
     assert A2.bruhat_leq(A2.identity_coset(), s1)
