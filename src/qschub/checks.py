@@ -110,10 +110,9 @@ def check_weyl_structure(P: ParabolicData, label: str) -> list:
 def check_bruhat_duality(P: ParabolicData, label: str) -> list:
     cosets = P.cosets()
     dim = P.dim
-    index = P.graph().index
     bad = []
     count = 0
-    duals = []  # graph index of each coset's dual
+    duals = []  # index of each coset's dual
     for u in cosets:
         count += 2
         du = P.dual(u)
@@ -121,7 +120,7 @@ def check_bruhat_duality(P: ParabolicData, label: str) -> list:
             bad.append(f"dual not involutive at {u.word()}")
         if du.length != dim - u.length:
             bad.append(f"dual length off at {u.word()}")
-        duals.append(index[du])
+        duals.append(du.index)
     # the up-set bitsets, which graph-structure proves equal to bruhat_leq:
     # bit j of ups[i] says cosets[i] <= cosets[j]
     ups = [P.up_set(u) for u in cosets]

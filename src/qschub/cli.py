@@ -316,6 +316,8 @@ def _split_instances(tokens: list[str]) -> list[tuple[str, ...]]:
 def cmd_verify(args) -> tuple[str, int]:
     if args.instances == ["default-suite"]:
         jobs = [tuple(t) for t in checks.DEFAULT_SUITE]
+    elif "default-suite" in args.instances:
+        raise UsageError("'default-suite' is a keyword that must stand alone")
     else:
         jobs = _split_instances(args.instances)
         for tokens in jobs:  # a malformed instance is a usage error, before any work

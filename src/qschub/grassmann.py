@@ -163,6 +163,7 @@ def grassmannian_parabolic(k: int, n: int,
 
 def partition_of_coset(P: ParabolicData, u: Coset) -> tuple[int, ...]:
     """Partition label of a Schubert coset of Gr(k, n)."""
+    P._check_own(u)
     shape = P.grassmannian_shape()
     if shape is None:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
@@ -343,11 +344,8 @@ def qproduct_grassmann(k: int, n: int, lam, mu) -> dict:
 
 def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
     """Same product, spoken in coset language; it enumerates no cosets."""
-    shape = P.grassmannian_shape()
-    if shape is None:
-        raise ValueError(f"{P.label} is not a Grassmannian quotient")
-    k, n = shape
-    lam, mu = partition_of_coset(P, u), partition_of_coset(P, v)
+    lam, mu = partition_of_coset(P, u), partition_of_coset(P, v)  # refuses a non-Grassmannian
+    k, n = P.grassmannian_shape()
     out = QClass.zero(P)
     for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items():
         out.add_term((d,), coset_of_partition(P, nu), c)

@@ -9,10 +9,11 @@ is its orbit point mu = u lambda_P in fundamental-weight coordinates: s_i
 acts in O(r), mu -> mu - mu_i alpha_i, and mu_i < 0 marks a left descent.
 `_intern` is the one constructor, one `Coset` per orbit point, so cosets
 compare and hash by identity, at C speed, within one quotient; cosets of
-two `ParabolicData` never compare equal.  Each coset keeps its parent one
-step down its smallest left descent; its minimal representative, kept on
-first use for sorting and printed output, is the `WeylElem` whose xi is
-rho under the descents down that chain.
+two `ParabolicData` never compare equal.  A coset knows its quotient, so
+membership is an identity test, and its index in `cosets()`.  It keeps its
+parent one step down its smallest left descent; its minimal
+representative, kept on first use for sorting and printed output, is the
+`WeylElem` whose xi is rho under the descents down that chain.
 The size |W/W_P| is the product of (ht alpha + 1)/ht alpha over the
 crossing roots (below), so `cosets()`, `graph()` and the divisor engine
 refuse an oversized quotient before any work.
@@ -88,6 +89,7 @@ from .weyl import (
     GroupSizeGuardError,
     WeylElem,
     _act,
+    _levels,
     _reflect,
     bruhat_leq_W,  # noqa: F401 - the reference walk, traced under this name by perfbench
     format_word,
@@ -134,6 +136,8 @@ def pareto_minima(degrees: Iterable[Degree]) -> tuple[Degree, ...]:
 class Coset:
     """A coset u W_P as its orbit point mu = u lambda_P; one interned object.
 
+    `quotient` is the `ParabolicData` that interned it; `index` is its
+    position in `quotient.cosets()`, None until that enumeration runs.
     `parent` is the coset of s_i mu for the least i with mu_i < 0, stored
     as `descent`; the identity coset has neither.  The minimal
     representative is read off the parent chain and kept on first use.
@@ -141,9 +145,10 @@ class Coset:
 
     mu: tuple
     length: int
-    system: RootSystem
+    quotient: "ParabolicData"
     parent: Optional["Coset"] = None
     descent: Optional[int] = None
+    index: Optional[int] = None
     _rep: Optional[WeylElem] = None
 
     @property
@@ -155,8 +160,8 @@ class Coset:
             while u.parent is not None:
                 descents.append(u.descent)
                 u = u.parent
-            self._rep = WeylElem(self.system,
-                                 _act(self.system, descents, (1,) * self.system.rank))
+            system = self.quotient.system
+            self._rep = WeylElem(system, _act(system, descents, (1,) * system.rank))
         return self._rep
 
     def word(self) -> tuple[int, ...]:
@@ -192,8 +197,7 @@ class CrossingRoot(NamedTuple):
 class BruhatGraph:
     """Adjacency graph on W/W_P with degree-weighted edges."""
 
-    nodes: tuple[Coset, ...]
-    index: dict
+    nodes: tuple[Coset, ...]  # node i is the coset with index i
     # canonical (i, j) with i < j -> (witness root, degree vector)
     edges: dict
 
@@ -389,13 +393,13 @@ class ParabolicData:
             if i is None:
                 if mu != self._lambda_P:
                     raise InvariantError(f"{mu} is not in the orbit of {self._lambda_P}")
-                self._coset_of[mu] = Coset(mu, 0, self.system)
+                self._coset_of[mu] = Coset(mu, 0, self)
             else:
                 chain.append((mu, i))
                 mu = _reflect(self.system, mu, i)
         got = self._coset_of[mu]
         for mu, i in reversed(chain):
-            got = self._coset_of[mu] = Coset(mu, got.length + 1, self.system, got, i)
+            got = self._coset_of[mu] = Coset(mu, got.length + 1, self, got, i)
         return got
 
     def identity_coset(self) -> Coset:
@@ -440,9 +444,9 @@ class ParabolicData:
 
     def _check_own(self, *cosets: Coset) -> None:
         """Refuse a coset of another quotient, which would give a wrong
-        answer silently: each must be this quotient's interned coset."""
+        answer silently: each must be one this quotient interned."""
         for u in cosets:
-            if self._coset_of.get(u.mu) is not u:
+            if u.quotient is not self:
                 raise ValueError(f"{u!r} is not a coset of this {self.label} quotient")
 
     def check_guard(self) -> None:
@@ -451,27 +455,18 @@ class ParabolicData:
             raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
 
     def cosets(self) -> tuple[Coset, ...]:
-        """All cosets, sorted by (length, canonical word).
-
-        A level BFS on orbit points: s_i u is a longer minimal
-        representative exactly when mu_i > 0, so level L holds the cosets
-        of length L.  The guard in force applies to a cached enumeration
-        too.
+        """All cosets, sorted by (length, canonical word), which sets their
+        `index`.  The orbit points are interned in level order
+        (`weyl._levels`), so each parent is interned first.  The guard in
+        force applies to a cached enumeration too.
         """
         self.check_guard()
         if self._cosets is not None:
             return self._cosets
-        level = [self.identity_coset()]
-        found = list(level)
-        while level:
-            nxt = {}
-            for u in level:
-                for i, m in enumerate(u.mu):
-                    if m > 0:
-                        nxt.setdefault(_reflect(self.system, u.mu, i))
-            level = list(map(self._intern, nxt))
-            found += level
-        self._cosets = tuple(sorted(found, key=Coset.sort_key))
+        points = _levels(self.system, self._lambda_P, range(self.system.rank))
+        self._cosets = tuple(sorted(map(self._intern, points), key=Coset.sort_key))
+        for i, u in enumerate(self._cosets):
+            u.index = i
         return self._cosets
 
     # -- adjacency and the Bruhat graph -------------------------------------
@@ -510,11 +505,10 @@ class ParabolicData:
         if self._graph is not None:
             return self._graph
         nodes = self.cosets()
-        index = {u: i for i, u in enumerate(nodes)}
         edges = {}
         for i, u in enumerate(nodes):
             for c, v in zip(self.crossing_table, self.targets(u)):
-                j = index[v]
+                j = v.index
                 if j == i:
                     raise InvariantError("a crossing reflection fixed a coset")
                 # the edge keeps the first root seen from its lower endpoint
@@ -527,7 +521,7 @@ class ParabolicData:
                     raise InvariantError(
                         f"edge {key} carries degrees {prev[1]} and {c.degree}"
                     )
-        self._graph = BruhatGraph(nodes=nodes, index=index, edges=edges)
+        self._graph = BruhatGraph(nodes=nodes, edges=edges)
         return self._graph
 
     # -- Bruhat up/down sets -------------------------------------------------
@@ -548,7 +542,8 @@ class ParabolicData:
         got = memo.get(u)
         if got is None:
             self._check_own(u)
-            got = 1 << self.graph().index[u]
+            self.cosets()  # sets every coset's index
+            got = 1 << u.index
             length = u.length + step
             for v in self.targets(u):
                 if v.length == length:

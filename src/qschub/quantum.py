@@ -30,10 +30,10 @@ that denominator once, and a division that is not exact raises
 InvariantError.
 
 The decompositions and the product recursion run on packed integer
-keys: a term q^d sigma_w is the one int ``pack(d) << b | index(w)``,
-degrees packed by `PackedDegrees` and cosets indexed in `P.cosets()`
-order, so a q-shift is an integer addition and every memo entry is a
-``dict[int, int]``.
+keys: a term q^d sigma_w is the one int ``pack(d) << b | w.index``,
+degrees packed by `PackedDegrees` and each coset's `index` its position
+in `P.cosets()`, so a q-shift is an integer addition and every memo
+entry is a ``dict[int, int]``.
 The field width comes from the grading bound: on G/B each q_i has degree
 2, every term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
 coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
@@ -223,8 +223,8 @@ class DivisorEngine:
     terms into one dict and divides by den once, exactly or not at all.
 
     The recursion runs on packed integer keys.  A term q^d sigma_w is the
-    int ``pack(d) << b | index(w)``, with b = n.bit_length() for the n
-    cosets, the index taken from ``P.cosets()`` and `pack` the
+    int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
+    cosets, `index` the coset's position in ``P.cosets()`` and `pack` the
     `PackedDegrees` packer.  Multiplying by q^d adds ``pack(d) << b`` and
     the coset of a term is ``key & mask``.  Internal products (memo
     `_packed`, keyed ``ui << b | vi``) and divisor columns (memo
@@ -271,7 +271,6 @@ class DivisorEngine:
         for u in self.cosets:
             self.by_length.setdefault(u.length, []).append(u)
         n = len(self.cosets)
-        self._index = {u: i for i, u in enumerate(self.cosets)}
         self._bits = n.bit_length()
         self._mask = (1 << self._bits) - 1
         # fields of bit_length(l(w0)) bits: each q_i has degree 2 and every
@@ -290,13 +289,13 @@ class DivisorEngine:
     # -- classical expressions + quantum corrections --------------------------
 
     def _build_plans(self) -> None:
-        P, index, mask, cosets = self.P, self._index, self._mask, self.cosets
+        P, mask, cosets = self.P, self._mask, self.cosets
         rank = P.system.rank
         for k in range(1, self._bound + 1):
             level = self.by_length[k]
             prev = self.by_length[k - 1]
             pos = {u: i for i, u in enumerate(level)}
-            pairs = [(b, index[w]) for b in range(rank) for w in prev]
+            pairs = [(b, w.index) for b in range(rank) for w in prev]
             # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha] of length k
             ups = [[(c.degree, pos[v]) for c, v in zip(P.crossing_table, P.targets(w))
                     if v.length == k] for w in prev]
@@ -317,7 +316,7 @@ class DivisorEngine:
                 for n, b, wi in chosen:
                     for key, h in self._rows[b][wi] or self._row(b, wi):
                         acc[key] = get(key, 0) + n * h
-                ui = index[u]
+                ui = u.index
                 acc[ui] = get(ui, 0) - den
                 corrections = [(-c, key & ~mask, key & mask) for key, c in acc.items() if c]
                 if any(not shift or cosets[wi].length >= k for _c, shift, wi in corrections):
@@ -337,9 +336,8 @@ class DivisorEngine:
 
     def _row(self, beta_index: int, wi: int) -> tuple:
         """sigma_{s_beta} * sigma_w as (key, h) pairs, packed once."""
-        index = self._index
         row = self._rows[beta_index][wi] = tuple(
-            (self._shift(d) | index[v], h) for (d, v), h in
+            (self._shift(d) | v.index, h) for (d, v), h in
             quantum_chevalley(self.P, beta_index, self.cosets[wi]).terms.items())
         return row
 
@@ -416,7 +414,7 @@ class DivisorEngine:
         got = self._products.get((u, v))
         if got is None:
             self.P._check_own(u, v)
-            packed = self._packed_product(self._index[u], self._index[v])
+            packed = self._packed_product(u.index, v.index)
             term = self._term
             got = self._products[(u, v)] = QClass(
                 self.P, {term(k): c for k, c in packed.items()})

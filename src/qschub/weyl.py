@@ -103,6 +103,23 @@ def _act(system: RootSystem, letters: Iterable[int], xi: tuple) -> tuple:
     return xi
 
 
+def _levels(system: RootSystem, start: tuple, indices: Sequence[int]) -> list[tuple]:
+    """The orbit of a dominant start under the s_i, i in indices, in level
+    order: s_i x is one step longer exactly when x_i > 0 (x = w^-1 rho for
+    elements, u lambda_P for cosets), so level L holds the length-L points."""
+    level = [start]
+    found = list(level)
+    while level:
+        nxt = {}
+        for x in level:
+            for i in indices:
+                if x[i] > 0:
+                    nxt.setdefault(_reflect(system, x, i))
+        level = list(nxt)
+        found += level
+    return found
+
+
 def _node(system: RootSystem, i: int) -> int:
     """i, if it indexes a simple root: a raw xi[-1] would wrap silently."""
     if not 0 <= i < system.rank:
@@ -296,8 +313,7 @@ def enumerate_parabolic_subgroup(
     """All elements of the subgroup generated by {s_i : i in indices}, in
     (length, canonical word) order; range(rank) gives the whole group.
 
-    A level BFS on xi: w s_i is longer exactly when xi_i > 0, so level L
-    holds the elements of length L.
+    A level BFS on xi (`_levels`): w s_i is longer exactly when xi_i > 0.
     """
     indices = sorted({_node(system, i) for i in indices})
     spanned = [a for a in system.positive_roots
@@ -305,14 +321,5 @@ def enumerate_parabolic_subgroup(
     if order_from_heights(spanned) > max_elements:
         label = ",".join(str(i + 1) for i in indices)
         raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
-    level = [(1,) * system.rank]
-    found = list(level)
-    while level:
-        nxt = {}
-        for xi in level:
-            for i in indices:
-                if xi[i] > 0:
-                    nxt.setdefault(_reflect(system, xi, i))
-        level = list(nxt)
-        found += level
-    return sorted((WeylElem(system, xi) for xi in found), key=WeylElem.sort_key)
+    return sorted((WeylElem(system, xi) for xi in _levels(system, (1,) * system.rank, indices)),
+                  key=WeylElem.sort_key)

@@ -305,6 +305,14 @@ def test_verify_bad_instance_is_usage_error(capsys, jobs):
     assert captured.err == "error: type A requires rank >= 1, got rank 0\n"
 
 
+@pytest.mark.parametrize("argv", [["default-suite", "A1"], ["A1", "default-suite"]])
+def test_verify_default_suite_stands_alone(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'default-suite' is a keyword that must stand alone\n"
+
+
 def test_guard_error_survives_pickle():
     exc = pickle.loads(pickle.dumps(GroupSizeGuardError("W(E7)", 10)))
     assert isinstance(exc, GroupSizeGuardError)

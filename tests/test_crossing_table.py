@@ -102,7 +102,7 @@ def test_graph_edge_roots_match_direct_rule(P):
     want = {}
     for i, u in enumerate(g.nodes):
         for alpha in P.crossing_roots:
-            j = g.index[direct_target(P, u, alpha)]
+            j = direct_target(P, u, alpha).index
             want.setdefault((min(i, j), max(i, j)), (alpha, P.degree_of_root(alpha)))
     assert g.edges == want
     for (i, j), (alpha, deg) in g.edges.items():

@@ -7,10 +7,12 @@ must return the quotient's one object for it, whatever the call order.
 
 import pytest
 
-from qschub.grassmann import coset_of_partition, qproduct_grassmann_cosets
+from qschub import checks
+from qschub.grassmann import (coset_of_partition, grassmannian_parabolic, partition_of_coset,
+                              qproduct_grassmann_cosets)
 from qschub.parabolic import ParabolicData, make_parabolic
-from qschub.quantum import (QClass, classical_chevalley, multiply_classes, qproduct_GB,
-                            quantum_chevalley)
+from qschub.quantum import (DivisorEngine, QClass, classical_chevalley, multiply_classes,
+                            product_engine, qproduct_GB, quantum_chevalley)
 from qschub.roots import build_root_system
 from qschub.weyl import from_word, identity
 
@@ -153,3 +155,43 @@ def test_foreign_cosets_are_refused_by_chevalley_targets_and_bruhat_leq():
     with pytest.raises(ValueError, match="is not a coset of this A2 flag quotient"):
         A2.dual(twin)  # same group: the orbit point is A2's, the object is not
     assert A2.bruhat_leq(A2.identity_coset(), s1)
+
+
+def test_grassmannian_entry_points_refuse_a_foreign_coset():
+    # read as a coset of gr 2 5, the gr 3 5 coset s4*s3 gave the partition
+    # (2,) and a memoised product of gr 2 5 classes
+    P = fresh("A", 4, (0, 2, 3))  # gr 2 5
+    gr35 = grassmannian_parabolic(3, 5)
+    foreign = gr35.to_coset(from_word(gr35.system, (3, 2)))
+    e = P.identity_coset()
+    engine = product_engine(P)
+    refuse = r"Coset\[s4\*s3\] is not a coset of this A4 omit 2 quotient"
+    for call, args in ((partition_of_coset, (P, foreign)),
+                       (engine.product, (foreign, e)), (engine.product, (e, foreign)),
+                       (qproduct_grassmann_cosets, (P, foreign, e))):
+        with pytest.raises(ValueError, match=refuse):
+            call(*args)
+    assert not engine._products
+    # on gr 2 4, a gr 2 5 coset failed the weight invariant instead
+    with pytest.raises(ValueError, match=r"Coset\[s2\] is not a coset of this A3 omit 2"):
+        partition_of_coset(grassmannian_parabolic(2, 4), coset_of_partition(P, (1,)))
+
+
+@pytest.mark.parametrize("tokens", checks.DEFAULT_SUITE + (("B3", "2"),), ids=" ".join)
+def test_index_is_the_position_in_cosets(tokens):
+    cosets = checks.build_instance(tokens)[1].cosets()
+    assert [u.index for u in cosets] == list(range(len(cosets)))
+
+
+def test_index_is_set_when_cosets_runs():
+    P = fresh("A", 3, ())
+    e = P.identity_coset()
+    u = P.targets(e)[-1]  # reached through a row, before any enumeration
+    assert e.index is None and u.index is None
+    cosets = P.cosets()
+    assert cosets[e.index] is e and cosets[u.index] is u
+
+
+def test_divisor_engine_reads_the_coset_index():
+    engine = DivisorEngine(fresh("A", 3, ()))
+    assert all(engine.cosets[u.index] is u for u in engine.cosets)

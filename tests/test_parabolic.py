@@ -43,7 +43,7 @@ def brute_force_chain_degrees(P):
     adj = adjacency_rows(g)
     n = g.node_count
     leq = [[P.bruhat_leq(a, b) for b in g.nodes] for a in g.nodes]
-    dual_idx = [g.index[P.dual(u)] for u in g.nodes]
+    dual_idx = [P.dual(u).index for u in g.nodes]
 
     # collect every simple-path degree from each start node
     reachable = [dict() for _ in range(n)]  # start -> {end: set of degrees}
@@ -395,7 +395,7 @@ def test_row_covers_are_the_length_one_edges(tokens):
         if g.nodes[hi].length == g.nodes[lo].length + 1:
             up[lo].add(hi)
             down[hi].add(lo)
-    rows = [{g.index[v] for v in P.targets(u)} for u in g.nodes]
+    rows = [{v.index for v in P.targets(u)} for u in g.nodes]
     for i, u in enumerate(g.nodes):
         assert {j for j in rows[i] if g.nodes[j].length == u.length + 1} == up[i]
         assert {j for j in rows[i] if g.nodes[j].length == u.length - 1} == down[i]
