@@ -223,9 +223,11 @@ def _gr_shape(P: ParabolicData):
 
 
 def _class_labels(P: ParabolicData) -> dict:
-    """Coset -> partition on Grassmannians, reduced word otherwise."""
+    """Coset -> partition on Grassmannians, read through the rim-hook
+    engine's dictionary; reduced word otherwise."""
     if _gr_shape(P):
-        return {u: grassmann.partition_of_coset(P, u) for u in P.cosets()}
+        partition = grassmann.rimhook_engine(P).partition
+        return {u: partition(u) for u in P.cosets()}
     return {u: u.word() for u in P.cosets()}
 
 
@@ -264,16 +266,13 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
             chains = set(P.min_chain_degrees(u, v))
             if shape:
                 lam, mu = name_of[u], name_of[v]
-                diag = grassmann.min_degree_diagonal(k, n, lam, mu)
+                diag = grassmann._min_degree_diagonal(k, n, lam, mu)
                 if not (occurring == {(diag,)} == chains):
                     rows[agreement].append(
                         f"diagonal {diag} vs chains {chains} vs product at {tag}"
                     )
-                if not (
-                    grassmann.monotone_chain_exists(k, n, lam, mu, diag)
-                    and (diag == 0 or not grassmann.monotone_chain_exists(
-                        k, n, lam, mu, diag - 1))
-                ):
+                # a monotone chain at diag and none at diag - 1
+                if grassmann._least_monotone_degree(k, n, lam, mu, diag) != diag:
                     rows["monotone-chains"].append(f"monotone chain mismatch at {tag}")
             elif occurring != chains:
                 rows[agreement].append(f"min degrees vs chains at {tag}")
@@ -333,6 +332,7 @@ def check_partition_dictionary(P: ParabolicData, label: str) -> list:
             bad.append(f"dual vs complement-rotation differ at {lam}")
     if len(by_partition) != len(cosets):
         bad.append("partition labels not distinct")
+    beads = {lam: grassmann._beta(lam, k) for lam in by_partition}
     for lam, u in by_partition.items():
         for mu, v in by_partition.items():
             count += 1
@@ -345,7 +345,8 @@ def check_partition_dictionary(P: ParabolicData, label: str) -> list:
             if u == v:
                 continue
             adj = P.adjacency(u, v)
-            if (adj is not None) != grassmann.rimhook_adjacent(lam, mu, k):
+            # one partition is the other minus a rim hook: one bead moved
+            if (adj is not None) != (len(beads[lam] ^ beads[mu]) == 2):
                 bad.append(f"adjacency vs rim hook at {lam},{mu}")
             if adj is not None and adj[1] != (1,):
                 bad.append(f"edge degree not 1 at {lam},{mu}")

@@ -23,10 +23,17 @@ Products are memoised per quotient: `product_engine` (and the command
 line's `--engine rimhook`) hands out the one `RimHookEngine` cached on the
 quotient, which keeps sigma_u * sigma_v per *ordered* pair (u, v), so
 sigma_v * sigma_u stays a separate computation.  Within one expansion the
-horizontal-strip step is memoised across pairs.  Every public entry point
-validates the partitions it is given, those the module built and passes
-back in included: `verify gr 3 7` makes about 16,500 `normalize_partition`
-calls, mostly through `_require_box`.
+horizontal-strip step is memoised across pairs.
+
+Partitions are validated once, at the boundary.  The public entry points
+(`qproduct_grassmann`, `classical_lr`, `min_degree_diagonal`,
+`monotone_chain_exists`) check what they are given and hand it to a
+private body (`_qproduct`, `_classical_lr`, `_min_degree_diagonal`,
+`_least_monotone_degree`) that trusts its input.  The engine and the
+verify sweep call the bodies on partitions the engine read off its
+cosets; it converts each coset and each partition once, through the
+checked `partition_of_coset` and `coset_of_partition`, and keeps the
+answer.  `verify gr 3 7` makes about 300 `normalize_partition` calls.
 """
 
 from __future__ import annotations
@@ -273,6 +280,11 @@ def classical_lr(lam: tuple[int, ...], mu: tuple[int, ...], k: int) -> dict:
     mu = normalize_partition(mu)
     if len(lam) > k or len(mu) > k:
         return {}
+    return _classical_lr(lam, mu, k)
+
+
+def _classical_lr(lam: tuple[int, ...], mu: tuple[int, ...], k: int) -> dict:
+    """classical_lr of two partitions already known to have at most k rows."""
     out: dict = {}
 
     def place(idx, shape, prev_cum):
@@ -323,10 +335,13 @@ def _strips(shape: tuple, size: int, prev_cum) -> tuple:
 
 def qproduct_grassmann(k: int, n: int, lam, mu) -> dict:
     """Quantum product on Gr(k, n): {(q power, partition): coefficient}."""
-    lam = _require_box(k, n, lam)
-    mu = _require_box(k, n, mu)
+    return _qproduct(k, n, _require_box(k, n, lam), _require_box(k, n, mu))
+
+
+def _qproduct(k: int, n: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> dict:
+    """qproduct_grassmann of two partitions already known to fit the box."""
     out: dict = {}
-    for nu, c in classical_lr(lam, mu, k).items():
+    for nu, c in _classical_lr(lam, mu, k).items():
         red = _reduce(_beta(nu, k), k, n)
         if red is None:
             continue
@@ -357,19 +372,46 @@ class RimHookEngine:
 
     Each product is memoised by its ordered pair (u, v), as the divisor
     engine's are; callers share the returned QClass and must not change
-    it.  `rimhook_engine` keeps one engine per quotient.
+    it.  `rimhook_engine` keeps one engine per quotient.  The engine also
+    keeps the dictionary it has read so far, coset -> partition and
+    partition -> coset, each entry filled on first use through
+    `partition_of_coset` or `coset_of_partition` (so their checks run once
+    per coset), and multiplies the partitions through `_qproduct` without
+    validating them again.  It enumerates no cosets.
     """
 
     name = "rimhook"
 
     def __init__(self, P: ParabolicData):
         self.P = P
+        self._shape = P.grassmannian_shape()
         self._products: dict = {}  # (u, v) -> sigma_u * sigma_v
+        self._partitions: dict = {}  # coset -> partition
+        self._cosets: dict = {}  # partition -> coset
+
+    def partition(self, u: Coset) -> tuple[int, ...]:
+        """u's partition label; a coset of another quotient is refused."""
+        lam = self._partitions.get(u)
+        if lam is None:
+            lam = self._partitions[u] = partition_of_coset(self.P, u)
+        return lam
+
+    def coset(self, lam: tuple[int, ...]) -> Coset:
+        """The coset of a partition in the box."""
+        u = self._cosets.get(lam)
+        if u is None:
+            u = self._cosets[lam] = coset_of_partition(self.P, lam)
+        return u
 
     def product(self, u: Coset, v: Coset) -> QClass:
         got = self._products.get((u, v))
         if got is None:
-            got = self._products[(u, v)] = qproduct_grassmann_cosets(self.P, u, v)
+            lam, mu = self.partition(u), self.partition(v)
+            k, n = self._shape
+            got = QClass.zero(self.P)
+            for (d, nu), c in _qproduct(k, n, lam, mu).items():
+                got.add_term((d,), self.coset(nu), c)
+            self._products[(u, v)] = got
         return got
 
 
@@ -390,8 +432,12 @@ def min_degree_diagonal(k: int, n: int, lam, mu) -> int:
     Overlay lam with the 180-degree rotation of mu inside the box; the
     answer is the longest run of cells in common along a NW-SE diagonal.
     """
-    lam = _require_box(k, n, lam)
-    mu = _require_box(k, n, mu)
+    return _min_degree_diagonal(k, n, _require_box(k, n, lam), _require_box(k, n, mu))
+
+
+def _min_degree_diagonal(k: int, n: int, lam: tuple[int, ...],
+                         mu: tuple[int, ...]) -> int:
+    """min_degree_diagonal of two partitions already known to fit the box."""
     width = n - k
     lp = lam + (0,) * (k - len(lam))
     mp = mu + (0,) * (k - len(mu))
@@ -419,6 +465,18 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
     """
     lam = _require_box(k, n, lam)
     mu = _require_box(k, n, mu)
+    return _least_monotone_degree(k, n, lam, mu, d) is not None
+
+
+def _least_monotone_degree(k: int, n: int, lam: tuple[int, ...],
+                           mu: tuple[int, ...], cap: int) -> int | None:
+    """The fewest rim-hook strips, at most cap, that bring lam inside the
+    dual of mu, or None; lam and mu are already known to fit the box.
+
+    One breadth-first walk over abacus moves: the least d is the first
+    level holding a partition inside the dual, so a chain exists at d
+    exactly when the least is at most d.
+    """
     # the abacus of dual(mu), sorted once: slot n-1-b for each bead b of mu
     target = sorted((n - 1 - b for b in _beta(mu, k)), reverse=True)
 
@@ -428,9 +486,11 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
 
     frontier = {_beta(lam, k)}
     seen = set(frontier)
-    for _step in range(d + 1):
+    for step in range(cap + 1):
         if any(inside(beta) for beta in frontier):
-            return True
+            return step
+        if step == cap:
+            break
         nxt = set()
         for beta in frontier:
             for b in beta:
@@ -443,4 +503,4 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
         frontier = nxt
         if not frontier:
             break
-    return False
+    return None

@@ -1,6 +1,6 @@
 """The verification sweeps: one body for every product engine."""
 
-from qschub import checks
+from qschub import checks, grassmann
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, multiply_classes, product_engine
@@ -78,6 +78,23 @@ def test_commutativity_compares_two_memoised_products():
     assert rows["commutativity"].detail == (
         "not commutative at (1,),(2, 1); not commutative at (2, 1),(1,)")
     assert rows["nonnegativity"].passed
+
+
+def test_merged_monotone_row_fails_on_a_wrong_walk(monkeypatch):
+    # one walk per pair stands for "a chain at diag, none at diag - 1"
+    monkeypatch.setattr(grassmann, "_least_monotone_degree",
+                        lambda k, n, lam, mu, cap: cap + 1)
+    rows = checks.run_instance_checks(("gr", "2", "5"))
+    assert {r.name for r in rows if not r.passed} == {"monotone-chains"}
+
+
+def test_merged_monotone_row_fails_on_a_wrong_diagonal(monkeypatch):
+    real = grassmann._min_degree_diagonal
+    monkeypatch.setattr(grassmann, "_min_degree_diagonal",
+                        lambda k, n, lam, mu: real(k, n, lam, mu) + 1)
+    rows = checks.run_instance_checks(("gr", "2", "5"))
+    assert {r.name for r in rows if not r.passed} == {
+        "degree-triple-agreement", "monotone-chains"}
 
 
 def test_graph_structure_reads_the_chain_search_bitsets():

@@ -17,9 +17,14 @@ import pytest
 
 from qschub import cli
 from qschub.grassmann import (
+    RimHookEngine,
+    _least_monotone_degree,
+    _min_degree_diagonal,
     classical_lr,
     coset_of_partition,
+    dual_partition,
     grassmannian_parabolic,
+    min_degree_diagonal,
     monotone_chain_exists,
     normalize_partition,
     partition_from_beta,
@@ -188,6 +193,54 @@ def test_outside_input_is_still_validated():
         monotone_chain_exists(3, 7, (5,), (1,), 1)  # wider than the box
     with pytest.raises(ValueError):
         classical_lr((1, -1), (1,), 3)
+
+
+BAD_INPUT = [
+    ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+    ((2, -1), "negative part in partition (2, -1)"),
+    ((5,), "partition (5,) does not fit in the 3 x 4 box"),
+    ((1, 1, 1, 1), "partition (1, 1, 1, 1) does not fit in the 3 x 4 box"),
+]
+
+
+@pytest.mark.parametrize("lam, message", BAD_INPUT)
+def test_every_public_entry_point_refuses_bad_input(lam, message):
+    P = grassmannian_parabolic(3, 7)
+    calls = [
+        lambda: qproduct_grassmann(3, 7, lam, (1,)),
+        lambda: qproduct_grassmann(3, 7, (1,), lam),
+        lambda: min_degree_diagonal(3, 7, lam, (1,)),
+        lambda: min_degree_diagonal(3, 7, (1,), lam),
+        lambda: monotone_chain_exists(3, 7, lam, (1,), 1),
+        lambda: monotone_chain_exists(3, 7, (1,), lam, 1),
+        lambda: coset_of_partition(P, lam),
+        lambda: dual_partition(3, 7, lam),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6), (3, 7)])
+def test_fast_path_matches_the_validated_path(k, n):
+    # a fresh engine reads each partition once and skips revalidation; the
+    # public coset product converts and validates everything again
+    P = grassmannian_parabolic(k, n)
+    engine = RimHookEngine(P)
+    for u in P.cosets():
+        for v in P.cosets():
+            assert list(engine.product(u, v).terms.items()) == \
+                list(qproduct_grassmann_cosets(P, u, v).terms.items()), (u, v)
+    for lam, mu in pairs(k, n):
+        diag = _min_degree_diagonal(k, n, lam, mu)
+        at_diag = old_monotone_chain_exists(k, n, lam, mu, diag)
+        below = old_monotone_chain_exists(k, n, lam, mu, diag - 1)
+        for d, want in ((diag, at_diag), (diag - 1, below)):
+            assert (_least_monotone_degree(k, n, lam, mu, d) is not None) == want
+        # the sweep's one walk: a chain at diag and none below it
+        assert (_least_monotone_degree(k, n, lam, mu, diag) == diag) == \
+            (at_diag and not below), (lam, mu)
 
 
 def test_one_engine_per_grassmannian():
