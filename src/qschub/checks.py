@@ -293,7 +293,7 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
 def _associativity(P: ParabolicData, label: str, engine) -> list:
     cosets = P.cosets()
     name_of = _class_labels(P)
-    rng = random.Random(f"{label}|assoc")
+    rng = random.Random(f"{P.label}|assoc")  # one sample per quotient
     prod = engine.product
     bad = []
     for _ in range(_ASSOC_TRIPLES):

@@ -32,8 +32,11 @@ InvariantError.
 The decompositions and the product recursion run on packed integer
 keys: a term q^d sigma_w is the one int ``pack(d) << b | w.index``,
 degrees packed by `PackedDegrees` and each coset's `index` its position
-in `P.cosets()`, so a q-shift is an integer addition and every memo
-entry is a ``dict[int, int]``.
+in `P.cosets()`, so a q-shift is an integer addition and every memoised
+product is a ``dict[int, int]``.  The engine memoises the decompositions,
+the packed Chevalley rows and the products, not the divisor columns
+sigma_{s_beta} * sigma_w * sigma_v: each is read about twice, and
+summing its rows again costs no more than building and reading it.
 The field width comes from the grading bound: on G/B each q_i has degree
 2, every term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
 coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
@@ -226,21 +229,26 @@ class DivisorEngine:
     int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
     cosets, `index` the coset's position in ``P.cosets()`` and `pack` the
     `PackedDegrees` packer.  Multiplying by q^d adds ``pack(d) << b`` and
-    the coset of a term is ``key & mask``.  Internal products (memo
-    `_packed`, keyed ``ui << b | vi``) and divisor columns (memo
-    `_column`, keyed ``(beta << b | wi) << b | vi``) are plain
-    ``dict[int, int]``.  Each decomposition is built on those keys and
-    kept once, in `_plans[ui]`: den, the chosen (n, beta, wi) and the
-    corrections (n', pack(d) << b, w'i).  A Chevalley row is packed once
-    per (beta, coset), by `_row`: the rows the decompositions choose
-    during the build, the others on first use in a product.  The public
-    `product` returns a QClass with (Degree, Coset) keys, cached in
-    `_products`, read through one shared key -> (degree, coset) table.
+    the coset of a term is ``key & mask``.  Four memos remain:
+    `_plans[ui]`, each decomposition kept once as den, the chosen
+    (n, beta, wi) and the corrections (n', pack(d) << b, w'i);
+    `_rows[beta][wi]`, the Chevalley row as packed (key, h) pairs, packed
+    by `_row` during the build or on first use; `_packed`, the products
+    as ``dict[int, int]`` keyed ``ui << b | vi``; and `_products`, the
+    public QClass answers with (Degree, Coset) keys, read through one
+    shared key -> (degree, coset) table.  A chosen term n * sigma_{s_beta}
+    . sigma_w of sigma_u is applied straight to the memoised sigma_w *
+    sigma_v, adding n * c * h over the row of each term c * q^d sigma_x.
+    The column sigma_{s_beta} * sigma_w * sigma_v is not kept: only the u
+    that chooses (beta, w) reads it (2.4 times per column on A4 flag),
+    summing the rows again costs no more than building and reading it,
+    and the columns were the largest memo (about half of B4 flag's peak
+    memory).  `_column` stays an empty dict for perfbench's counters.
 
     The field width is the grading bound.  On G/B every simple coroot has
     Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
-    sigma_u * sigma_v accumulates (Chevalley rows, corrections, columns
-    and shifted products alike) is homogeneous: l(w) + 2|d| =
+    sigma_u * sigma_v accumulates (Chevalley rows, corrections and
+    shifted products alike) is homogeneous: l(w) + 2|d| =
     l(u) + l(v) <= 2 l(w0).  Every degree the recursion forms, each sum
     of a shift and a term included, therefore has every coordinate at
     most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
@@ -281,7 +289,7 @@ class DivisorEngine:
         self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
         self._rows = [[None] * n for _ in range(P.system.rank)]  # [beta][wi]
         self._packed: dict = {}  # ui << b | vi -> {key: coeff}
-        self._column: dict = {}  # (beta << b | wi) << b | vi -> {key: coeff}
+        self._column: dict = {}  # always empty; perfbench's counters() reads its size
         self._products: dict = {}  # (u, v) -> QClass, the public answers
         self._terms: dict = {}  # key -> (Degree, Coset), shared by every answer
         self._build_plans()
@@ -314,7 +322,10 @@ class DivisorEngine:
                 acc: dict = {}
                 get = acc.get
                 for n, b, wi in chosen:
-                    for key, h in self._rows[b][wi] or self._row(b, wi):
+                    row = self._rows[b][wi]
+                    if row is None:
+                        row = self._row(b, wi)
+                    for key, h in row:
                         acc[key] = get(key, 0) + n * h
                 ui = u.index
                 acc[ui] = get(ui, 0) - den
@@ -351,29 +362,9 @@ class DivisorEngine:
 
     # -- products --------------------------------------------------------------
 
-    def _column_product(self, beta_index: int, wi: int, vi: int) -> dict:
-        """sigma_{s_beta} * sigma_w * sigma_v on packed keys, memoized."""
-        bits, mask = self._bits, self._mask
-        rows = self._rows[beta_index]
-        acc: dict = {}
-        get = acc.get
-        for k, c in self._packed_product(wi, vi).items():
-            j = k & mask
-            row = rows[j]
-            if row is None:
-                row = self._row(beta_index, j)
-            base = k ^ j  # the degree part, pack(d) << b
-            for rk, h in row:
-                t = base + rk
-                acc[t] = get(t, 0) + c * h
-        # coefficients of products and rows are positive: no term cancels
-        self._column[(beta_index << bits | wi) << bits | vi] = acc
-        return acc
-
     def _packed_product(self, ui: int, vi: int) -> dict:
         """sigma_u * sigma_v on packed keys, memoized."""
-        bits = self._bits
-        key = ui << bits | vi
+        key = ui << self._bits | vi
         got = self._packed.get(key)
         if got is not None:
             return got
@@ -381,15 +372,22 @@ class DivisorEngine:
             got = {vi: 1}
         else:
             den, chosen, corrections = self._plans[ui]
-            column = self._column
+            mask = self._mask
             acc: dict = {}
             get = acc.get
             for n, b, wi in chosen:
-                col = column.get((b << bits | wi) << bits | vi)
-                if col is None:
-                    col = self._column_product(b, wi, vi)
-                for k, c in col.items():
-                    acc[k] = get(k, 0) + n * c
+                # n * sigma_{s_b} * (sigma_w * sigma_v), row by row
+                rows = self._rows[b]
+                for k, c in self._packed_product(wi, vi).items():
+                    j = k & mask
+                    row = rows[j]
+                    if row is None:
+                        row = self._row(b, j)
+                    base = k ^ j  # the degree part, pack(d) << b
+                    c *= n
+                    for rk, h in row:
+                        t = base + rk
+                        acc[t] = get(t, 0) + c * h
             for n, shift, w2i in corrections:
                 for k, c in self._packed_product(w2i, vi).items():
                     k += shift

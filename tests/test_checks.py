@@ -37,6 +37,32 @@ def test_sweep_passes_on_both_engines():
         assert {r.checked for r in rows} == {len(P.cosets()) ** 2, 100}
 
 
+class RecordingEngine:
+    """The quotient's own engine, logging every pair it is asked."""
+
+    def __init__(self, P):
+        self.inner = product_engine(P)
+        self.calls = []
+
+    def product(self, u, v):
+        self.calls.append((u, v))
+        return self.inner.product(u, v)
+
+
+def test_associativity_samples_one_set_of_triples_per_quotient():
+    # each group of spellings builds one ParabolicData, so it must draw
+    # the same triples whatever label the user typed
+    for spellings in (("gr 3 7", "A6 3"), ("a4 flag", "A4 flag", "A4")):
+        samples = set()
+        for label in spellings:
+            _label, P = checks.build_instance(label.split())
+            engine = RecordingEngine(P)
+            rows = checks._associativity(P, label, engine)
+            assert rows[0].passed and rows[0].checked == 100
+            samples.add((id(P), tuple(engine.calls)))
+        assert len(samples) == 1, spellings
+
+
 def test_sweep_catches_a_wrong_flag_engine():
     P = make_parabolic("A", 2, ())
     rows = rows_by_name(checks._product_sweep(P, "A2 flag", ShiftedEngine(P)))

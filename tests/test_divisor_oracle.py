@@ -8,9 +8,12 @@ too, as it was on `QClass` before the integer engine made it unused.
 `TupleEngine` is a test-local copy of the integer product recursion as
 it was before packed keys: terms keyed (degree, coset), every column and
 product a QClass.  The engine must give the same terms on every pair it
-is asked, and every coefficient must be a Python int.
+is asked, and every coefficient must be a Python int.  The all-pairs
+digests at the end were recorded from the engine that still memoised its
+divisor columns.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -465,3 +468,33 @@ def test_packed_engine_matches_tuple_keyed_recursion_on_all_pairs(type_label, ra
             got, want = new.product(u, v), old.product(u, v)
             assert list(got.terms.items()) == list(want.terms.items()), (u, v)
             assert all(type(c) is int for c in got.terms.values()), (u, v)
+
+
+# ---------------------------------------------------------------------------
+# all-pairs pins, recorded from the engine that memoised its divisor columns
+# sigma_{s_beta} * sigma_w * sigma_v before products summed the rows directly
+
+ALL_PAIRS = {
+    ("A", 3): "e35df20678b1692191a143107802f0aadc5492b90e8a606af30650f8b405551a",
+    ("B", 3): "8b2e74932e64cb01f664ec033dbaf4934fbfbf83f3708ed571ae77615f6a7912",
+    ("C", 3): "6cf2569d584af7cd8692dd2198d17f5e9d8540e5839c4b9fbefc4efeffdad25e",
+    ("G", 2): "4b5504fdc13ee8a73d3175932a1fe9d5cab39ffdcf5dd3b408ee574065826236",
+    ("A", 4): "a9279b815251cd9fcdce0e261f97242f7db1cf83e9f6dec468d24c4313cd4b6b",
+    # denominators 1 and 2; each column was read 5.75 times on average
+    ("D", 4): "6bc48a4fc1f177b3be3a3433045b88d5adaba16d56b5190304e3dfa8aec150e2",
+}
+
+
+@pytest.mark.parametrize("type_label,rank", ALL_PAIRS)
+def test_all_pairs_products_are_pinned(type_label, rank):
+    # SHA-256 over every ordered pair in coset order, one line of sorted
+    # (degree, coset index, coefficient) triples per pair
+    P = ParabolicData(make_parabolic(type_label, rank, ()).system, ())
+    engine = DivisorEngine(P)
+    cosets = P.cosets()
+    h = hashlib.sha256()
+    for u in cosets:
+        for v in cosets:
+            terms = sorted((d, w.index, c) for (d, w), c in engine.product(u, v).terms.items())
+            h.update(f"{terms}\n".encode())
+    assert h.hexdigest() == ALL_PAIRS[(type_label, rank)]
