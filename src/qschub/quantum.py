@@ -19,7 +19,8 @@ Full products are supported on full flag varieties (Delta_P empty),
 where the divisor classes generate the cohomology ring.  The engine
 expresses each basis class classically as a rational-coefficient
 polynomial in divisor classes (fraction-free Gauss-Jordan elimination on
-integer rows, lengths in increasing order), then corrects the expression
+integer rows, lengths in increasing order, the divisor columns
+sigma_{s_beta} . sigma_w sparsest first), then corrects the expression
 degree by degree in q: evaluating a classical expression with the
 *quantum* divisor operators reproduces sigma_u plus error terms that all
 carry q-degree >= 1 and strictly smaller coset length, so they can be
@@ -35,12 +36,22 @@ degrees packed by `PackedDegrees` and each coset's `index` its position
 in `P.cosets()`, so a q-shift is an integer addition and every memoised
 product is a ``dict[int, int]``.  The engine memoises the decompositions,
 the packed Chevalley rows and the products, not the divisor columns
-sigma_{s_beta} * sigma_w * sigma_v: each is read about twice, and
-summing its rows again costs no more than building and reading it.
-The field width comes from the grading bound: on G/B each q_i has degree
-2, every term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
-coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
-carry.  Only the public answer is unpacked, into a QClass.
+sigma_{s_beta} * sigma_w * sigma_v: only the class that chooses
+(beta, w) reads one, and summing its rows again costs no more than
+building and reading it.  The field width comes from the grading bound:
+on G/B each q_i has degree 2, every term of sigma_u * sigma_v has
+l(w) + 2|d| = l(u) + l(v), so no coordinate exceeds l(w0) and fields of
+bit_length(l(w0)) bits never carry.  Only the public answer is
+unpacked, into a QClass.
+
+The columns enter the elimination sparsest first, by the number of
+terms of sigma_{s_beta} . sigma_w and then of sigma_{s_beta} *
+sigma_w, ties in (beta, w) order.  Gauss-Jordan returns basic
+solutions, supported on the pivot columns, so a class that is h times
+a single divisor product classically is decomposed as that one term,
+and every product with it costs one Chevalley row per term of
+sigma_w * sigma_v.  On A4 flag a decomposition has 1.24 terms on
+average (2.44 in plain (beta, w) order), on D4 flag 1.78 (5.75).
 
 `product_engine` is the one place that decides which engine multiplies
 on a given quotient: the divisor recursion on full flags, the rim-hook
@@ -216,6 +227,19 @@ class _IntegerSolver:
         return den, [(col, n * den // d) for col, n, d in x]
 
 
+class _TermTable(dict):
+    """Packed key -> (Degree, Coset), each key unpacked on its first read."""
+
+    def __init__(self, packer: PackedDegrees, bits: int, cosets: tuple):
+        super().__init__()
+        self._unpack, self._bits, self._cosets = packer.unpack, bits, cosets
+        self._mask = (1 << bits) - 1
+
+    def __missing__(self, key: int) -> tuple:
+        got = self[key] = (self._unpack(key >> self._bits), self._cosets[key & self._mask])
+        return got
+
+
 class DivisorEngine:
     """Full quantum products on a full flag variety via divisor recursion.
 
@@ -235,15 +259,25 @@ class DivisorEngine:
     `_rows[beta][wi]`, the Chevalley row as packed (key, h) pairs, packed
     by `_row` during the build or on first use; `_packed`, the products
     as ``dict[int, int]`` keyed ``ui << b | vi``; and `_products`, the
-    public QClass answers with (Degree, Coset) keys, read through one
-    shared key -> (degree, coset) table.  A chosen term n * sigma_{s_beta}
+    public QClass answers with (Degree, Coset) keys, read through
+    `_terms`, one shared dict whose missing keys unpack themselves, so
+    each answer term is one dict lookup.  A chosen term n * sigma_{s_beta}
     . sigma_w of sigma_u is applied straight to the memoised sigma_w *
     sigma_v, adding n * c * h over the row of each term c * q^d sigma_x.
     The column sigma_{s_beta} * sigma_w * sigma_v is not kept: only the u
-    that chooses (beta, w) reads it (2.4 times per column on A4 flag),
-    summing the rows again costs no more than building and reading it,
-    and the columns were the largest memo (about half of B4 flag's peak
-    memory).  `_column` stays an empty dict for perfbench's counters.
+    that chooses (beta, w) reads it, summing the rows again costs no more
+    than building and reading it, and the columns were the largest memo
+    (about half of B4 flag's peak memory).  `_column` stays an empty dict
+    for perfbench's counters.
+
+    `_build_plans` hands the columns of each level to the solver
+    sparsest first: by the number of classes in sigma_{s_beta} .
+    sigma_w, then by the number of terms of its quantum row, a stable
+    sort that keeps (beta, w) order among ties.  A single-entry column
+    h sigma_u pivots before any denser column reaches u's row, and the
+    basic solution read off the pivots makes it u's whole
+    decomposition, so most classes are one or two divisor terms and a
+    product applies that many rows per term of sigma_w * sigma_v.
 
     The field width is the grading bound.  On G/B every simple coroot has
     Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
@@ -291,7 +325,7 @@ class DivisorEngine:
         self._packed: dict = {}  # ui << b | vi -> {key: coeff}
         self._column: dict = {}  # always empty; perfbench's counters() reads its size
         self._products: dict = {}  # (u, v) -> QClass, the public answers
-        self._terms: dict = {}  # key -> (Degree, Coset), shared by every answer
+        self._terms = _TermTable(self._packer, self._bits, self.cosets)  # shared by every answer
         self._build_plans()
 
     # -- classical expressions + quantum corrections --------------------------
@@ -303,18 +337,34 @@ class DivisorEngine:
             level = self.by_length[k]
             prev = self.by_length[k - 1]
             pos = {u: i for i, u in enumerate(level)}
-            pairs = [(b, w.index) for b in range(rank) for w in prev]
-            # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha] of length k
-            ups = [[(c.degree, pos[v]) for c, v in zip(P.crossing_table, P.targets(w))
-                    if v.length == k] for w in prev]
-            columns = []
+            # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha]
+            # of length k; the quantum row adds those of length k - n_alpha
+            ups, downs = [], []
+            for w in prev:
+                up, down = [], []
+                for c, v in zip(P.crossing_table, P.targets(w)):
+                    if v.length == k:
+                        up.append((c.degree, pos[v]))
+                    elif v.length == k - c.chern:
+                        down.append(c.degree)
+                ups.append(up)
+                downs.append(down)
+            pairs, columns, keys = [], [], []
             for b in range(rank):
-                for up in ups:
+                for w, up, down in zip(prev, ups, downs):
                     col = [0] * len(level)
                     for d, i in up:
                         col[i] += d[b]
+                    nonzero = len(col) - col.count(0)
+                    pairs.append((b, w.index))
                     columns.append(col)
-            solver = _IntegerSolver(columns, len(level))
+                    keys.append((nonzero, nonzero + sum(1 for d in down if d[b])))
+            # sparsest first, ties in (b, w) order: a basic solution lies on
+            # the pivot columns, so a class that is h times one divisor
+            # product classically is decomposed as that one term
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            pairs = [pairs[j] for j in order]
+            solver = _IntegerSolver([columns[j] for j in order], len(level))
             for i, u in enumerate(level):
                 den, x = solver.solve_unit(i)
                 chosen = [(n, *pairs[j]) for j, n in x]
@@ -351,14 +401,6 @@ class DivisorEngine:
             (self._shift(d) | v.index, h) for (d, v), h in
             quantum_chevalley(self.P, beta_index, self.cosets[wi]).terms.items())
         return row
-
-    def _term(self, key: int) -> tuple:
-        """The (degree, coset) of a packed key, from the shared table."""
-        got = self._terms.get(key)
-        if got is None:
-            got = self._terms[key] = (self._packer.unpack(key >> self._bits),
-                                      self.cosets[key & self._mask])
-        return got
 
     # -- products --------------------------------------------------------------
 
@@ -400,7 +442,7 @@ class DivisorEngine:
                         g = gcd(c, den)
                         raise InvariantError(
                             f"non-integral coefficient {c // g}/{den // g} at "
-                            f"{self._term(k)} in sigma_{self.cosets[ui]} * "
+                            f"{self._terms[k]} in sigma_{self.cosets[ui]} * "
                             f"sigma_{self.cosets[vi]}"
                         )
                     got[k] = q
@@ -413,9 +455,9 @@ class DivisorEngine:
         if got is None:
             self.P._check_own(u, v)
             packed = self._packed_product(u.index, v.index)
-            term = self._term
+            terms = self._terms
             got = self._products[(u, v)] = QClass(
-                self.P, {term(k): c for k, c in packed.items()})
+                self.P, {terms[k]: c for k, c in packed.items()})
         return got
 
 
