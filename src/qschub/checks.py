@@ -186,7 +186,10 @@ def check_chain_symmetry(P: ParabolicData, label: str) -> list:
     # frontier(dual u, dual v) equality is false already on A1).  On G/B
     # the same frontiers give the frontier-singleton row: Postnikov
     # (Proc. AMS 133, 2005), the minimal degree in sigma_u * sigma_v is
-    # unique, so every frontier is a single degree.
+    # unique, so every frontier is a single degree.  min_chain_degrees
+    # keeps each frontier in its source's row, so every ordered pair is
+    # searched once: (u, v) from u's labels, (v, u) from v's, two separate
+    # searches, and the product sweep reads the same rows.
     cosets = P.cosets()
     bad, many = [], []
     count = 0
@@ -242,13 +245,16 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
     agreement = "degree-triple-agreement" if shape else "minimal-degree-agreement"
     names = ["nonvanishing", "grading", "nonnegativity", "commutativity",
              agreement, "chevalley-column", "classical-duality"]
+    name_of = _class_labels(P)
     if shape:
         names.append("monotone-chains")
         k, n = shape
+        dual_beads = {v: grassmann._dual_beta(name_of[v], k, n) for v in cosets}
     rows = {name: [] for name in names}
-    name_of = _class_labels(P)
     count = 0
     for u in cosets:
+        if shape:  # the monotone walk depends on lam alone: one per u
+            table = grassmann._monotone_table(k, n, name_of[u])
         for v in cosets:
             count += 1
             prod = engine.product(u, v)
@@ -271,8 +277,9 @@ def _product_sweep(P: ParabolicData, label: str, engine) -> list:
                     rows[agreement].append(
                         f"diagonal {diag} vs chains {chains} vs product at {tag}"
                     )
-                # a monotone chain at diag and none at diag - 1
-                if grassmann._least_monotone_degree(k, n, lam, mu, diag) != diag:
+                # the least monotone degree is diag: a chain at diag and
+                # none at diag - 1
+                if table[dual_beads[v]] != diag:
                     rows["monotone-chains"].append(f"monotone chain mismatch at {tag}")
             elif occurring != chains:
                 rows[agreement].append(f"min degrees vs chains at {tag}")

@@ -29,17 +29,23 @@ Partitions are validated once, at the boundary.  The public entry points
 (`qproduct_grassmann`, `classical_lr`, `min_degree_diagonal`,
 `monotone_chain_exists`) check what they are given and hand it to a
 private body (`_qproduct`, `_classical_lr`, `_min_degree_diagonal`,
-`_least_monotone_degree`) that trusts its input.  The engine and the
-verify sweep call the bodies on partitions the engine read off its
-cosets; it converts each coset and each partition once, through the
-checked `partition_of_coset` and `coset_of_partition`, and keeps the
-answer.  `verify gr 3 7` makes about 300 `normalize_partition` calls.
+`_monotone_table`) that trusts its input.  The engine and the verify
+sweep call the bodies on partitions the engine read off its cosets; it
+converts each coset and each partition once, through the checked
+`partition_of_coset` and `coset_of_partition`, and keeps the answer.
+`verify gr 3 7` makes 305 `normalize_partition` calls.
+
+The monotone rim-hook walk from lam does not depend on mu, which only
+picks where it may stop, so it runs once per partition: `_monotone_table`
+walks from lam once and tabulates, for every partition rho in the box,
+the fewest strips that bring lam inside rho.  The least degree of
+(lam, mu) is the entry of dual(mu); the verify sweep builds one table per
+class of its outer loop and reads it for every pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
 from typing import Iterable, Iterator
 
 from .parabolic import Coset, ParabolicData, make_parabolic
@@ -465,42 +471,56 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
     """
     lam = _require_box(k, n, lam)
     mu = _require_box(k, n, mu)
-    return _least_monotone_degree(k, n, lam, mu, d) is not None
+    return _monotone_table(k, n, lam)[_dual_beta(mu, k, n)] <= d
 
 
-def _least_monotone_degree(k: int, n: int, lam: tuple[int, ...],
-                           mu: tuple[int, ...], cap: int) -> int | None:
-    """The fewest rim-hook strips, at most cap, that bring lam inside the
-    dual of mu, or None; lam and mu are already known to fit the box.
+def _dual_beta(mu: tuple[int, ...], k: int, n: int) -> frozenset:
+    """The abacus of dual(mu): slot n-1-b for each bead b of mu."""
+    return frozenset(n - 1 - b for b in _beta(mu, k))
 
-    One breadth-first walk over abacus moves: the least d is the first
-    level holding a partition inside the dual, so a chain exists at d
-    exactly when the least is at most d.
+
+@lru_cache(maxsize=None)
+def _box_abaci(k: int, n: int) -> tuple:
+    """(abacus, abaci one box smaller) of each partition in the box, by size."""
+    out = []
+    for lam in partitions_in_box(k, n):
+        beta = _beta(lam, k)
+        # a corner box off: one bead one slot down into a free slot
+        out.append((beta, tuple(beta - {b} | {b - 1}
+                                for b in beta if b and b - 1 not in beta)))
+    return tuple(out)
+
+
+def _monotone_table(k: int, n: int, lam: tuple[int, ...]) -> dict:
+    """Abacus of rho -> the fewest rim-hook strips that bring lam inside
+    rho, for every rho in the box; lam is already known to fit it.
+
+    One breadth-first walk over abacus moves from lam records the level
+    of every partition it reaches, all inside lam and the empty one among
+    them.  Then, by increasing size, rho takes the least of its own level
+    and of its entries one box smaller, since a partition inside rho is
+    rho or lies inside rho minus a corner.  So (lam, mu) has a chain at d
+    exactly when the entry of dual(mu) is at most d.
     """
-    # the abacus of dual(mu), sorted once: slot n-1-b for each bead b of mu
-    target = sorted((n - 1 - b for b in _beta(mu, k)), reverse=True)
-
-    def inside(beta: frozenset) -> bool:
-        # containment of partitions == componentwise on sorted abacus slots
-        return all(map(le, sorted(beta, reverse=True), target))
-
-    frontier = {_beta(lam, k)}
-    seen = set(frontier)
-    for step in range(cap + 1):
-        if any(inside(beta) for beta in frontier):
-            return step
-        if step == cap:
-            break
-        nxt = set()
+    start = _beta(lam, k)
+    level = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
         for beta in frontier:
+            step = level[beta] + 1
             for b in beta:
                 for c in range(b):
                     if c not in beta:
                         cand = beta - {b} | {c}
-                        if cand not in seen:
-                            seen.add(cand)
-                            nxt.add(cand)
+                        if cand not in level:
+                            level[cand] = step
+                            nxt.append(cand)
         frontier = nxt
-        if not frontier:
-            break
-    return None
+    table = {}
+    for beta, smaller in _box_abaci(k, n):
+        inside = [table[s] for s in smaller]
+        if beta in level:
+            inside.append(level[beta])
+        table[beta] = min(inside)
+    return table

@@ -65,6 +65,16 @@ packed degrees whose bitset meets the cosets below dual(v), in one pass
 in ascending packed order, unpacks and sorts only those, and walks the
 back-pointers of the witnesses from the lowest such node.
 
+`min_chain_degrees` keeps what it answers in frontier rows: one list per
+source coset u, indexed by v.index, each entry the frontier of (u, v),
+and equal frontiers interned to one tuple on the quotient.  `verify`
+asks every ordered pair three times (twice for the symmetry check, once
+for the product sweep) and searches it once; a row holds |W/W_P|
+pointers (D4 flag, all 192 rows: about 0.3 MB).  Both cosets are checked
+for ownership before the row is read, since another quotient's coset
+carries an index too, or none.  `min_chain_witnesses` keeps nothing
+beyond the labels.
+
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), memoised per coset on first use.  Every
 Bruhat cover of u in W/W_P is some [u t_alpha] (Bjorner-Brenti 2.5), so
@@ -319,6 +329,8 @@ class ParabolicData:
         self._graph = None
         self._up, self._down = {}, {}  # coset -> Bruhat bitset over graph indices
         self._labels = {}  # coset u -> (labels, at) of the search from up_set(u)
+        self._frontiers = {}  # coset u -> row of frontiers, indexed by v.index
+        self._frontier_of = {}  # frontier -> its one interned tuple
         self._dual = {}  # coset u -> dual(u)
         self._divisor_engine = None
         self._rimhook_engine = None
@@ -554,8 +566,17 @@ class ParabolicData:
     # -- chain search --------------------------------------------------------
 
     def min_chain_degrees(self, u: Coset, v: Coset) -> tuple[Degree, ...]:
-        """Pareto frontier of degrees of chains from u to v."""
-        return self._chain_search(u, v)[0]
+        """Pareto frontier of degrees of chains from u to v; memoised in
+        u's row, one entry per v, equal frontiers sharing one tuple."""
+        self._check_own(u, v)  # a foreign v's index would read a wrong entry
+        row = self._frontiers.get(u)
+        if row is None:
+            row = self._frontiers[u] = [None] * len(self.cosets())
+        got = row[v.index]
+        if got is None:
+            got = self._chain_search(u, v)[0]
+            got = row[v.index] = self._frontier_of.setdefault(got, got)
+        return got
 
     def min_chain_witnesses(
         self, u: Coset, v: Coset

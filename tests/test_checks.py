@@ -107,9 +107,11 @@ def test_commutativity_compares_two_memoised_products():
 
 
 def test_merged_monotone_row_fails_on_a_wrong_walk(monkeypatch):
-    # one walk per pair stands for "a chain at diag, none at diag - 1"
-    monkeypatch.setattr(grassmann, "_least_monotone_degree",
-                        lambda k, n, lam, mu, cap: cap + 1)
+    # one table entry per pair stands for "a chain at diag, none at
+    # diag - 1"; a walk one strip long everywhere fails that row alone
+    real = grassmann._monotone_table
+    monkeypatch.setattr(grassmann, "_monotone_table", lambda k, n, lam: {
+        beta: least + 1 for beta, least in real(k, n, lam).items()})
     rows = checks.run_instance_checks(("gr", "2", "5"))
     assert {r.name for r in rows if not r.passed} == {"monotone-chains"}
 
@@ -175,6 +177,24 @@ def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
     assert [r.name for r in rows][-2:] == ["chain-symmetry", "frontier-singleton"]
     assert all(r.passed for r in rows)
     assert len(calls) == 2 * 24 ** 2
+
+
+def test_verify_searches_each_ordered_pair_once(monkeypatch):
+    # chain-symmetry asks (u, v) and (v, u), the product sweep (u, v)
+    # again: the frontier rows answer all three from one search per pair
+    P = _fresh("A", 3, ())
+    real, searched = P._chain_search, []
+
+    def counted(u, v):
+        searched.append((u, v))
+        return real(u, v)
+
+    P._chain_search = counted
+    monkeypatch.setattr(checks, "build_instance", lambda tokens: ("A3 flag", P))
+    rows = checks.run_instance_checks(("A3", "flag"))
+    assert {r.name for r in rows} >= {"chain-symmetry", "minimal-degree-agreement"}
+    assert all(r.passed for r in rows)
+    assert len(searched) == len(set(searched)) == 24 ** 2
 
 
 def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():

@@ -1,25 +1,30 @@
 """The memoised Littlewood-Richardson kernel against the one it replaced.
 
-`old_classical_lr`, `old_qproduct_grassmann` and `old_monotone_chain_exists`
-are test-local copies of the earlier code: the horizontal strips are
-recomputed for every pair, every partition is validated again wherever
-it is read, and the rim-hook reduction goes through its own cache.  The
-package must give the same terms, in the same dict order, on every pair
-asked, and the rim-hook engine's memo must hold only such products.
+`old_classical_lr`, `old_qproduct_grassmann`, `old_monotone_chain_exists`
+and `old_least_monotone_degree` are test-local copies of the earlier
+code: the horizontal strips are recomputed for every pair, every
+partition is validated again wherever it is read, the rim-hook reduction
+goes through its own cache, and the monotone walk runs once per pair.
+The package must give the same terms, in the same dict order, on every
+pair asked, the rim-hook engine's memo must hold only such products, and
+the one monotone table per partition must give the least degree of
+every pair's walk.
 """
 
 import contextlib
 import io
 import random
 from functools import lru_cache
+from operator import le
 
 import pytest
 
 from qschub import cli
 from qschub.grassmann import (
     RimHookEngine,
-    _least_monotone_degree,
+    _dual_beta,
     _min_degree_diagonal,
+    _monotone_table,
     classical_lr,
     coset_of_partition,
     dual_partition,
@@ -159,6 +164,37 @@ def old_monotone_chain_exists(k, n, lam, mu, d):
     return False
 
 
+def old_least_monotone_degree(k, n, lam, mu, cap):
+    """The fewest rim-hook strips, at most cap, that bring lam inside the
+    dual of mu, or None: one breadth-first walk per pair, stopped at the
+    first level holding a partition inside the dual."""
+    target = sorted((n - 1 - b for b in old_beta_set(mu, k)), reverse=True)
+
+    def inside(beta):
+        return all(map(le, sorted(beta, reverse=True), target))
+
+    frontier = {old_beta_set(lam, k)}
+    seen = set(frontier)
+    for step in range(cap + 1):
+        if any(inside(beta) for beta in frontier):
+            return step
+        if step == cap:
+            break
+        nxt = set()
+        for beta in frontier:
+            for b in beta:
+                for c in range(b):
+                    if c not in beta:
+                        cand = beta - {b} | {c}
+                        if cand not in seen:
+                            seen.add(cand)
+                            nxt.add(cand)
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
 def pairs(k, n, count=None):
     box = list(partitions_in_box(k, n))
     every = [(lam, mu) for lam in box for mu in box]
@@ -184,6 +220,24 @@ def test_monotone_chains_match_the_old_walk():
         for d in range(3):
             assert monotone_chain_exists(3, 7, lam, mu, d) == \
                 old_monotone_chain_exists(3, 7, lam, mu, d), (lam, mu, d)
+
+
+MONOTONE_BOXES = [(1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8), (2, 7), (5, 9)]
+
+
+@pytest.mark.parametrize("k, n", MONOTONE_BOXES)
+def test_monotone_table_matches_the_walk_per_pair(k, n):
+    # one table per lam against one capped walk per (lam, mu, d), d <= 5
+    box = list(partitions_in_box(k, n))
+    duals = {mu: _dual_beta(mu, k, n) for mu in box}
+    for lam in box:
+        table = _monotone_table(k, n, lam)
+        assert len(table) == len(box)
+        for mu in box:
+            least = table[duals[mu]]
+            for d in range(6):
+                want = old_least_monotone_degree(k, n, lam, mu, d)
+                assert want == (least if least <= d else None), (lam, mu, d)
 
 
 def test_outside_input_is_still_validated():
@@ -236,11 +290,11 @@ def test_fast_path_matches_the_validated_path(k, n):
         diag = _min_degree_diagonal(k, n, lam, mu)
         at_diag = old_monotone_chain_exists(k, n, lam, mu, diag)
         below = old_monotone_chain_exists(k, n, lam, mu, diag - 1)
+        least = _monotone_table(k, n, lam)[_dual_beta(mu, k, n)]
         for d, want in ((diag, at_diag), (diag - 1, below)):
-            assert (_least_monotone_degree(k, n, lam, mu, d) is not None) == want
-        # the sweep's one walk: a chain at diag and none below it
-        assert (_least_monotone_degree(k, n, lam, mu, diag) == diag) == \
-            (at_diag and not below), (lam, mu)
+            assert (least <= d) == want
+        # the sweep's one table entry: a chain at diag and none below it
+        assert (least == diag) == (at_diag and not below), (lam, mu)
 
 
 def test_one_engine_per_grassmannian():

@@ -157,6 +157,28 @@ def test_foreign_cosets_are_refused_by_chevalley_targets_and_bruhat_leq():
     assert A2.bruhat_leq(A2.identity_coset(), s1)
 
 
+def test_frontier_rows_refuse_a_foreign_coset_and_keep_no_row():
+    # a row is indexed by v.index, which a coset of another quotient also
+    # carries (or lacks), so either coset is refused before any row is made
+    A2 = fresh("A", 2, ())
+    e = A2.identity_coset()
+    others = (fresh("B", 2, ()).cosets()[5],  # another group
+              fresh("A", 2, ()).cosets()[1],  # the same group, index 1
+              fresh("A", 2, ()).identity_coset())  # never enumerated: no index
+    for foreign in others:
+        for args in ((foreign, e), (e, foreign)):
+            with pytest.raises(ValueError, match="is not a coset of this A2 flag quotient"):
+                A2.min_chain_degrees(*args)
+    assert not A2._frontiers and not A2._labels
+    assert A2.min_chain_degrees(e, e) == ((0, 0),)
+    assert list(A2._frontiers) == [e]
+    # every pair: equal frontiers are one tuple, and a second read is the first
+    pairs = [(u, v) for u in A2.cosets() for v in A2.cosets()]
+    got = [A2.min_chain_degrees(u, v) for u, v in pairs]
+    assert all(a is b for a in got for b in got if a == b)
+    assert all(A2.min_chain_degrees(u, v) is f for (u, v), f in zip(pairs, got))
+
+
 def test_grassmannian_entry_points_refuse_a_foreign_coset():
     # read as a coset of gr 2 5, the gr 3 5 coset s4*s3 gave the partition
     # (2,) and a memoised product of gr 2 5 classes

@@ -11,7 +11,9 @@ packed ints, and the `D4 flag`, `F4 1 4`, `E6 1` and `B3 1 3` graph pins
 from rows built on Weyl matrices, before each row came from its
 parent's.  The `G2 flag` (an edge coordinate of 3) and `B3 2 3` (two
 retained nodes) minq pins were recorded from the chain search that froze
-its labels back to degree tuples, before they stayed packed.  A change
+its labels back to degree tuples, before they stayed packed, and the
+`verify A4 flag` and `verify gr 4 8` pins from the sweep that searched
+each frontier three times and walked the abacus once per pair.  A change
 to any printed byte, or to the order of cosets, fails here.  The minq
 pins hash the text output of every ordered pair of classes, in coset
 order.
@@ -35,6 +37,10 @@ COMMANDS = {
     # the command the gr-verify benchmark workload runs
     "verify gr 3 7":
         "f93081cf6ac73aea954083156171306711541a8b1f8c2c6357ab0b3b5b22957b",
+    "verify A4 flag":
+        "04d9415a8da44e2cb58a8577ead966bcd7420a8cd0a98f3ffb89c6add00a58b0",
+    "verify gr 4 8":
+        "db6ce266ef5cc72d3f3277072e37fc5df54e6220a9e635bd9a9c04ee0bb493f5",
     "verify B3 2 C3 1 3":
         "5d269e0181e275184f204cee145aa69d262a49f0788fd8cdc5af7381101a9b04",
     "graph gr 2 5":
