@@ -40,13 +40,17 @@ picks where it may stop, so it runs once per partition: `_monotone_table`
 walks from lam once and tabulates, for every partition rho in the box,
 the fewest strips that bring lam inside rho.  The least degree of
 (lam, mu) is the entry of dual(mu); the verify sweep builds one table per
-class of its outer loop and reads it for every pair.
+class of its outer loop and reads it for every pair.  A single query,
+`monotone_chain_exists(k, n, lam, mu, d)`, builds no table: it runs the
+same walk (`_monotone_levels`) capped at level d and stops at the first
+partition inside dual(mu).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import le
+from typing import Iterable, Iterator, Optional
 
 from .parabolic import Coset, ParabolicData, make_parabolic
 from .quantum import QClass
@@ -471,7 +475,10 @@ def monotone_chain_exists(k: int, n: int, lam, mu, d: int) -> bool:
     """
     lam = _require_box(k, n, lam)
     mu = _require_box(k, n, mu)
-    return _monotone_table(k, n, lam)[_dual_beta(mu, k, n)] <= d
+    target = sorted(_dual_beta(mu, k, n), reverse=True)
+    # rho lies inside dual(mu) exactly when its beads, both sorted, do
+    return any(all(map(le, sorted(beta, reverse=True), target))
+               for level in _monotone_levels(_beta(lam, k), d) for beta in level)
 
 
 def _dual_beta(mu: tuple[int, ...], k: int, n: int) -> frozenset:
@@ -491,32 +498,43 @@ def _box_abaci(k: int, n: int) -> tuple:
     return tuple(out)
 
 
+def _monotone_levels(start: frozenset, cap: Optional[int] = None) -> Iterator[list]:
+    """The breadth-first walk over downward abacus moves from `start`,
+    one list per level: level s holds the abaci first reached by s rim-hook
+    strips.  With a cap it stops after level cap, and yields nothing when
+    cap < 0; a caller that stops early leaves the next level unbuilt."""
+    seen, level, step = {start}, [start], 0
+    while level and (cap is None or step <= cap):
+        yield level
+        if step == cap:
+            return
+        step += 1
+        nxt = []
+        for beta in level:
+            for b in beta:
+                for c in range(b):
+                    if c not in beta:
+                        cand = beta - {b} | {c}
+                        if cand not in seen:
+                            seen.add(cand)
+                            nxt.append(cand)
+        level = nxt
+
+
 def _monotone_table(k: int, n: int, lam: tuple[int, ...]) -> dict:
     """Abacus of rho -> the fewest rim-hook strips that bring lam inside
     rho, for every rho in the box; lam is already known to fit it.
 
-    One breadth-first walk over abacus moves from lam records the level
-    of every partition it reaches, all inside lam and the empty one among
+    The uncapped walk from lam (`_monotone_levels`) records the level of
+    every partition it reaches, all inside lam and the empty one among
     them.  Then, by increasing size, rho takes the least of its own level
     and of its entries one box smaller, since a partition inside rho is
     rho or lies inside rho minus a corner.  So (lam, mu) has a chain at d
     exactly when the entry of dual(mu) is at most d.
     """
-    start = _beta(lam, k)
-    level = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            step = level[beta] + 1
-            for b in beta:
-                for c in range(b):
-                    if c not in beta:
-                        cand = beta - {b} | {c}
-                        if cand not in level:
-                            level[cand] = step
-                            nxt.append(cand)
-        frontier = nxt
+    level = {beta: step
+             for step, reached in enumerate(_monotone_levels(_beta(lam, k)))
+             for beta in reached}
     table = {}
     for beta, smaller in _box_abaci(k, n):
         inside = [table[s] for s in smaller]

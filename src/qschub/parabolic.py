@@ -249,10 +249,14 @@ class PackedDegrees:
     2^W - 1 - bound in every field.  While every coordinate stays below
     2^W, as a label within the bound plus one edge does:
 
-    * the sum of two packed degrees is the packed sum;
+    * the sum of two packed degrees is the packed sum, and since neither
+      has a guard bit set, `(x | G) + y` is `(x + y) | G`, which XOR with G
+      turns back into x + y;
     * `(x + C) & G` is nonzero exactly when a coordinate of x exceeds the
       bound;
-    * y <= x componentwise exactly when `((x | G) - y) & G == G`.
+    * y <= x componentwise exactly when `((x | G) - y) & G == G`; G itself,
+      in the place of y, is below no such x, so it can stand for "no
+      degree".
 
     `adj[i]` is row i of the graph read from its `edges`: the (j, packed
     degree) of each edge {i, j}, sorted by j.  Ascending packed order is
@@ -623,36 +627,54 @@ class ParabolicData:
         None at a source; the second maps each degree to the bitset of
         the nodes holding it.  Every degree, back-pointers' too, stays
         packed as the search ran on it (`BruhatGraph.packed`).
+
+        The work queue is FIFO and each row is read in neighbour order, so
+        the labels and their back pointers are a function of `sources`
+        alone.  A relaxation of label d along edge e to node j costs one
+        addition, `guarded = (d | G) + e`, which is nd | G for nd = d + e,
+        and one test against `last[j]`, the label most recently written at
+        j: labels at j are deleted only when a smaller one is written
+        there, so `last[j]` is always held (0 at a source, which no nd
+        beats; G before any label, which dominates nothing).  Only when
+        `last[j]` does not dominate nd are the other labels at j scanned;
+        the bound is tested after that, on a label about to be written,
+        since a rejection changes nothing either way.
         """
         pk = self.graph().packed
         adj, G, C = pk.adj, pk.guard, pk.cap
         labels: list[dict] = [dict() for _ in adj]
+        last = [G] * len(adj)
         work = deque()
         for i, bit in enumerate(reversed(bin(sources))):  # sources, ascending
             if bit == "1":
                 labels[i][0] = None
+                last[i] = 0
                 work.append((i, 0))
         # queued labels stay within the bound and edge coordinates within
         # the largest, so every field of nd = d + e, nd + C and
         # (nd | G) - x stays inside its W + 1 bits: no carry or borrow
-        # crosses into the next field
+        # crosses into the next field, and (d | G) + e is nd | G
         while work:
             i, d = work.popleft()
             if d not in labels[i]:
                 continue  # dominated since queued
+            dg = d | G
             for j, e in adj[i]:
-                nd = d + e
-                if (nd + C) & G:
-                    continue  # a coordinate beyond the bound
+                guarded = dg + e
+                if (guarded - last[j]) & G == G:
+                    continue  # last[j] <= nd; a source's 0 rejects all
                 lj = labels[j]
-                guarded = nd | G
                 for x in lj:
                     if (guarded - x) & G == G:
                         break  # x <= nd: nd is dominated or already there
                 else:
+                    nd = guarded ^ G
+                    if (nd + C) & G:
+                        continue  # a coordinate beyond the bound
                     for x in [x for x in lj if ((x | G) - nd) & G == G]:
                         del lj[x]
                     lj[nd] = (i, d)
+                    last[j] = nd
                     work.append((j, nd))
         at = {}
         for i, lj in enumerate(labels):
