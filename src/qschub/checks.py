@@ -187,9 +187,9 @@ def check_chain_symmetry(P: ParabolicData, label: str) -> list:
     # the same frontiers give the frontier-singleton row: Postnikov
     # (Proc. AMS 133, 2005), the minimal degree in sigma_u * sigma_v is
     # unique, so every frontier is a single degree.  min_chain_degrees
-    # keeps each frontier in its source's row, so every ordered pair is
-    # searched once: (u, v) from u's labels, (v, u) from v's, two separate
-    # searches, and the product sweep reads the same rows.
+    # fills a source's whole row of frontiers from one search, so (u, v)
+    # is read from u's row, (v, u) from v's, and the product sweep reads
+    # the same rows.
     cosets = P.cosets()
     bad, many = [], []
     count = 0

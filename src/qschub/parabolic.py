@@ -51,29 +51,37 @@ edge degrees are nonnegative, so non-dominated labels come from simple
 paths, which bounds every coordinate by (#nodes) * (largest edge
 coordinate) and guarantees termination.
 
-The labels depend on u alone, so the search runs once per source coset
-and is memoised on the quotient.  It runs on degrees packed into one int
-each (`PackedDegrees`, built once per graph as `BruhatGraph.packed`), so
-adding, the bound test and dominance are a few integer operations, and
-its labels stay packed: node i keeps a tuple of (degree, back) pairs,
-back being (previous node, its degree) or None at a source, and the root
-and degree of an edge are read back from `graph().edges`.  Beside the
-labels, each source keeps a map from each packed degree to the bitset of
-the nodes holding it; both are one memo entry (A4 flag, all 120
-sources: about 2.7 MB).  A pair (u, v) then takes the minima of the
-packed degrees whose bitset meets the cosets below dual(v), in one pass
-in ascending packed order, unpacks and sorts only those, and walks the
-back-pointers of the witnesses from the lowest such node.
+The labels depend on u alone, so the search runs once per source coset.
+It runs on degrees packed into one int each (`PackedDegrees`, built once
+per graph as `BruhatGraph.packed`), so adding, the bound test and
+dominance are a few integer operations, and its labels stay packed: node
+i keeps a tuple of (degree, back) pairs, back being (previous node, its
+degree) or None at a source, and the root and degree of an edge are read
+back from `graph().edges`.
 
-`min_chain_degrees` keeps what it answers in frontier rows: one list per
-source coset u, indexed by v.index, each entry the frontier of (u, v),
-and equal frontiers interned to one tuple on the quotient.  `verify`
-asks every ordered pair three times (twice for the symmetry check, once
-for the product sweep) and searches it once; a row holds |W/W_P|
-pointers (D4 flag, all 192 rows: about 0.3 MB).  Both cosets are checked
-for ownership before the row is read, since another quotient's coset
-carries an index too, or none.  `min_chain_witnesses` keeps nothing
-beyond the labels.
+`min_chain_degrees` answers from frontier rows: one tuple per source
+coset u, indexed by v.index, each entry the frontier of (u, v), equal
+frontiers interned to one tuple on the quotient.  u's row is filled at
+its first query by one pass over the cosets in index order, which puts
+covered cosets before their covers: M(x), the minima of the labels at
+the cosets below x, is the minima of the labels at x and of M(y) for
+each y that x covers, and the entry for v is M(dual(v)), unpacked and
+sorted.  The labels are then dropped.  `verify` asks every ordered pair
+three times (twice for the symmetry check, once for the product sweep)
+and searches once per source; a row holds |W/W_P| pointers (D4 flag,
+all 192 rows: about 0.3 MB).  Both cosets are checked for ownership
+before the row is read, since another quotient's coset carries an index
+too, or none.
+
+`min_chain_witnesses` keeps each source's labels, with a table of the
+degrees they hold: each packed degree with the bitset of its holders and
+its unpacked tuple, ascending by that tuple, in one memo entry per
+source (A4 flag, all 120 sources: about 2.6 MB).  That order, like
+ascending packed order, extends the componentwise order, so a pair
+(u, v) is one pass over the table: a degree held below dual(v) is kept
+unless a kept one is below it, the kept ones come out sorted, and the
+back pointers of each are walked from the lowest node below dual(v)
+that holds it.
 
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), memoised per coset on first use.  Every
@@ -264,13 +272,14 @@ class PackedDegrees:
     y < x as ints), so `minima` finds the minimal elements in one pass.
     """
 
-    __slots__ = ("fields", "width", "guard", "cap", "adj")
+    __slots__ = ("fields", "width", "shifts", "guard", "cap", "adj")
 
     def __init__(self, fields: int, bound: int, largest: int,
                  edges: Optional[dict] = None, nodes: int = 0):
         width = (bound + largest).bit_length()
         ones = sum(1 << k * (width + 1) for k in range(fields))  # bit 0 of each field
         self.fields, self.width = fields, width
+        self.shifts = tuple(range(0, fields * (width + 1), width + 1))  # field k's offset
         self.guard = ones << width
         self.cap = ones * ((1 << width) - 1 - bound)
         rows = [[] for _ in range(nodes)]
@@ -285,15 +294,18 @@ class PackedDegrees:
         return sum(c << k * step for k, c in enumerate(d))
 
     def unpack(self, x: int) -> Degree:
-        step, low = self.width + 1, (1 << self.width) - 1
-        return tuple(x >> k * step & low for k in range(self.fields))
+        low = (1 << self.width) - 1
+        return tuple([x >> s & low for s in self.shifts])
 
     def minima(self, xs: Iterable[int]) -> list[int]:
         """The minimal packed degrees of xs, componentwise, in ascending order."""
         G, out = self.guard, []
         for x in sorted(xs):
             guarded = x | G
-            if not any((guarded - y) & G == G for y in out):
+            for y in out:
+                if (guarded - y) & G == G:
+                    break  # y <= x
+            else:
                 out.append(x)
         return out
 
@@ -332,9 +344,9 @@ class ParabolicData:
         self._cosets = None
         self._graph = None
         self._up, self._down = {}, {}  # coset -> Bruhat bitset over graph indices
-        self._labels = {}  # coset u -> (labels, at) of the search from up_set(u)
-        self._frontiers = {}  # coset u -> row of frontiers, indexed by v.index
-        self._frontier_of = {}  # frontier -> its one interned tuple
+        self._labels = {}  # coset u -> (labels, degree table) of the search from up_set(u)
+        self._frontiers = {}  # coset u -> tuple of frontiers, indexed by v.index
+        self._frontier_of = {}  # packed minima -> their one frontier tuple
         self._dual = {}  # coset u -> dual(u)
         self._divisor_engine = None
         self._rimhook_engine = None
@@ -570,62 +582,122 @@ class ParabolicData:
     # -- chain search --------------------------------------------------------
 
     def min_chain_degrees(self, u: Coset, v: Coset) -> tuple[Degree, ...]:
-        """Pareto frontier of degrees of chains from u to v; memoised in
-        u's row, one entry per v, equal frontiers sharing one tuple."""
+        """Pareto frontier of degrees of chains from u to v, sorted; read
+        from u's row, filled at u's first query, equal frontiers sharing
+        one tuple."""
         self._check_own(u, v)  # a foreign v's index would read a wrong entry
         row = self._frontiers.get(u)
         if row is None:
-            row = self._frontiers[u] = [None] * len(self.cosets())
+            row = self._frontiers[u] = self._frontier_row(u)
         got = row[v.index]
-        if got is None:
-            got = self._chain_search(u, v)[0]
-            got = row[v.index] = self._frontier_of.setdefault(got, got)
+        if not got:
+            raise InvariantError("chain frontier is never empty")
         return got
+
+    def _frontier_row(self, u: Coset) -> tuple:
+        """Every frontier from u, indexed by v.index, in one pass.
+
+        M(x), the minima of the labels at the cosets below x, is the minima
+        of the labels at x and of M(y) for each y that x covers; covered
+        cosets are shorter, so they come first in index order.  The entry
+        for v is M(dual(v)), unpacked and sorted.  The labels are dropped.
+        """
+        labels = self._label_search(self.up_set(u))
+        pk, frontier_of = self.graph().packed, self._frontier_of
+        below = []
+        for node, covered in zip(labels, self._lower_covers):
+            pool = [d for d, _back in node]
+            for j in covered:
+                pool += below[j]
+            below.append(pk.minima(pool))
+        row = []
+        for v in self.cosets():
+            m = tuple(below[self.dual(v).index])
+            got = frontier_of.get(m)
+            if got is None:
+                got = frontier_of[m] = tuple(sorted(map(pk.unpack, m)))
+            row.append(got)
+        return tuple(row)
+
+    @cached_property
+    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Entry i: the indices of the cosets that coset i covers, the
+        entries of its row one step shorter."""
+        return tuple(tuple(y.index for y in self.targets(x) if y.length == x.length - 1)
+                     for x in self.cosets())
 
     def min_chain_witnesses(
         self, u: Coset, v: Coset
     ) -> tuple[tuple[Degree, ...], tuple[ChainWitness, ...]]:
-        frontier, packed, labels, at, sinks = self._chain_search(u, v)
-        g = self.graph()
-        found = []
-        for d, x in zip(frontier, packed):
-            hit = at[x] & sinks
-            sink = (hit & -hit).bit_length() - 1  # the lowest sink holding d
-            path_nodes, roots, degs = [sink], [], []
-            cur, back = sink, dict(labels[sink])[x]
-            while back is not None:
-                pi, px = back
-                alpha, edeg = g.edges[(min(cur, pi), max(cur, pi))]
-                roots.append(alpha)
-                degs.append(edeg)
-                path_nodes.append(pi)
-                cur, back = pi, dict(labels[pi])[px]
-            found.append(ChainWitness(
-                d, tuple(g.nodes[i] for i in reversed(path_nodes)),
-                tuple(reversed(roots)), tuple(reversed(degs))))
-        return frontier, tuple(found)
+        """The frontier of (u, v), sorted, and for each of its degrees one
+        chain realizing it, from a coset above u to the lowest coset below
+        dual(v) that holds that degree.
 
-    def _chain_search(self, u: Coset, v: Coset):
-        # the labels depend on u alone; v only picks the sinks
+        The search from u runs at u's first witness query and is kept, with
+        its degree table of (unpacked, packed, holders) entries ascending
+        by the unpacked tuple (`_witness_record`); each query is one pass
+        over that table and a walk of back pointers per frontier degree.
+        """
+        self._check_own(u, v)
         got = self._labels.get(u)
         if got is None:
-            got = self._labels[u] = self._label_search(self.up_set(u))
-        labels, at = got
+            got = self._labels[u] = self._witness_record(u)
+        labels, table = got
+        g = self.graph()
+        G = g.packed.guard
         sinks = self.down_set(self.dual(v))
-        pk = self.graph().packed
-        minima = pk.minima(x for x, nodes in at.items() if nodes & sinks)
-        if not minima:
+        frontier, found = [], []
+        for d, x, holders in table:
+            hit = holders & sinks
+            if not hit:
+                continue
+            guarded = x | G
+            for y, _ in found:
+                if (guarded - y) & G == G:
+                    break  # y <= x
+            else:
+                frontier.append(d)
+                found.append((x, (hit & -hit).bit_length() - 1))  # the lowest sink
+        if not frontier:
             raise InvariantError("chain frontier is never empty")
-        frontier, packed = zip(*sorted((pk.unpack(x), x) for x in minima))
-        return frontier, packed, labels, at, sinks
+        nodes, edges, chains = g.nodes, g.edges, []
+        for d, (x, cur) in zip(frontier, found):
+            path, roots, degs = [nodes[cur]], [], []
+            while True:
+                for y, back in labels[cur]:
+                    if y == x:
+                        break
+                else:
+                    raise InvariantError("a back pointer names a dropped label")
+                if back is None:
+                    break
+                pi, x = back
+                alpha, edeg = edges[(cur, pi) if cur < pi else (pi, cur)]
+                roots.append(alpha)
+                degs.append(edeg)
+                path.append(nodes[pi])
+                cur = pi
+            chains.append(ChainWitness(
+                d, tuple(path[::-1]), tuple(roots[::-1]), tuple(degs[::-1])))
+        return tuple(frontier), tuple(chains)
 
-    def _label_search(self, sources: int) -> tuple[tuple, dict]:
+    def _witness_record(self, u: Coset) -> tuple[tuple, tuple]:
+        """The labels of the search from u and its degree table."""
+        labels = self._label_search(self.up_set(u))
+        held, bit = {}, 1
+        for node in labels:
+            for d, _back in node:
+                held[d] = held.get(d, 0) | bit
+            bit <<= 1
+        unpack = self.graph().packed.unpack
+        return labels, tuple(sorted([(unpack(d), d, nodes) for d, nodes in held.items()]))
+
+    def _label_search(self, sources: int) -> tuple:
         """Pareto labels of all chains starting in the bitset `sources`.
 
-        Entry i of the first result holds node i's surviving labels as
+        Entry i of the result holds node i's surviving labels as
         (degree, back) pairs, back being (previous node, its degree) or
-        None at a source; the second maps each degree to the bitset of
-        the nodes holding it.  Every degree, back-pointers' too, stays
+        None at a source.  Every degree, back-pointers' too, stays
         packed as the search ran on it (`BruhatGraph.packed`).
 
         The work queue is FIFO and each row is read in neighbour order, so
@@ -676,11 +748,7 @@ class ParabolicData:
                     lj[nd] = (i, d)
                     last[j] = nd
                     work.append((j, nd))
-        at = {}
-        for i, lj in enumerate(labels):
-            for d in lj:
-                at[d] = at.get(d, 0) | 1 << i
-        return tuple(tuple(lj.items()) for lj in labels), at
+        return tuple(tuple(lj.items()) for lj in labels)
 
 
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],

@@ -115,20 +115,49 @@ def tuple_label_search(P, sources, bound):
     return tuple(tuple(lj.items()) for lj in labels)
 
 
-def unpacked_labels(P, u):
-    """The memoised labels of the search from u, degrees unpacked to tuples,
-    after checking that the record's degree map is read off its labels."""
-    labels, at = P._labels[u]
+def degree_holders(labels):
+    """Each packed degree held at some node -> the bitset of its holders."""
     held = {}
     for i, node in enumerate(labels):
         for d, _back in node:
             held[d] = held.get(d, 0) | 1 << i
-    assert at == held
+    return held
+
+
+def unpacked_labels(P, u):
+    """The labels of the search from u, degrees unpacked to tuples.  Where a
+    witness query has kept that search, the record must hold the same
+    labels and a degree table read off them."""
+    labels = P._label_search(P.up_set(u))
     unpack = P.graph().packed.unpack
+    if u in P._labels:
+        kept, table = P._labels[u]
+        assert kept == labels
+        held = degree_holders(labels)
+        assert list(table) == sorted(table)
+        assert {x: nodes for _d, x, nodes in table} == held
+        assert all(d == unpack(x) for d, x, _nodes in table)
     return tuple(
         tuple((unpack(d), None if back is None else (back[0], unpack(back[1])))
               for d, back in node)
         for node in labels)
+
+
+def scanned_row(P, u):
+    """u's frontier row by the per-pair scan the row pass replaced: for each
+    v, the minima of the degrees held at some coset below dual(v)."""
+    held = degree_holders(P._label_search(P.up_set(u)))
+    pk = P.graph().packed
+    row = []
+    for v in P.cosets():
+        sinks = P.down_set(P.dual(v))
+        minima = pk.minima(x for x, nodes in held.items() if nodes & sinks)
+        row.append(tuple(sorted(pk.unpack(x) for x in minima)))
+    return row
+
+
+def frontier_row(P, u):
+    return [P.min_chain_degrees(u, v) for v in P.cosets()]
 
 
 def several_label_instance():
@@ -196,15 +225,62 @@ def test_witnesses_match_with_several_labels_per_node():
     assert any(len(node) > 1 for labels in records for node in labels)
 
 
+@pytest.mark.parametrize("tokens", [
+    ("A4", "flag"), ("G2", "flag"), ("B3", "flag"), ("B3", "1", "3"),
+    ("C3", "1", "3"), ("D4", "1", "3", "4"), ("gr", "3", "7"),
+], ids="-".join)
+def test_frontier_rows_match_the_per_pair_scan_on_all_pairs(tokens):
+    shared = build_instance(tokens)[1]
+    P = ParabolicData(shared.system, shared.delta_P)  # fresh rows
+    for u in P.cosets():
+        assert frontier_row(P, u) == scanned_row(P, u), u
+
+
+def test_frontier_rows_match_the_per_pair_scan_with_several_labels_per_node():
+    P = several_label_instance()
+    widest = 0
+    for u in P.cosets():
+        row = frontier_row(P, u)
+        assert row == scanned_row(P, u), u
+        widest = max(widest, *map(len, row))
+    assert widest > 1
+
+
+@pytest.mark.parametrize("type_label, rank, sample", [("D", 4, 24), ("B", 4, 12)],
+                         ids=["D4-flag", "B4-flag"])
+def test_frontier_rows_match_the_per_pair_scan_on_sampled_sources(type_label, rank, sample):
+    P = ParabolicData(make_parabolic(type_label, rank, ()).system, ())
+    rng = random.Random(f"chain-oracle|rows|{type_label}{rank}")
+    for u in rng.sample(P.cosets(), sample):
+        assert frontier_row(P, u) == scanned_row(P, u), u
+
+
+def test_witness_queries_search_each_source_once():
+    # as in the flag-minq benchmark: 1000 seeded A4 flag pairs over at
+    # most 120 sources, one label search per source asked
+    P = ParabolicData(make_parabolic("A", 4, ()).system, ())
+    cosets = P.cosets()
+    real, searched = P._label_search, []
+
+    def counted(sources):
+        searched.append(sources)
+        return real(sources)
+
+    P._label_search = counted
+    rng = random.Random("chain-oracle|witness-searches")
+    pairs = [(rng.choice(cosets), rng.choice(cosets)) for _ in range(1000)]
+    for u, v in pairs:
+        P.min_chain_witnesses(u, v)
+    assert len(searched) == len(set(searched)) == len({u for u, _v in pairs}) <= 120
+
+
 def test_labels_match_the_tuple_search_under_a_low_bound():
     P = several_label_instance()
     g = P.graph()
     natural = g.label_bound
     g.label_bound = 2  # before the first search, which packs by the bound
-    identity = P.identity_coset()  # its dual is the top coset: every node a sink
     cut = False
     for u in P.cosets():
-        P.min_chain_degrees(u, identity)
         sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
         labels = unpacked_labels(P, u)
         assert labels == tuple_label_search(P, sources, 2), u
@@ -224,9 +300,7 @@ def test_labels_match_the_tuple_search_where_labels_are_deleted(tokens, sample):
     cosets = P.cosets()
     if sample is not None:
         cosets = random.Random(f"chain-oracle|labels|{label}").sample(cosets, sample)
-    identity = P.identity_coset()
     for u in cosets:
-        P.min_chain_degrees(u, identity)
         sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
         assert unpacked_labels(P, u) == tuple_label_search(P, sources, g.label_bound), u
 

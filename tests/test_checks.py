@@ -179,22 +179,23 @@ def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
     assert len(calls) == 2 * 24 ** 2
 
 
-def test_verify_searches_each_ordered_pair_once(monkeypatch):
+def test_verify_runs_one_label_search_per_source(monkeypatch):
     # chain-symmetry asks (u, v) and (v, u), the product sweep (u, v)
-    # again: the frontier rows answer all three from one search per pair
+    # again: u's frontier row answers every v from one search from u
     P = _fresh("A", 3, ())
-    real, searched = P._chain_search, []
+    real, searched = P._label_search, []
 
-    def counted(u, v):
-        searched.append((u, v))
-        return real(u, v)
+    def counted(sources):
+        searched.append(sources)
+        return real(sources)
 
-    P._chain_search = counted
+    P._label_search = counted
     monkeypatch.setattr(checks, "build_instance", lambda tokens: ("A3 flag", P))
     rows = checks.run_instance_checks(("A3", "flag"))
     assert {r.name for r in rows} >= {"chain-symmetry", "minimal-degree-agreement"}
     assert all(r.passed for r in rows)
-    assert len(searched) == len(set(searched)) == 24 ** 2
+    assert sorted(searched) == sorted(P.up_set(u) for u in P.cosets())
+    assert len(searched) == len(set(searched)) == 24
 
 
 def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
