@@ -480,7 +480,8 @@ class ParabolicData:
     def check_guard(self) -> None:
         """Refuse, before any work, a quotient larger than the guard in force."""
         if self.size > self.max_elements:
-            raise GroupSizeGuardError(f"W/W_P for {self.label}", self.max_elements)
+            raise GroupSizeGuardError(
+                f"W/W_P for {self.label} (|W/W_P| = {self.size})", self.max_elements)
 
     def cosets(self) -> tuple[Coset, ...]:
         """All cosets, sorted by (length, canonical word), which sets their

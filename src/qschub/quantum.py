@@ -34,8 +34,9 @@ The decompositions and the product recursion run on packed integer
 keys: a term q^d sigma_w is the one int ``pack(d) << b | w.index``,
 degrees packed by `PackedDegrees` and each coset's `index` its position
 in `P.cosets()`, so a q-shift is an integer addition and every memoised
-product is a ``dict[int, int]``.  The engine memoises the decompositions,
-the packed Chevalley rows and the products, not the divisor columns
+product is a ``dict[int, int]``.  The engine packs every Chevalley row
+at build, from the term list the Chevalley operators read, and memoises
+the decompositions and the products, not the divisor columns
 sigma_{s_beta} * sigma_w * sigma_v: only the class that chooses
 (beta, w) reads one, and summing its rows again costs no more than
 building and reading it.  The field width comes from the grading bound:
@@ -145,6 +146,17 @@ class QClass:
         return f"QClass({inner or '0'})"
 
 
+def _chevalley_terms(P: ParabolicData, u: Coset):
+    """(quantum, [u t_alpha], crossing entry) per term of sigma_{s_beta} *
+    sigma_u for any beta, in crossing_table order: [u t_alpha] is classical
+    one step longer than u, quantum n_alpha - 1 steps shorter."""
+    for c, v in zip(P.crossing_table, P.targets(u)):
+        if v.length == u.length + 1:
+            yield False, v, c
+        elif v.length == u.length + 1 - c.chern:
+            yield True, v, c
+
+
 def _chevalley(P: ParabolicData, beta_index: int, u: Coset, quantum: bool) -> QClass:
     if beta_index not in P.q_index:  # in Delta_P, or out of range
         raise ValueError(
@@ -154,14 +166,10 @@ def _chevalley(P: ParabolicData, beta_index: int, u: Coset, quantum: bool) -> QC
     pos = P.q_index.index(beta_index)
     out = QClass.zero(P)
     zero = (0,) * len(P.q_index)
-    for c, v in zip(P.crossing_table, P.targets(u)):
+    for is_quantum, v, c in _chevalley_terms(P, u):
         h = c.degree[pos]  # h_alpha(omega_beta), beta being a retained node
-        if h == 0:
-            continue
-        if v.length == u.length + 1:
-            out.add_term(zero, v, h)
-        if quantum and v.length == u.length + 1 - c.chern:
-            out.add_term(c.degree, v, h)
+        if h and (quantum or not is_quantum):
+            out.add_term(c.degree if is_quantum else zero, v, h)
     return out
 
 
@@ -253,31 +261,30 @@ class DivisorEngine:
     int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
     cosets, `index` the coset's position in ``P.cosets()`` and `pack` the
     `PackedDegrees` packer.  Multiplying by q^d adds ``pack(d) << b`` and
-    the coset of a term is ``key & mask``.  Four memos remain:
-    `_plans[ui]`, each decomposition kept once as den, the chosen
-    (n, beta, wi) and the corrections (n', pack(d) << b, w'i);
-    `_rows[beta][wi]`, the Chevalley row as packed (key, h) pairs, packed
-    by `_row` during the build or on first use; `_packed`, the products
-    as ``dict[int, int]`` keyed ``ui << b | vi``; and `_products`, the
-    public QClass answers with (Degree, Coset) keys, read through
-    `_terms`, one shared dict whose missing keys unpack themselves, so
-    each answer term is one dict lookup.  A chosen term n * sigma_{s_beta}
-    . sigma_w of sigma_u is applied straight to the memoised sigma_w *
-    sigma_v, adding n * c * h over the row of each term c * q^d sigma_x.
-    The column sigma_{s_beta} * sigma_w * sigma_v is not kept: only the u
-    that chooses (beta, w) reads it, summing the rows again costs no more
-    than building and reading it, and the columns were the largest memo
-    (about half of B4 flag's peak memory).  `_column` stays an empty dict
-    for perfbench's counters.
+    the coset of a term is ``key & mask``.  The build makes
+    `_rows[beta][wi]`, each Chevalley row as packed (key, h) pairs in
+    `quantum_chevalley`'s term order, and `_plans[ui]`, each decomposition
+    as den, the chosen (n, beta, wi) and the corrections
+    (n', pack(d) << b, w'i); nothing is packed on first use.  Products
+    fill `_packed`, ``dict[int, int]`` keyed ``ui << b | vi``, and
+    `_products`, the public QClass answers with (Degree, Coset) keys,
+    read through `_terms`, one shared dict whose missing keys unpack
+    themselves, so each answer term is one dict lookup.  A chosen term
+    n * sigma_{s_beta} . sigma_w of sigma_u is applied straight to the
+    memoised sigma_w * sigma_v, adding n * c * h over the row of each
+    term c * q^d sigma_x.  The column sigma_{s_beta} * sigma_w * sigma_v
+    is not kept: only the u that chooses (beta, w) reads it, and summing
+    the rows again costs no more than building and reading it.
+    `_column` stays an empty dict for perfbench's counters.
 
-    `_build_plans` hands the columns of each level to the solver
-    sparsest first: by the number of classes in sigma_{s_beta} .
-    sigma_w, then by the number of terms of its quantum row, a stable
-    sort that keeps (beta, w) order among ties.  A single-entry column
-    h sigma_u pivots before any denser column reaches u's row, and the
-    basic solution read off the pivots makes it u's whole
-    decomposition, so most classes are one or two divisor terms and a
-    product applies that many rows per term of sigma_w * sigma_v.
+    `_build_plans` reads each level's classical columns off the rows (the
+    keys <= mask) and hands them to the solver sparsest first: by the
+    number of classes in sigma_{s_beta} . sigma_w, then by the length of
+    its row, a stable sort that keeps (beta, w) order among ties.  A
+    single-entry column h sigma_u pivots before any denser column reaches
+    u's row, and the basic solution read off the pivots makes it u's
+    whole decomposition, so most classes are one or two divisor terms and
+    a product applies that many rows per term of sigma_w * sigma_v.
 
     The field width is the grading bound.  On G/B every simple coroot has
     Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
@@ -286,10 +293,10 @@ class DivisorEngine:
     l(u) + l(v) <= 2 l(w0).  Every degree the recursion forms, each sum
     of a shift and a term included, therefore has every coordinate at
     most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
-    each other or into the coset index.  `_row` is the one place a degree
-    is packed (a correction's key is a row key or a coset index), and a
-    row degree outside 0..l(w0) breaks that argument and raises
-    InvariantError there.
+    each other or into the coset index.  `_shift` is the one place a
+    degree is packed (a correction's key is a row key or a coset index),
+    and a row degree outside 0..l(w0) breaks that argument and raises
+    InvariantError there, while the rows are built.
     """
 
     name = "divisor"
@@ -309,19 +316,15 @@ class DivisorEngine:
                 "group-order",
             )
         self.cosets = P.cosets()
-        self.by_length: dict[int, list[Coset]] = {}
-        for u in self.cosets:
-            self.by_length.setdefault(u.length, []).append(u)
         n = len(self.cosets)
         self._bits = n.bit_length()
         self._mask = (1 << self._bits) - 1
         # fields of bit_length(l(w0)) bits: each q_i has degree 2 and every
         # term of sigma_u * sigma_v has degree l(u) + l(v) <= 2 l(w0), so no
         # coordinate of a degree the recursion forms exceeds l(w0)
-        self._bound = max(self.by_length)
+        self._bound = self.cosets[-1].length  # cosets go by length: w0 is last
         self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
         self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
-        self._rows = [[None] * n for _ in range(P.system.rank)]  # [beta][wi]
         self._packed: dict = {}  # ui << b | vi -> {key: coeff}
         self._column: dict = {}  # always empty; perfbench's counters() reads its size
         self._products: dict = {}  # (u, v) -> QClass, the public answers
@@ -333,32 +336,35 @@ class DivisorEngine:
     def _build_plans(self) -> None:
         P, mask, cosets = self.P, self._mask, self.cosets
         rank = P.system.rank
-        for k in range(1, self._bound + 1):
-            level = self.by_length[k]
-            prev = self.by_length[k - 1]
-            pos = {u: i for i, u in enumerate(level)}
-            # classical sigma_{s_b} . sigma_w: h_alpha(omega_b) at each [w t_alpha]
-            # of length k; the quantum row adds those of length k - n_alpha
-            ups, downs = [], []
-            for w in prev:
-                up, down = [], []
-                for c, v in zip(P.crossing_table, P.targets(w)):
-                    if v.length == k:
-                        up.append((c.degree, pos[v]))
-                    elif v.length == k - c.chern:
-                        down.append(c.degree)
-                ups.append(up)
-                downs.append(down)
+        # rows[b][wi], every Chevalley row sigma_{s_b} * sigma_w packed once:
+        # h_alpha(omega_b) at [w t_alpha], times q^{d(alpha)} on a quantum term
+        self._rows = rows = [[] for _ in range(rank)]
+        levels = [[] for _ in range(self._bound + 1)]  # the cosets of each length
+        for w in cosets:
+            levels[w.length].append(w)
+            terms = [{} for _ in range(rank)]
+            for quantum, v, c in _chevalley_terms(P, w):
+                key = self._shift(c.degree) | v.index if quantum else v.index
+                for acc, h in zip(terms, c.degree):
+                    if h:
+                        acc[key] = acc.get(key, 0) + h
+            for row, acc in zip(rows, terms):
+                row.append(tuple(acc.items()))
+        for prev, level in zip(levels, levels[1:]):
+            pos = {u.index: i for i, u in enumerate(level)}
+            # the classical sigma_{s_b} . sigma_w: the row's keys <= mask,
+            # the classes one step longer than w
             pairs, columns, keys = [], [], []
             for b in range(rank):
-                for w, up, down in zip(prev, ups, downs):
+                for w in prev:
+                    row = rows[b][w.index]
                     col = [0] * len(level)
-                    for d, i in up:
-                        col[i] += d[b]
-                    nonzero = len(col) - col.count(0)
+                    for key, h in row:
+                        if key <= mask:
+                            col[pos[key]] = h
                     pairs.append((b, w.index))
                     columns.append(col)
-                    keys.append((nonzero, nonzero + sum(1 for d in down if d[b])))
+                    keys.append((len(col) - col.count(0), len(row)))
             # sparsest first, ties in (b, w) order: a basic solution lies on
             # the pivot columns, so a class that is h times one divisor
             # product classically is decomposed as that one term
@@ -372,15 +378,13 @@ class DivisorEngine:
                 acc: dict = {}
                 get = acc.get
                 for n, b, wi in chosen:
-                    row = self._rows[b][wi]
-                    if row is None:
-                        row = self._row(b, wi)
-                    for key, h in row:
+                    for key, h in rows[b][wi]:
                         acc[key] = get(key, 0) + n * h
                 ui = u.index
                 acc[ui] = get(ui, 0) - den
                 corrections = [(-c, key & ~mask, key & mask) for key, c in acc.items() if c]
-                if any(not shift or cosets[wi].length >= k for _c, shift, wi in corrections):
+                if any(not shift or cosets[wi].length >= u.length
+                       for _c, shift, wi in corrections):
                     raise InvariantError(
                         "divisor residue must be q-positive with shorter classes")
                 self._plans[ui] = (den, chosen, corrections)
@@ -394,13 +398,6 @@ class DivisorEngine:
                 f"degree {d} does not fit its packed field: coordinates must lie "
                 f"in 0..{self._bound} = l(w0) on {self.P.label}")
         return self._packer.pack(d) << self._bits
-
-    def _row(self, beta_index: int, wi: int) -> tuple:
-        """sigma_{s_beta} * sigma_w as (key, h) pairs, packed once."""
-        row = self._rows[beta_index][wi] = tuple(
-            (self._shift(d) | v.index, h) for (d, v), h in
-            quantum_chevalley(self.P, beta_index, self.cosets[wi]).terms.items())
-        return row
 
     # -- products --------------------------------------------------------------
 
@@ -422,12 +419,9 @@ class DivisorEngine:
                 rows = self._rows[b]
                 for k, c in self._packed_product(wi, vi).items():
                     j = k & mask
-                    row = rows[j]
-                    if row is None:
-                        row = self._row(b, j)
                     base = k ^ j  # the degree part, pack(d) << b
                     c *= n
-                    for rk, h in row:
+                    for rk, h in rows[j]:
                         t = base + rk
                         acc[t] = get(t, 0) + c * h
             for n, shift, w2i in corrections:

@@ -318,8 +318,10 @@ def enumerate_parabolic_subgroup(
     indices = sorted({_node(system, i) for i in indices})
     spanned = [a for a in system.positive_roots
                if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
-    if order_from_heights(spanned) > max_elements:
+    order = order_from_heights(spanned)
+    if order > max_elements:
         label = ",".join(str(i + 1) for i in indices)
-        raise GroupSizeGuardError(f"W_P({system.label}; {label})", max_elements)
+        raise GroupSizeGuardError(
+            f"W_P({system.label}; {label}) (|W_P| = {order})", max_elements)
     return sorted((WeylElem(system, xi) for xi in _levels(system, (1,) * system.rank, indices)),
                   key=WeylElem.sort_key)

@@ -250,26 +250,39 @@ def test_corrupted_numerator_raises():
 
 
 def overflowing_engine():
-    """Build an A2 engine whose Chevalley rows have every quantum degree
+    """Build an A2 engine whose Chevalley terms have every quantum degree
     raised past the grading bound l(w0) = 3.
 
     A correction's key is a row key, so the row is where the degree gets
-    packed: the build packs the rows its decompositions choose, and
+    packed: the build packs every row from `_chevalley_terms`, and
     sigma_s1 * sigma_s1 = sigma_{s2 s1} + q_1 is one of them.
     """
     P = ParabolicData(make_parabolic("A", 2, ()).system, ())
-    chevalley = qschub.quantum.quantum_chevalley
+    terms = qschub.quantum._chevalley_terms
     raised = (P.dim + 1,) * len(P.q_index)
 
-    def overflowing(P, beta_index, u):
-        terms = chevalley(P, beta_index, u).terms
-        return QClass(P, {(raised if any(d) else d, v): h for (d, v), h in terms.items()})
+    def overflowing(P, u):
+        for quantum, v, c in terms(P, u):
+            yield quantum, v, c._replace(degree=raised) if quantum else c
 
-    qschub.quantum.quantum_chevalley = overflowing
+    qschub.quantum._chevalley_terms = overflowing
     try:
         return DivisorEngine(P)
     finally:
-        qschub.quantum.quantum_chevalley = chevalley
+        qschub.quantum._chevalley_terms = terms
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_rows_are_the_packed_chevalley_terms_from_the_build(type_label, rank):
+    # before any product, every row is the operator's terms packed, in order
+    P = make_parabolic(type_label, rank, ())
+    engine = DivisorEngine(P)
+    for b in range(rank):
+        assert len(engine._rows[b]) == len(engine.cosets)
+        for w in engine.cosets:
+            want = tuple((engine._packer.pack(d) << engine._bits | v.index, h)
+                         for (d, v), h in quantum_chevalley(P, b, w).terms.items())
+            assert engine._rows[b][w.index] == want, (b, w)
 
 
 def test_correction_degree_past_the_packed_field_raises():

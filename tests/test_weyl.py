@@ -233,7 +233,9 @@ def test_bruhat_duality_antiautomorphism():
 
 def test_enumeration_guard():
     rs = build_root_system("A", 3)
-    with pytest.raises(GroupSizeGuardError):
+    # the message names the size asked for
+    with pytest.raises(GroupSizeGuardError,
+                       match=r"^W_P\(A3; 1,2,3\) \(\|W_P\| = 24\) exceeds the enumeration"):
         elements(rs, max_elements=10)
     # exactly at the bound is fine
     assert len(elements(rs, max_elements=24)) == 24
