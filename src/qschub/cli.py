@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import checks
 from .grassmann import (
@@ -296,7 +296,7 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
 def _verify_worker(job):
     tokens, guard = job
     rows = checks.run_instance_checks(tokens, max_group_order=guard)
-    return [r.to_dict() for r in rows]
+    return [asdict(r) for r in rows]
 
 
 def _split_instances(tokens: list[str]) -> list[tuple[str, ...]]:

@@ -49,6 +49,7 @@ partition inside dual(mu).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import le
 from typing import Iterable, Iterator, Optional
 
@@ -102,6 +103,8 @@ def parse_partition(text: str) -> tuple[int, ...]:
     A digit spelling has one part per digit and no 0: "10" is refused.
     """
     text = text.strip()
+    if not text:
+        raise ValueError("cannot read partition from '': write the empty partition as '0'")
     if text == "0":
         return ()
     if "," not in text and "0" in text:
@@ -114,8 +117,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
             parts = [_ascii_int(ch) for ch in text]
     except ValueError:
         raise ValueError(f"cannot read partition from {text!r}") from None
-    if not parts:
-        raise ValueError("empty partition spelled as '0'")
     return normalize_partition(parts)
 
 
@@ -140,22 +141,14 @@ def _require_box(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def partitions_in_box(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions inside the k x (n-k) box, by weight then lex."""
-    width = n - k
+    """All partitions inside the k x (n-k) box, by weight then lex.
 
-    def rows(bound: int, depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == 0:
-            yield ()
-            return
-        for first in range(bound, -1, -1):
-            if first == 0:
-                yield ()
-                return
-            for rest in rows(first, depth - 1):
-                yield (first,) + rest
-
-    out = sorted(rows(width, k), key=lambda p: (sum(p), p))
-    return iter(out)
+    Each is read off its abacus, a k-element subset of {0, ..., n-1}
+    (see `beta_set`), so the box is the C(n, k) such subsets.
+    """
+    return iter(sorted((partition_from_beta(frozenset(beads), k)
+                        for beads in combinations(range(n), k)),
+                       key=lambda p: (sum(p), p)))
 
 
 def dual_partition(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
@@ -371,10 +364,8 @@ def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
     """Same product, spoken in coset language; it enumerates no cosets."""
     lam, mu = partition_of_coset(P, u), partition_of_coset(P, v)  # refuses a non-Grassmannian
     k, n = P.grassmannian_shape()
-    out = QClass.zero(P)
-    for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items():
-        out.add_term((d,), coset_of_partition(P, nu), c)
-    return out
+    return QClass(P, {((d,), coset_of_partition(P, nu)): c
+                      for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items()})
 
 
 class RimHookEngine:
@@ -418,10 +409,9 @@ class RimHookEngine:
         if got is None:
             lam, mu = self.partition(u), self.partition(v)
             k, n = self._shape
-            got = QClass.zero(self.P)
-            for (d, nu), c in _qproduct(k, n, lam, mu).items():
-                got.add_term((d,), self.coset(nu), c)
-            self._products[(u, v)] = got
+            # _qproduct's keys are distinct and its coefficients nonzero
+            got = self._products[(u, v)] = QClass(self.P, {
+                ((d,), self.coset(nu)): c for (d, nu), c in _qproduct(k, n, lam, mu).items()})
         return got
 
 
@@ -490,8 +480,7 @@ def _dual_beta(mu: tuple[int, ...], k: int, n: int) -> frozenset:
 def _box_abaci(k: int, n: int) -> tuple:
     """(abacus, abaci one box smaller) of each partition in the box, by size."""
     out = []
-    for lam in partitions_in_box(k, n):
-        beta = _beta(lam, k)
+    for beta in sorted(map(frozenset, combinations(range(n), k)), key=sum):
         # a corner box off: one bead one slot down into a free slot
         out.append((beta, tuple(beta - {b} | {b - 1}
                                 for b in beta if b and b - 1 not in beta)))

@@ -87,9 +87,10 @@ The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), memoised per coset on first use.  Every
 Bruhat cover of u in W/W_P is some [u t_alpha] (Bjorner-Brenti 2.5), so
 the covers are the entries of u's row one step longer or shorter, and a
-set is u with the sets of those entries.  `bruhat_leq` stays the
-independent lifting walk, on orbit points; the graph-structure check
-compares the two on every pair.
+set is u with the sets of those entries.  `bruhat_leq` is the reference
+walk, the independent lifting walk on orbit points: the graph-structure
+check is the one verify check that runs it, comparing it with both sets
+on every pair, and every other check reads u <= v off the sets.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """The verification sweeps: one body for every product engine."""
 
+import sys
+
+import pytest
+
 from qschub import checks, grassmann
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
@@ -234,19 +238,55 @@ def test_bruhat_duality_tests_the_involution_through_the_dual_memo():
     assert row.detail.startswith(f"dual not involutive at {s1.word()}")
 
 
-def test_raising_witness_reports_a_pair_without_witness():
+class ZeroEngine:
+    """Every product is zero: no pair has a witness."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def product(self, u, w):
+        return QClass.zero(self.P)
+
+
+class WrongLengthEngine(ZeroEngine):
+    """sigma_u * sigma_w holds, at degree 0, every class of length
+    l(u) + l(w) + 1: the classes a witness needs, each from a w one step
+    too short, so none of them is a witness."""
+
+    def product(self, u, w):
+        zero = (0,) * len(self.P.q_index)
+        return QClass(self.P, {(zero, v): 1 for v in self.P.cosets()
+                               if v.length == u.length + w.length + 1})
+
+
+@pytest.mark.parametrize("engine_class", [ZeroEngine, WrongLengthEngine],
+                         ids=["zero", "wrong-length"])
+def test_raising_witness_reports_a_pair_without_witness(engine_class):
     P = make_parabolic("A", 2, ())
-
-    class ZeroEngine:
-        def product(self, u, v):
-            return QClass.zero(P)
-
-    (row,) = checks.check_raising_witness(P, "A2 flag", ZeroEngine())
+    (row,) = checks.check_raising_witness(P, "A2 flag", engine_class(P))
     cosets = P.cosets()
     comparable = sum(P.bruhat_leq(u, v) for u in cosets for v in cosets)
     assert not row.passed and row.checked == comparable
     assert row.detail == ("no witness for () <= (); no witness for () <= (0,); "
                           f"no witness for () <= (1,); ... {comparable} failures total")
+
+
+def test_only_graph_structure_runs_the_lifting_walk(monkeypatch):
+    # graph-structure proves the up/down-set bitsets equal to bruhat_leq on
+    # every pair; every other row reads the bitsets
+    real, callers = ParabolicData.bruhat_leq, []
+
+    def recorded(self, u, v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, u, v)
+
+    monkeypatch.setattr(ParabolicData, "bruhat_leq", recorded)
+    for tokens in (("gr", "3", "6"), ("A3", "flag")):
+        callers.clear()
+        rows = checks.run_instance_checks(tokens)
+        assert all(r.passed for r in rows), tokens
+        assert set(callers) == {"check_graph_structure"}, tokens
+        assert len(callers) == len(checks.build_instance(tokens)[1].cosets()) ** 2
 
 
 def test_verify_passes_on_larger_flags():

@@ -253,7 +253,9 @@ def test_non_ascii_digits_are_not_numbers(capsys, argv, message):
     (["minq", "gr", " 2", "4", "--u", "1", "--v", "1"], "gr needs integers, got (' 2', '4')"),
     (["graph", "A2", "flag", "--max-group-order", "+24"],
      "argument --max-group-order: invalid int value: '+24'"),
-], ids=["space", "underscore", "plus", "gr-space", "option-plus"])
+    (["minq", "gr", "2", "4", "--u", "", "--v", "1"],
+     "cannot read partition from '': write the empty partition as '0'"),
+], ids=["space", "underscore", "plus", "gr-space", "option-plus", "empty-partition"])
 def test_numbers_are_spelled_in_ascii_digits_only(capsys, argv, message):
     # int() also reads a '+', surrounding whitespace and '_' separators;
     # numbers in instances, partitions and options are -?[0-9]+
