@@ -6,18 +6,20 @@ box.  This module provides the dictionary between coset language and
 partition language, an exact classical Littlewood-Richardson expansion
 (horizontal-strip recursion with the lattice-word condition), and the
 quantum product computed by reducing wide partitions modulo rim hooks of
-size n, one power of q per hook.  The dictionary reads and writes the
-coset's orbit point mu directly: in type A, mu_j = y_j - y_{j+1} for n
-values y, and on Gr(k, n) y is the indicator of S = {lam_{k+1-i} + i}.
+size n, one power of q per hook.
 
-The abacus encoding does the heavy lifting: a partition with at most k
-rows becomes the k-element set B = {lam_i + k - i}, removing a rim hook
-of size s is the move b -> b - s into an unoccupied slot, and the hook's
-height is one more than the number of occupied slots passed over.  Each
-removal of an n-hook contributes a factor q and a sign (-1)^(k - height);
-a partition that is too wide but admits no removal reduces to zero.  The
-reduced class must not depend on the order of removals, which the
-recursion checks.
+The abacus encoding does the heavy lifting, and every conversion goes
+through it: a partition with at most k rows is the k-element set
+B = {lam_i + k - i} of slots in {0, ..., n-1} (`_beta`, read back by
+`partition_from_beta`).  A coset's orbit point is mu_j = y_j - y_{j+1},
+with y the indicator of B over the slots; box duality sends bead b to
+slot n-1-b (`_dual_beta`).  Removing a rim hook of size s is the move
+b -> b - s into an unoccupied slot, and the hook's height is one more
+than the number of occupied slots passed over.  Each removal of an
+n-hook contributes a factor q and a sign (-1)^(k - height); a partition
+that is too wide but admits no removal reduces to zero.  The reduced
+class must not depend on the order of removals, which the recursion
+checks.
 
 Products are memoised per quotient: `product_engine` (and the command
 line's `--engine rimhook`) hands out the one `RimHookEngine` cached on the
@@ -25,15 +27,14 @@ quotient, which keeps sigma_u * sigma_v per *ordered* pair (u, v), so
 sigma_v * sigma_u stays a separate computation.  Within one expansion the
 horizontal-strip step is memoised across pairs.
 
-Partitions are validated once, at the boundary.  The public entry points
-(`qproduct_grassmann`, `classical_lr`, `min_degree_diagonal`,
-`monotone_chain_exists`) check what they are given and hand it to a
+Partitions are validated once, where they enter the module: only
+`_require_box`, `beta_set`, `classical_lr` and `parse_partition` call
+`normalize_partition`, and what the module builds is not validated
+again.  The public entry points check their input and hand it to a
 private body (`_qproduct`, `_classical_lr`, `_min_degree_diagonal`,
-`_monotone_table`) that trusts its input.  The engine and the verify
-sweep call the bodies on partitions the engine read off its cosets; it
-converts each coset and each partition once, through the checked
-`partition_of_coset` and `coset_of_partition`, and keeps the answer.
-`verify gr 3 7` makes 305 `normalize_partition` calls.
+`_monotone_table`) that trusts it.  The engine and the verify sweep call
+the bodies on partitions the engine read off its cosets, converting each
+coset and each partition once and keeping the answer.
 
 The monotone rim-hook walk from lam does not depend on mu, which only
 picks where it may stop, so it runs once per partition: `_monotone_table`
@@ -49,8 +50,8 @@ partition inside dual(mu).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from operator import le
+from itertools import accumulate, combinations
+from operator import le, sub
 from typing import Iterable, Iterator, Optional
 
 from .parabolic import Coset, ParabolicData, make_parabolic
@@ -92,9 +93,15 @@ def normalize_partition(lam: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"negative part in partition {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {parts}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    return _strip_zeros(parts)
+
+
+def _strip_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """A padded partition without its trailing zeros."""
+    end = len(parts)
+    while end and not parts[end - 1]:
+        end -= 1
+    return parts[:end]
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -153,9 +160,7 @@ def partitions_in_box(k: int, n: int) -> Iterator[tuple[int, ...]]:
 
 def dual_partition(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
     """Complement of the 180-degree rotation inside the k x (n-k) box."""
-    lam = _require_box(k, n, lam)
-    padded = lam + (0,) * (k - len(lam))
-    return normalize_partition(tuple((n - k) - padded[k - 1 - i] for i in range(k)))
+    return partition_from_beta(_dual_beta(_require_box(k, n, lam), k, n), k)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +182,11 @@ def partition_of_coset(P: ParabolicData, u: Coset) -> tuple[int, ...]:
     shape = P.grassmannian_shape()
     if shape is None:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
-    k, n = shape
-    # y_n, ..., y_1 up to a shift, from y_j = y_{j+1} + mu_j; the higher
-    # of its two values marks S
-    y = [0]
-    for m in reversed(u.mu):
-        y.append(y[-1] + m)
+    # y_1, ..., y_n up to a shift, from y_{j+1} = y_j - mu_j; the higher
+    # of its two values marks the beads, y_j at slot j - 1
+    y = list(accumulate(u.mu, sub, initial=0))
     low = min(y)
-    ones = sorted(n - t for t, yt in enumerate(y) if yt > low)
-    lam = _strip_zeros(tuple(reversed([s - i for i, s in enumerate(ones, 1)])))
+    lam = partition_from_beta(frozenset(t for t, yt in enumerate(y) if yt > low), shape[0])
     if sum(lam) != u.length:
         raise InvariantError("partition weight must match coset length")
     return lam
@@ -197,9 +198,8 @@ def coset_of_partition(P: ParabolicData, lam: Iterable[int]) -> Coset:
         raise ValueError(f"{P.label} is not a Grassmannian quotient")
     k, n = shape
     lam = _require_box(k, n, lam)
-    padded = lam + (0,) * (k - len(lam))
-    ones = {padded[k - i] + i for i in range(1, k + 1)}
-    y = [int(j in ones) for j in range(1, n + 1)]
+    beads = _beta(lam, k)
+    y = [int(j in beads) for j in range(n)]
     u = P._intern(tuple(a - b for a, b in zip(y, y[1:])))
     if u.length != sum(lam):
         raise InvariantError(f"coset of {lam} has length {u.length}")
@@ -223,19 +223,17 @@ def _beta(lam: tuple[int, ...], k: int) -> frozenset:
     return frozenset(padded[i] + k - 1 - i for i in range(k))
 
 
-def _strip_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """A padded partition without its trailing zeros."""
-    end = len(parts)
-    while end and not parts[end - 1]:
-        end -= 1
-    return parts[:end]
-
-
 def partition_from_beta(beta: frozenset, k: int) -> tuple[int, ...]:
+    """The partition whose abacus is beta: its i-th largest bead less k - i.
+
+    Distinct beads make the parts weakly decreasing, so only the bead count
+    (InvariantError) and a negative slot (ValueError) are checked."""
     if len(beta) != k:
         raise InvariantError(f"abacus {sorted(beta)} does not hold {k} beads")
     desc = sorted(beta, reverse=True)
-    return normalize_partition(tuple(desc[i] - (k - 1 - i) for i in range(k)))
+    if desc and desc[-1] < 0:
+        raise ValueError(f"abacus {sorted(beta)} has a bead in a negative slot")
+    return _strip_zeros(tuple(desc[i] - (k - 1 - i) for i in range(k)))
 
 
 def rimhook_adjacent(lam: tuple[int, ...], mu: tuple[int, ...], k: int) -> bool:

@@ -7,11 +7,12 @@ horizontal-strip recursion under test.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschub import grassmann as G
+from qschub import checks, grassmann as G
 from qschub.grassmann import (
     beta_set,
     classical_lr,
@@ -226,6 +227,23 @@ def test_beta_set_round_trip():
             b = beta_set(lam, k)
             assert len(b) == k
             assert partition_from_beta(b, k) == lam
+
+
+def test_only_input_is_validated(monkeypatch):
+    # normalize_partition runs where a partition enters the module; a
+    # partition read off an abacus or a dual is not validated again
+    callers = set()
+
+    def spy(lam):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return normalize_partition(lam)
+
+    monkeypatch.setattr(G, "normalize_partition", spy)
+    assert all(row.passed for row in checks.run_instance_checks(("gr", "3", "6")))
+    list(partitions_in_box(3, 7))
+    dual_partition(3, 7, (4, 2))
+    assert "_require_box" in callers
+    assert callers <= {"_require_box", "beta_set", "classical_lr", "parse_partition"}
 
 
 # ---------------------------------------------------------------------------

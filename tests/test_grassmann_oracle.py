@@ -8,7 +8,10 @@ goes through its own cache, and the monotone walk runs once per pair.
 The package must give the same terms, in the same dict order, on every
 pair asked, the rim-hook engine's memo must hold only such products, and
 the one monotone table per partition must give the least degree of
-every pair's walk.
+every pair's walk.  `old_partition_of_coset`, `old_coset_of_partition`
+and `old_dual_partition` are the coset dictionary and box duality as
+they were before both went through the abacus: the set S = {lam_{k+1-i}
++ i} written out inline, and duality on padded partitions.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from qschub import cli
 from qschub.grassmann import (
     RimHookEngine,
     _dual_beta,
+    _strip_zeros,
     _min_degree_diagonal,
     _monotone_table,
     classical_lr,
@@ -34,6 +38,7 @@ from qschub.grassmann import (
     normalize_partition,
     partition_from_beta,
     partition_in_box,
+    partition_of_coset,
     partitions_in_box,
     qproduct_grassmann,
     qproduct_grassmann_cosets,
@@ -195,6 +200,46 @@ def old_least_monotone_degree(k, n, lam, mu, cap):
     return None
 
 
+def old_partition_of_coset(P, u):
+    P._check_own(u)
+    shape = P.grassmannian_shape()
+    if shape is None:
+        raise ValueError(f"{P.label} is not a Grassmannian quotient")
+    k, n = shape
+    # y_n, ..., y_1 up to a shift, from y_j = y_{j+1} + mu_j; the higher
+    # of its two values marks S
+    y = [0]
+    for m in reversed(u.mu):
+        y.append(y[-1] + m)
+    low = min(y)
+    ones = sorted(n - t for t, yt in enumerate(y) if yt > low)
+    lam = _strip_zeros(tuple(reversed([s - i for i, s in enumerate(ones, 1)])))
+    if sum(lam) != u.length:
+        raise InvariantError("partition weight must match coset length")
+    return lam
+
+
+def old_coset_of_partition(P, lam):
+    shape = P.grassmannian_shape()
+    if shape is None:
+        raise ValueError(f"{P.label} is not a Grassmannian quotient")
+    k, n = shape
+    lam = old_require_box(k, n, lam)
+    padded = lam + (0,) * (k - len(lam))
+    ones = {padded[k - i] + i for i in range(1, k + 1)}
+    y = [int(j in ones) for j in range(1, n + 1)]
+    u = P._intern(tuple(a - b for a, b in zip(y, y[1:])))
+    if u.length != sum(lam):
+        raise InvariantError(f"coset of {lam} has length {u.length}")
+    return u
+
+
+def old_dual_partition(k, n, lam):
+    lam = old_require_box(k, n, lam)
+    padded = lam + (0,) * (k - len(lam))
+    return normalize_partition(tuple((n - k) - padded[k - 1 - i] for i in range(k)))
+
+
 def pairs(k, n, count=None):
     box = list(partitions_in_box(k, n))
     every = [(lam, mu) for lam in box for mu in box]
@@ -330,3 +375,23 @@ def test_a_fresh_quotient_gets_its_own_engine():
     cached = grassmannian_parabolic(2, 4)
     fresh = ParabolicData(cached.system, cached.delta_P)
     assert product_engine(fresh) is not product_engine(cached)
+
+
+BOXES_TO_9 = [(k, n) for n in range(2, 10) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("k, n", BOXES_TO_9)
+def test_dictionary_and_duality_match_the_old_formulas(k, n):
+    P = grassmannian_parabolic(k, n)
+    for lam in partitions_in_box(k, n):
+        assert coset_of_partition(P, lam) is old_coset_of_partition(P, lam), lam
+        assert dual_partition(k, n, lam) == old_dual_partition(k, n, lam), lam
+    for u in P.cosets():
+        assert partition_of_coset(P, u) == old_partition_of_coset(P, u), u.mu
+
+
+def test_partition_from_beta_refuses_a_malformed_abacus():
+    with pytest.raises(InvariantError):
+        partition_from_beta(frozenset({0, 2}), 3)  # two beads for three rows
+    with pytest.raises(ValueError):
+        partition_from_beta(frozenset({-1, 2, 4}), 3)  # a negative slot

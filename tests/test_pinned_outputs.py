@@ -13,7 +13,11 @@ parent's.  The `G2 flag` (an edge coordinate of 3) and `B3 2 3` (two
 retained nodes) minq pins were recorded from the chain search that froze
 its labels back to degree tuples, before they stayed packed, and the
 `verify A4 flag` and `verify gr 4 8` pins from the sweep that searched
-each frontier three times and walked the abacus once per pair.  A change
+each frontier three times and walked the abacus once per pair.  The
+`gr 3 6` minq pin was recorded from the coset dictionary that wrote the
+bead map out inline, before it went through `_beta` and
+`partition_from_beta`, so every chain label it prints was converted the
+old way.  A change
 to any printed byte, or to the order of cosets, fails here.  The minq
 pins hash the text output of every ordered pair of classes, in coset
 order.
@@ -85,6 +89,8 @@ MINQ = {
         "b464eadf58a81f47c427a16204f6b68fb853bdeca379dea23fd5af1f008b920e",
     "B3 2 3":
         "24ea922de513c47ad2c155881703997442c2ccd5c4b43c092ca9389e90533f06",
+    "gr 3 6":
+        "c65fdb59577dcc13c774951add1cbb1da845f3feec1e811bf4dd66f5e3fbb9d0",
 }
 
 
