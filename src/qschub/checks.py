@@ -1,8 +1,8 @@
 """Verification sweeps: every structural property the engine promises, runnable
 per instance and aggregated by the CLI's verify command.
 
-Each check returns CheckResult rows instead of raising, so a sweep always
-produces a full report; the CLI turns any failed row into exit status 3.
+Checks return CheckResult rows, so a failed row (exit status 3) never stops a
+sweep; only the two size guards refuse an instance (exit 2), before its first row.
 The default suite covers the full flags of A1, A2, A3, B2, G2 and the
 Grassmannians Gr(2,4), Gr(2,5), Gr(3,6), plus the golden Gr(4,9) product
 as a sign-convention tripwire.
@@ -133,22 +133,18 @@ def check_bruhat_duality(P: ParabolicData, label: str) -> list:
 
 
 def check_wp_degree_invariance(P: ParabolicData, label: str) -> list:
+    # W_P is generated by the s_i, i in Delta_P, so only they are applied
     bad = []
-    count = 0
-    wp = enumerate_parabolic_subgroup(P.system, P.delta_P)
-    for w in wp:
-        for alpha in P.crossing_roots:
-            count += 1
-            image = w.apply_root(alpha)
-            coeffs = image.coeffs
-            if all(c <= 0 for c in coeffs):
-                image = -image
-            if not P.is_crossing(image):
-                bad.append(f"W_P moved {alpha.coeffs} out of the crossing set")
-                continue
-            if P.degree_of_root(image) != P.degree_of_root(alpha):
-                bad.append(f"degree changed under W_P at {alpha.coeffs}")
-    return [_result(label, "wp-degree-invariance", bad, count)]
+    for i in sorted(P.delta_P):
+        for c in P.crossing_table:
+            alpha = c.root.coeffs  # s_i alpha = alpha - <alpha, alpha_i^v> alpha_i
+            shift = sum(map(mul, P.system.cartan[i], alpha))  # Cartan row i
+            image = P._entry.get(alpha[:i] + (alpha[i] - shift,) + alpha[i + 1:])
+            if image is None:
+                bad.append(f"W_P moved {alpha} out of the crossing set")
+            elif image.degree != c.degree:
+                bad.append(f"degree changed under W_P at {alpha}")
+    return [_result(label, "wp-degree-invariance", bad, len(P.delta_P) * P.dim)]
 
 
 def check_graph_structure(P: ParabolicData, label: str) -> list:
@@ -510,6 +506,11 @@ def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) ->
     if P.grassmannian_shape() == (4, 9):
         # kept to its role as golden-product tripwire; sweeps are desk-scale only
         return check_golden_product(P, label)
+    P.check_guard()  # both guards refuse before the first row: |W/W_P|, then |W|
+    try:
+        engine = product_engine(P, max_group_order)
+    except ValueError:
+        engine = None  # no full-product engine on this quotient
     results = check_pairing_integrality(P, label)
     if weyl_group_order(P.system) <= _SMALL_GROUP:
         results.extend(check_weyl_structure(P, label))
@@ -517,10 +518,8 @@ def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) ->
     results.extend(check_wp_degree_invariance(P, label))
     results.extend(check_graph_structure(P, label))
     results.extend(check_chain_symmetry(P, label))
-    try:
-        engine = product_engine(P, max_group_order)
-    except ValueError:
-        return results  # no full-product engine on this quotient
+    if engine is None:
+        return results
     if _gr_shape(P):
         results.extend(check_partition_dictionary(P, label))
         results.extend(_grassmann_product_sweep(P, label, engine))

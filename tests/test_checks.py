@@ -8,6 +8,7 @@ from qschub import checks, grassmann
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, multiply_classes, product_engine
+from qschub.weyl import GroupSizeGuardError, enumerate_parabolic_subgroup
 
 
 def times_q(engine, c):
@@ -297,3 +298,70 @@ def test_verify_passes_on_larger_flags():
         assert all(r.passed for r in rows), [r for r in rows if not r.passed]
         names = {r.name for r in rows}
         assert {"weyl-structure", "raising-witness"} <= names, tokens
+
+
+def old_wp_degree_invariance(P: ParabolicData, label: str) -> list:
+    """The walk over every element of W_P that the generator check replaced,
+    kept verbatim as its oracle."""
+    bad = []
+    count = 0
+    wp = enumerate_parabolic_subgroup(P.system, P.delta_P)
+    for w in wp:
+        for alpha in P.crossing_roots:
+            count += 1
+            image = w.apply_root(alpha)
+            coeffs = image.coeffs
+            if all(c <= 0 for c in coeffs):
+                image = -image
+            if not P.is_crossing(image):
+                bad.append(f"W_P moved {alpha.coeffs} out of the crossing set")
+                continue
+            if P.degree_of_root(image) != P.degree_of_root(alpha):
+                bad.append(f"degree changed under W_P at {alpha.coeffs}")
+    return [checks._result(label, "wp-degree-invariance", bad, count)]
+
+
+WP_QUOTIENTS = ("gr 2 4", "gr 3 6", "B3 2", "C3 1 3", "D4 1 3", "A4 2 3", "G2 1", "F4 1")
+
+
+def _corrupted(P: ParabolicData) -> ParabolicData:
+    """A fresh copy of P whose table gives one root, moved by some s_i with
+    i in Delta_P, a wrong degree."""
+    Q = ParabolicData(P.system, P.delta_P)
+    cartan = P.system.cartan
+    k, c = next((k, c) for k, c in enumerate(Q.crossing_table)
+                if any(sum(a * b for a, b in zip(cartan[i], c.root.coeffs))
+                       for i in Q.delta_P))
+    bad = c._replace(degree=(c.degree[0] + 1,) + c.degree[1:])
+    Q.crossing_table = Q.crossing_table[:k] + (bad,) + Q.crossing_table[k + 1:]
+    Q._entry[c.root.coeffs] = bad
+    return Q
+
+
+@pytest.mark.parametrize("label", WP_QUOTIENTS)
+def test_wp_degree_invariance_agrees_with_the_full_walk(label):
+    P = checks.build_instance(label.split())[1]
+    (new,) = checks.check_wp_degree_invariance(P, label)
+    (old,) = old_wp_degree_invariance(P, label)
+    assert new.passed and old.passed
+    assert new.checked == len(P.delta_P) * len(P.crossing_roots)
+    Q = _corrupted(P)
+    (new,) = checks.check_wp_degree_invariance(Q, label)
+    (old,) = old_wp_degree_invariance(Q, label)
+    assert not new.passed and "degree changed under W_P" in new.detail
+    assert not old.passed and "degree changed under W_P" in old.detail
+
+
+def test_guards_refuse_before_the_first_check(monkeypatch):
+    # A3 flag is far inside the enumeration guard, so the group-order guard
+    # alone refuses it, and before any row is computed
+    calls = []
+
+    def spy(P, label):
+        calls.append(label)
+        return []
+
+    monkeypatch.setattr(checks, "check_pairing_integrality", spy)
+    with pytest.raises(GroupSizeGuardError, match="group-order guard"):
+        checks.run_instance_checks(("A3", "flag"), max_group_order=10)
+    assert calls == []

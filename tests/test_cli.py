@@ -496,6 +496,19 @@ def test_verify_weyl_structure_row(capsys):
     assert "weyl-structure" not in out
 
 
+def test_verify_runs_the_large_e_type_quotients(capsys):
+    # wp-degree-invariance applies the generators of W_P, not its elements:
+    # |W_P| is 51,840 on E7 7 and 2,903,040 on E8 8, past the enumeration guard
+    code, out = run(capsys, "verify", "E7", "7")
+    assert code == 0
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 5 and all(r.startswith("PASS E7 7 :: ") for r in rows)
+    assert "PASS E7 7 :: wp-degree-invariance (162 checked)\n" in out
+    code, out = run(capsys, "verify", "E8", "8")
+    assert code == 0
+    assert "PASS E8 8 :: wp-degree-invariance (399 checked)\n" in out
+
+
 def test_verify_json_shape(capsys):
     code, out = run(capsys, "verify", "A1", "--format", "json")
     assert code == 0
