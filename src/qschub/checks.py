@@ -9,6 +9,9 @@ as a sign-convention tripwire.
 
 graph-structure alone runs the lifting walk `bruhat_leq`, proving the up- and
 down-set bitsets equal to it on every pair; every other check reads u <= v off them.
+
+The instance grammar lives here: `split_instances` is the one splitter of a verify
+list, `build_instance` reads an instance, and `keyword` reads keywords in any case.
 """
 
 from __future__ import annotations
@@ -458,14 +461,40 @@ DEFAULT_SUITE = (
 _SMALL_GROUP = 1000
 
 
+def keyword(token: str) -> str:
+    """token as read: the keywords gr, flag and default-suite in any case, lowered."""
+    return token.lower() if token.lower() in ("gr", "flag", "default-suite") else token
+
+
+def split_instances(tokens) -> list[tuple[str, ...]]:
+    """Split "A2 flag gr 2 4 A1" into instance token groups (a number or "flag"
+    extends the group before it); a lone "default-suite" is DEFAULT_SUITE."""
+    words = list(map(keyword, tokens))
+    if "default-suite" in words:
+        if len(words) != 1:
+            raise ValueError("'default-suite' is a keyword that must stand alone")
+        return list(DEFAULT_SUITE)
+    groups = []
+    for t, word in zip(tokens, words):
+        if not ((t.isascii() and t.isdigit()) or word == "flag"):
+            groups.append((t,))
+        elif groups:
+            groups[-1] += (word,)
+        else:
+            raise ValueError(f"instance list cannot start with {t!r}")
+    return groups
+
+
 def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
                    ) -> tuple[str, ParabolicData]:
-    """Resolve ("gr","2","4") or ("A3","flag") or ("A3","2") style tokens."""
+    """Resolve ("gr","2","4") or ("A3","flag") or ("A3","2") style tokens;
+    the label keeps the first token as spelled: "a2 FLAG" is "a2 flag"."""
     tokens = tuple(str(t) for t in tokens)
     if not tokens:
         raise ValueError("empty instance description")
-    label = " ".join(tokens)
-    if tokens[0].lower() == "gr":
+    head, rest = tokens[0], tuple(map(keyword, tokens[1:]))
+    label = " ".join((head,) + rest)
+    if keyword(head) == "gr":
         if len(tokens) != 3:
             raise ValueError("Grassmannian instances read: gr <k> <n>")
         try:
@@ -473,7 +502,6 @@ def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
         except ValueError:
             raise ValueError(f"gr needs integers, got {tokens[1:]}") from None
         return label, grassmann.grassmannian_parabolic(k, n, max_elements=max_elements)
-    head = tokens[0]
     if len(head) < 2 or head[0].upper() not in "ABCDEFG":
         raise ValueError(f"cannot read instance type from {head!r}")
     try:
@@ -481,16 +509,14 @@ def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
     except ValueError:
         raise ValueError(f"cannot read rank from {head!r}") from None
     type_label = head[0].upper()
-    rest = tokens[1:]
     if rest in ((), ("flag",)):  # bare "A1" is the full flag
         retained = tuple(range(rank))
     else:
         try:
             marked = sorted(map(_ascii_int, rest))
         except ValueError:
-            raise ValueError(
-                f"instance tail must be 'flag' or 1-based node indices, got {rest}"
-            ) from None
+            raise ValueError("instance tail must be 'flag' or 1-based node "
+                             f"indices, got {tokens[1:]}") from None
         if any(not 1 <= m <= rank for m in marked):
             raise ValueError(f"node indices must lie in 1..{rank}: {marked}")
         if len(set(marked)) != len(marked):

@@ -5,7 +5,8 @@ partitions, the single quantum parameter prints as q^d) or "<Type><rank>"
 followed by "flag" or by the 1-based indices kept out of Delta_P (classes
 are Weyl words; quantum parameters print as q<i> factors in q_index
 order).  A bare "<Type><rank>" means the full flag.  The zero degree
-always prints as "q^0".
+always prints as "q^0".  Keywords and type letters are read in any case,
+by `checks.split_instances`, the one splitter, and `checks.build_instance`.
 
 Exit codes: 0 success, 1 usage or parse error, 2 instance guard
 exceeded, 3 verification failure.
@@ -19,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from . import checks
 from .grassmann import (
@@ -52,14 +54,12 @@ class Instance:
     gr_spelled: bool
 
 
-def _build(tokens, guard: int | None) -> Instance:
+def _build(tokens, guard: int) -> Instance:
     try:
-        label, P = checks.build_instance(
-            tokens, max_elements=guard if guard else DEFAULT_ENUMERATION_GUARD
-        )
+        label, P = checks.build_instance(tokens, guard or DEFAULT_ENUMERATION_GUARD)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return Instance(label, P, gr_spelled=str(tokens[0]).lower() == "gr")
+    return Instance(label, P, gr_spelled=checks.keyword(tokens[0]) == "gr")
 
 
 # ---------------------------------------------------------------------------
@@ -293,44 +293,22 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _verify_worker(job):
-    tokens, guard = job
-    rows = checks.run_instance_checks(tokens, max_group_order=guard)
-    return [asdict(r) for r in rows]
-
-
-def _split_instances(tokens: list[str]) -> list[tuple[str, ...]]:
-    """Split "A2 flag gr 2 4 A1" into instance token groups."""
-    groups: list[list[str]] = []
-    for t in tokens:
-        starts = not ((t.isascii() and t.isdigit()) or t == "flag")
-        if starts or not groups:
-            if not starts:
-                raise UsageError(f"instance list cannot start with {t!r}")
-            groups.append([t])
-        else:
-            groups.append(groups.pop() + [t])
-    return [tuple(g) for g in groups]
-
-
 def cmd_verify(args) -> tuple[str, int]:
-    if args.instances == ["default-suite"]:
-        jobs = [tuple(t) for t in checks.DEFAULT_SUITE]
-    elif "default-suite" in args.instances:
-        raise UsageError("'default-suite' is a keyword that must stand alone")
-    else:
-        jobs = _split_instances(args.instances)
-        for tokens in jobs:  # a malformed instance is a usage error, before any work
-            _build(tokens, None)
-    guard = args.max_group_order if args.max_group_order else DEFAULT_PRODUCT_GUARD
-    work = [(tokens, guard) for tokens in jobs]
+    try:
+        jobs = checks.split_instances(args.instances)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    for tokens in jobs:  # a malformed instance is a usage error, before any work
+        _build(tokens, 0)
+    run = partial(checks.run_instance_checks,
+                  max_group_order=args.max_group_order or DEFAULT_PRODUCT_GUARD)
     if args.jobs > 1:  # no more workers than instances: the pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
-            reports = list(pool.map(_verify_worker, work))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
+            reports = list(pool.map(run, jobs))
     else:
-        reports = [_verify_worker(w) for w in work]
+        reports = list(map(run, jobs))
     rows = [row for report in reports for row in report]
-    failed = [r for r in rows if not r["passed"]]
+    failed = [r for r in rows if not r.passed]
     if args.format == "json":
         payload = {
             "command": "verify",
@@ -338,18 +316,16 @@ def cmd_verify(args) -> tuple[str, int]:
             "checks_total": len(rows),
             "checks_failed": len(failed),
             "instances": [
-                {"instance": " ".join(tokens), "checks": report}
+                {"instance": " ".join(tokens), "checks": list(map(asdict, report))}
                 for tokens, report in zip(jobs, reports)
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n", 3 if failed else 0
     lines = ["# command: verify"]
     for r in rows:
-        status = "PASS" if r["passed"] else "FAIL"
-        tail = f" :: {r['detail']}" if r["detail"] else ""
-        lines.append(
-            f"{status} {r['instance']} :: {r['name']} ({r['checked']} checked){tail}"
-        )
+        status = "PASS" if r.passed else "FAIL"
+        tail = f" :: {r.detail}" if r.detail else ""
+        lines.append(f"{status} {r.instance} :: {r.name} ({r.checked} checked){tail}")
     lines.append(f"summary: {len(rows)} checks, {len(failed)} failed")
     return "\n".join(lines) + "\n", 3 if failed else 0
 
@@ -437,10 +413,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             out, code = cmd_verify(args)
         else:
-            inst = _build(
-                args.instance,
-                args.max_group_order if args.max_group_order else None,
-            )
+            inst = _build(args.instance, args.max_group_order)
             if args.command == "minq":
                 out, code = cmd_minq(inst, args)
             elif args.command == "product":

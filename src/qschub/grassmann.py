@@ -140,7 +140,13 @@ def partition_in_box(k: int, n: int, lam: tuple[int, ...]) -> bool:
     return len(lam) <= k and (not lam or lam[0] <= n - k)
 
 
+def _require_shape(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
 def _require_box(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
+    _require_shape(k, n)
     lam = normalize_partition(lam)
     if not partition_in_box(k, n, lam):
         raise ValueError(f"partition {lam} does not fit in the {k} x {n - k} box")
@@ -153,6 +159,7 @@ def partitions_in_box(k: int, n: int) -> Iterator[tuple[int, ...]]:
     Each is read off its abacus, a k-element subset of {0, ..., n-1}
     (see `beta_set`), so the box is the C(n, k) such subsets.
     """
+    _require_shape(k, n)
     return iter(sorted((partition_from_beta(frozenset(beads), k)
                         for beads in combinations(range(n), k)),
                        key=lambda p: (sum(p), p)))
@@ -170,8 +177,7 @@ def dual_partition(k: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
 def grassmannian_parabolic(k: int, n: int,
                            max_elements: int = DEFAULT_ENUMERATION_GUARD) -> ParabolicData:
     """Parabolic data whose quotient is Gr(k, n): keep only node k."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _require_shape(k, n)
     delta_p = tuple(i for i in range(n - 1) if i != k - 1)
     return make_parabolic("A", n - 1, delta_p, max_elements=max_elements)
 

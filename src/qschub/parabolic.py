@@ -18,8 +18,8 @@ The size |W/W_P| is the product of (ht alpha + 1)/ht alpha over the
 crossing roots (below), so `cosets()`, `graph()` and the divisor engine
 refuse an oversized quotient before any work.
 
-Every positive root alpha outside R_P^+ ("crossing" root) carries two
-integers used throughout:
+Every positive root alpha outside R_P^+ ("crossing" root, the one test
+being `is_crossing`) carries two integers used throughout:
 
 * its degree vector d(alpha): coordinate h_alpha(omega_beta) for each
   retained node beta, i.e. the coefficient of alpha^vee over the coroots
@@ -66,12 +66,13 @@ its first query by one pass over the cosets in index order, which puts
 covered cosets before their covers: M(x), the minima of the labels at
 the cosets below x, is the minima of the labels at x and of M(y) for
 each y that x covers, and the entry for v is M(dual(v)), unpacked and
-sorted.  The labels are then dropped.  `verify` asks every ordered pair
-three times (twice for the symmetry check, once for the product sweep)
-and searches once per source; a row holds |W/W_P| pointers (D4 flag,
-all 192 rows: about 0.3 MB).  Both cosets are checked for ownership
-before the row is read, since another quotient's coset carries an index
-too, or none.
+sorted.  The labels are then dropped.  No frontier is empty, since
+sigma_u * sigma_v != 0: `_frontier_row` checks each where it interns it.
+`verify` asks every ordered pair three times (twice for the symmetry
+check, once for the product sweep) and searches once per source; a row
+holds |W/W_P| pointers (D4 flag, all 192 rows: about 0.3 MB).  Both
+cosets are checked for ownership before the row is read, since another
+quotient's coset carries an index too, or none.
 
 `min_chain_witnesses` keeps each source's labels, with a table of the
 degrees they hold: each packed degree with the bitset of its holders and
@@ -327,12 +328,8 @@ class ParabolicData:
         self.delta_P = delta_P
         self.max_elements = max_elements
         self.q_index = tuple(sorted(set(range(system.rank)) - delta_P))
-        self.R_P_plus = tuple(
-            a for a in system.positive_roots
-            if all(a.coeffs[j] == 0 for j in self.q_index)
-        )
-        rp = set(self.R_P_plus)
-        self.crossing_roots = tuple(a for a in system.positive_roots if a not in rp)
+        self.crossing_roots = tuple(filter(self.is_crossing, system.positive_roots))
+        self.R_P_plus = tuple(a for a in system.positive_roots if not self.is_crossing(a))
         self.two_rho_P = tuple(
             sum(a.coeffs[j] for a in self.crossing_roots)
             for j in range(system.rank)
@@ -591,10 +588,7 @@ class ParabolicData:
         row = self._frontiers.get(u)
         if row is None:
             row = self._frontiers[u] = self._frontier_row(u)
-        got = row[v.index]
-        if not got:
-            raise InvariantError("chain frontier is never empty")
-        return got
+        return row[v.index]
 
     def _frontier_row(self, u: Coset) -> tuple:
         """Every frontier from u, indexed by v.index, in one pass.
@@ -617,6 +611,8 @@ class ParabolicData:
             m = tuple(below[self.dual(v).index])
             got = frontier_of.get(m)
             if got is None:
+                if not m:
+                    raise InvariantError("chain frontier is never empty")
                 got = frontier_of[m] = tuple(sorted(map(pk.unpack, m)))
             row.append(got)
         return tuple(row)

@@ -160,10 +160,8 @@ class RootSystem:
             self._index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)
         )
-        # caches of the Weyl-group layer: bruhat_leq_W's memo, keyed by
-        # (u.xi, v.xi), and w_o
+        # the Weyl-group layer's cache: bruhat_leq_W's memo, keyed by (u.xi, v.xi)
         self._bruhat_memo: dict = {}
-        self._longest = None
 
     # -- construction -------------------------------------------------
 

@@ -300,9 +300,7 @@ def bruhat_leq_W(u: WeylElem, v: WeylElem) -> bool:
 
 def longest_element(system: RootSystem) -> WeylElem:
     """The longest element w_o: w_o^-1 rho = -rho, so its word is stripped from -rho."""
-    if system._longest is None:
-        system._longest = WeylElem(system, (-1,) * system.rank)
-    return system._longest
+    return WeylElem(system, (-1,) * system.rank)
 
 
 def enumerate_parabolic_subgroup(

@@ -316,6 +316,47 @@ def test_verify_default_suite_stands_alone(capsys, argv):
     assert captured.err == "error: 'default-suite' is a keyword that must stand alone\n"
 
 
+@pytest.mark.parametrize("spelling, lower", [
+    ("verify A2 FLAG", "verify A2 flag"),
+    ("verify A2 FLAG --format json", "verify A2 flag --format json"),
+    ("minq A2 Flag --u s1 --v s2", "minq A2 flag --u s1 --v s2"),
+    ("verify DEFAULT-SUITE", "verify default-suite"),
+])
+def test_keywords_are_read_in_any_case(capsys, spelling, lower):
+    want = (main(lower.split()), capsys.readouterr())
+    assert want[0] == 0
+    assert (main(spelling.split()), capsys.readouterr()) == want
+
+
+def old_split_instances(tokens: list[str]) -> list[tuple[str, ...]]:
+    """Split "A2 flag gr 2 4 A1" into instance token groups."""
+    groups: list[list[str]] = []
+    for t in tokens:
+        starts = not ((t.isascii() and t.isdigit()) or t == "flag")
+        if starts or not groups:
+            if not starts:
+                raise cli.UsageError(f"instance list cannot start with {t!r}")
+            groups.append([t])
+        else:
+            groups.append(groups.pop() + [t])
+    return [tuple(g) for g in groups]
+
+
+@pytest.mark.parametrize("spelling", [" ".join(t) for t in checks.DEFAULT_SUITE] + [
+    "A3 1 3 gr 2 5 B2", "a4 flag", "gr 2 4 A1", "A2 flag A1 gr 3 6 C3 1 3 flag",
+    "2 A2", "flag A2", "1", "A2 3 x",
+])
+def test_split_instances_matches_the_old_splitter(spelling):
+    tokens = spelling.split()
+    try:
+        want = old_split_instances(tokens)
+    except cli.UsageError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            checks.split_instances(tokens)
+    else:
+        assert checks.split_instances(tokens) == want
+
+
 def test_guard_error_survives_pickle():
     exc = pickle.loads(pickle.dumps(GroupSizeGuardError("W(E7)", 10)))
     assert isinstance(exc, GroupSizeGuardError)

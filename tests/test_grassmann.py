@@ -431,6 +431,21 @@ def test_qproduct_rejects_out_of_box():
         qproduct_grassmann(2, 4, (3,), (1,))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: qproduct_grassmann(4, 4, (), ()),
+    lambda: qproduct_grassmann(5, 4, (), ()),
+    lambda: min_degree_diagonal(4, 4, (), ()),
+    lambda: monotone_chain_exists(0, 3, (), (), 0),
+    lambda: dual_partition(3, 3, ()),
+    lambda: partitions_in_box(0, 3),
+    lambda: grassmannian_parabolic(3, 3),
+], ids=["qproduct-k=n", "qproduct-k>n", "diagonal", "monotone", "dual", "box", "parabolic"])
+def test_only_gr_shapes_are_boxes(call):
+    # the partition API and the quotient refuse the same shapes, 1 <= k < n
+    with pytest.raises(ValueError, match=r"^need 1 <= k < n, got k=\d+, n=\d+$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # minimal-degree formulas
 

@@ -309,6 +309,22 @@ def test_frontier_examples():
         assert Q.min_chain_degrees(e, v) == ((0, 0),)
 
 
+def test_empty_frontier_is_refused_where_it_is_made(monkeypatch):
+    P = ParabolicData(make_parabolic("A", 2, ()).system, ())  # a fresh A2 flag quotient
+    search = P._label_search
+
+    def top_only(sources):
+        # keep the labels of the top coset only: every other coset's
+        # minima, and so every entry but one of a row, come out empty
+        labels = search(sources)
+        return tuple(node if i == len(labels) - 1 else () for i, node in enumerate(labels))
+
+    monkeypatch.setattr(P, "_label_search", top_only)
+    cosets = P.cosets()
+    with pytest.raises(InvariantError, match="chain frontier is never empty"):
+        P.min_chain_degrees(cosets[0], P.identity_coset())
+
+
 def test_zero_degree_iff_bruhat_below_dual():
     for inst in (("A", 2, ()), ("A", 3, (0, 2)), ("B", 2, ())):
         P = make_parabolic(*inst)
