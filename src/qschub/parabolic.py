@@ -374,7 +374,7 @@ class ParabolicData:
         return None
 
     def is_crossing(self, alpha: Root) -> bool:
-        return any(alpha.coeffs[j] != 0 for j in self.q_index)
+        return not alpha.supported_on(self.delta_P)
 
     def _crossing_entry(self, alpha: Root) -> CrossingRoot:
         degree = tuple(self.system.pairing(alpha, j) for j in self.q_index)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Container
 
 __all__ = ["InvariantError", "Root", "RootSystem", "build_root_system"]
 
@@ -120,6 +121,12 @@ class Root:
     @property
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
+
+    def supported_on(self, nodes: Container[int]) -> bool:
+        """No coefficient outside `nodes`: the root lies in the span of those
+        simple roots, so a positive root is in R_P^+ exactly when it is
+        supported on Delta_P."""
+        return all(j in nodes for j, c in enumerate(self.coeffs) if c)
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs), self.norm)

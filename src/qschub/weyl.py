@@ -314,8 +314,7 @@ def enumerate_parabolic_subgroup(
     A level BFS on xi (`_levels`): w s_i is longer exactly when xi_i > 0.
     """
     indices = sorted({_node(system, i) for i in indices})
-    spanned = [a for a in system.positive_roots
-               if not any(c for j, c in enumerate(a.coeffs) if j not in indices)]
+    spanned = [a for a in system.positive_roots if a.supported_on(indices)]
     order = order_from_heights(spanned)
     if order > max_elements:
         label = ",".join(str(i + 1) for i in indices)

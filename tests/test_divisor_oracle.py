@@ -7,8 +7,10 @@ end.  That arithmetic (`add`, `scale`, `shift`, `integral`) lives here
 too, as it was on `QClass` before the integer engine made it unused.
 `TupleEngine` is a test-local copy of the integer product recursion as
 it was before packed keys: terms keyed (degree, coset), every column and
-product a QClass.  The engine must give the same terms on every pair it
-is asked, and every coefficient must be a Python int.  The all-pairs
+product a QClass.  `PackedRecursion` is a test-local copy of the packed
+recursion as it was before product columns: one memoised call per pair
+(u, v), keyed ``ui << b | vi``.  The engine must give the same terms on
+every pair it is asked, and every coefficient must be a Python int.  The all-pairs
 digests at the end were recorded from the engine that still memoised its
 divisor columns.
 """
@@ -247,6 +249,7 @@ def test_corrupted_numerator_raises():
     engine, u = corrupted_engine()
     with pytest.raises(InvariantError, match="non-integral coefficient"):
         engine.product(u, engine.P.identity_coset())
+    assert not engine._column  # a column that failed is not memoised
 
 
 def overflowing_engine():
@@ -508,6 +511,90 @@ def test_packed_engine_matches_tuple_keyed_recursion_on_all_pairs(type_label, ra
             got, want = new.product(u, v), old.product(u, v)
             assert list(got.terms.items()) == list(want.terms.items()), (u, v)
             assert all(type(c) is int for c in got.terms.values()), (u, v)
+
+
+# ---------------------------------------------------------------------------
+# product columns against the memoised packed recursion
+
+
+class PackedRecursion:
+    """sigma_u * sigma_v as it was computed before product columns.
+
+    One memoised call per pair, keyed ``ui << b | vi``, each miss
+    recursing into the pairs (w, v) its plan reads.  It multiplies with
+    the live plans and rows of a DivisorEngine, so the two differ only in
+    the order the pairs are built.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._packed = {}
+
+    def product(self, ui, vi):
+        engine = self.engine
+        key = ui << engine._bits | vi
+        got = self._packed.get(key)
+        if got is not None:
+            return got
+        if ui == 0:  # the identity coset
+            got = {vi: 1}
+        else:
+            den, chosen, corrections = engine._plans[ui]
+            mask = engine._mask
+            acc = {}
+            get = acc.get
+            for n, b, wi in chosen:
+                # n * sigma_{s_b} * (sigma_w * sigma_v), row by row
+                rows = engine._rows[b]
+                for k, c in self.product(wi, vi).items():
+                    j = k & mask
+                    base = k ^ j  # the degree part, pack(d) << b
+                    c *= n
+                    for rk, h in rows[j]:
+                        t = base + rk
+                        acc[t] = get(t, 0) + c * h
+            for n, shift, w2i in corrections:
+                for k, c in self.product(w2i, vi).items():
+                    k += shift
+                    acc[k] = get(k, 0) + n * c
+            got = {}
+            for k, c in acc.items():
+                if c:
+                    q, r = divmod(c, den)
+                    if r:
+                        raise InvariantError(f"non-integral coefficient at {k}")
+                    got[k] = q
+        self._packed[key] = got
+        return got
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4),
+    ("D", 4)])  # D4 has plans with denominator 2
+def test_product_columns_match_the_packed_recursion_on_all_pairs(type_label, rank):
+    # a fresh quotient, so the memos of every pair are dropped after the test
+    P = ParabolicData(make_parabolic(type_label, rank, ()).system, ())
+    new = DivisorEngine(P)
+    old = PackedRecursion(new)
+    terms = new._terms
+    for u in P.cosets():
+        for v in P.cosets():
+            want = [(terms[k], c) for k, c in old.product(u.index, v.index).items()]
+            assert list(new.product(u, v).terms.items()) == want, (u, v)  # order too
+
+
+def test_one_cold_product_builds_one_column():
+    P = ParabolicData(make_parabolic("A", 3, ()).system, ())
+    engine = DivisorEngine(P)
+    cosets = P.cosets()
+    assert not engine._column
+    v = cosets[7]
+    engine.product(cosets[5], v)
+    assert list(engine._column) == [v.index]
+    column = engine._column[v.index]
+    assert len(column) == len(cosets)
+    engine.product(cosets[9], v)
+    assert list(engine._column) == [v.index] and engine._column[v.index] is column
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ for Pareto minima.
 
 import pytest
 
-from qschub.checks import build_instance
+from qschub.checks import DEFAULT_SUITE, build_instance
 from qschub.parabolic import (
     ParabolicData,
     degree_add,
@@ -23,6 +23,7 @@ from qschub.weyl import (
     GroupSizeGuardError,
     enumerate_parabolic_subgroup,
     identity,
+    order_from_heights,
     simple_reflection,
 )
 
@@ -153,6 +154,19 @@ def test_degree_of_root_rejects_R_P():
     for alpha in P.R_P_plus:
         with pytest.raises(ValueError):
             P.degree_of_root(alpha)
+
+
+@pytest.mark.parametrize("tokens", DEFAULT_SUITE + (
+    ("B3", "2"), ("C3", "1", "3"), ("D4", "2")))
+def test_R_P_plus_sizes_the_enumerated_W_P(tokens):
+    # one membership rule, Root.supported_on, read by is_crossing and by
+    # the guard of enumerate_parabolic_subgroup: |W_P| from the heights of
+    # R_P^+ is the number of elements the orbit walk finds
+    P = build_instance(tokens)[1]
+    assert set(P.R_P_plus) == {a for a in P.system.positive_roots
+                               if a.supported_on(P.delta_P)}
+    assert order_from_heights(P.R_P_plus) == len(
+        enumerate_parabolic_subgroup(P.system, P.delta_P))
 
 
 def test_grassmannian_crossing_degrees_all_one():

@@ -58,3 +58,4 @@ def test_counters_read_what_exists(wl):
     got = wl.counters(SimpleNamespace(P=P))
     assert set(got) == set(wl.COUNTERS)
     assert got["parabolic.graph.edges"] > 0 and got["quantum.product_memo.size"] > 0
+    assert got["quantum.column_memo.size"] > 0

@@ -235,6 +235,30 @@ def test_qclass_algebra():
     assert shifted == QClass.basis(P, s1, degree=(0, 1))
 
 
+def test_qclass_has_slots_and_keeps_its_equality():
+    P = make_parabolic("A", 2, ())
+    Q = ParabolicData(P.system, ())  # the same group, a second quotient object
+    s1 = coset(P, "s1")
+    a = QClass.basis(P, s1)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # equality is context identity and terms, as before slots
+    assert a == QClass(P, {((0, 0), s1): 1})
+    assert a != QClass(Q, dict(a.terms))
+    assert a != QClass.basis(P, s1, coeff=2)
+    assert a != a.terms
+    # multiply_classes as before: pinned from the class without slots
+    pair = lambda u, v: qproduct_GB(P, u, v)
+    e, s2 = P.identity_coset(), coset(P, "s2")
+    x = QClass(P, {((0, 0), s1): 2, ((1, 0), e): 1})
+    y = QClass(P, {((0, 0), s1): 1, ((0, 1), s2): -1})
+    got = multiply_classes(x, y, pair)
+    assert [((d, w.word()), c) for (d, w), c in got.terms.items()] == [
+        (((1, 0), ()), 2), (((0, 0), (1, 0)), 2), (((0, 1), (1, 0)), -2),
+        (((0, 1), (0, 1)), -2), (((1, 0), (0,)), 1), (((1, 1), (1,)), -1)]
+
+
 def test_min_occurring_degrees():
     P = make_parabolic("A", 2, ())
     e = P.identity_coset()

@@ -83,6 +83,14 @@ def test_simple_roots_are_unit_vectors(type_label, rank):
         assert beta.coeffs == tuple(1 if j == i else 0 for j in range(rank))
 
 
+def test_supported_on_reads_only_nonzero_coefficients():
+    rs = build_root_system("A", 3)
+    alpha = rs.root((1, 1, 0))  # alpha_1 + alpha_2
+    assert alpha.supported_on({0, 1}) and alpha.supported_on((0, 1, 2))
+    assert not alpha.supported_on({0}) and not alpha.supported_on({1, 2})
+    assert rs.simple_roots[2].supported_on({2})
+
+
 @pytest.mark.parametrize("type_label,rank", SMALL_TYPES)
 def test_one_or_two_root_norms(type_label, rank):
     rs = build_root_system(type_label, rank)
