@@ -28,29 +28,33 @@ subtracted recursively.  All arithmetic is in integers: each expression
 is stored as integer numerators over one common denominator, read off
 the eliminated rows, every product is summed in integers and divided by
 that denominator once, and a division that is not exact raises
-InvariantError.
+InvariantError.  A denominator of 1 divides nothing: dividing by 1 is
+always exact, so its sums are kept as they are.
 
 The decompositions and the products run on packed integer keys: a term
 q^d sigma_w is the one int ``pack(d) << b | w.index``, degrees packed by
 `PackedDegrees` and each coset's `index` its position in `P.cosets()`,
-so a q-shift is an integer addition and every memoised product is a
+so a q-shift is an integer addition and each product is summed in a
 ``dict[int, int]``.  The engine packs every Chevalley row at build, from
-the term list the Chevalley operators read, and builds products one
-*product column* at a time: the column at v is sigma_u * sigma_v for
-every u, one loop over u in index order.  The decomposition of sigma_u
-reads only products sigma_w * sigma_v with w shorter than u, and cosets
-are indexed by length, so each entry is summed from entries already in
-the list, with no recursion.  A cold single product therefore builds its
-whole column: up to about 14 ms on B4 flag (384 cosets), against 17-25
-ms for the engine build (Python 3.11, 2-vCPU VM).  The divisor columns
-of the elimination, sigma_{s_beta} . sigma_w, are not kept, nor their
-products sigma_{s_beta} * sigma_w * sigma_v: only the class that
-chooses (beta, w) reads one, and summing its rows again costs no more
-than building and reading it.  The field width comes from the grading bound:
-on G/B each q_i has degree 2, every term of sigma_u * sigma_v has
-l(w) + 2|d| = l(u) + l(v), so no coordinate exceeds l(w0) and fields of
-bit_length(l(w0)) bits never carry.  Only the public answer is
-unpacked, into a QClass.
+the term list the Chevalley operators read, each distinct degree once,
+and builds products one *product column* at a time: the column at v is
+sigma_u * sigma_v for every u, one loop over u in index order.  The
+decomposition of sigma_u reads only products sigma_w * sigma_v with w
+shorter than u, and cosets are indexed by length, so each entry is
+summed from entries already in the list, with no recursion.  The packed
+entries live only while their column is built: the full column is
+unpacked once, each entry into the QClass that answers its pair, and
+those answers are the engine's one product memo.  A cold single product
+therefore builds and unpacks its whole column: up to about 21 ms on B4
+flag (384 cosets), against 15-30 ms for the engine build (Python 3.11,
+2-vCPU VM).  The divisor columns of the elimination, sigma_{s_beta} .
+sigma_w, are not kept, nor their products sigma_{s_beta} * sigma_w *
+sigma_v: only the class that chooses (beta, w) reads one, and summing
+its rows again costs no more than building and reading it.  The field
+width comes from the grading bound: on G/B each q_i has degree 2, every
+term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
+coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
+carry.
 
 The columns enter the elimination sparsest first, by the number of
 terms of sigma_{s_beta} . sigma_w and then of sigma_{s_beta} *
@@ -70,6 +74,7 @@ An engine is any object with ``product(u, v) -> QClass``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -263,6 +268,9 @@ class DivisorEngine:
     the chosen divisor pairs, plus sum n' * q^d * sigma_w' over the
     negated quantum corrections.  A product accumulates those integer
     terms into one dict and divides by den once, exactly or not at all.
+    With den = 1 (every class on A4 flag, 175 of 191 on D4, 302 of 383
+    on B4) the nonzero sums are kept as they are: dividing by 1 is always
+    exact, so no check is skipped.
 
     Products run on packed integer keys.  A term q^d sigma_w is the
     int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
@@ -274,21 +282,26 @@ class DivisorEngine:
     as den, the chosen (n, beta, wi) and the corrections
     (n', pack(d) << b, w'i); nothing is packed on first use.
 
-    Products are built one product column at a time: `_column[vi]` is the
-    list whose entry ui is sigma_u * sigma_v as a ``dict[int, int]``,
-    filled by one loop over u in index order.  Entry 0 is sigma_v; each
-    later entry reads the entries its plan names, w one step shorter than
-    u and each w' shorter than u, which the length order of the indices
-    puts earlier in the list.  A chosen term n * sigma_{s_beta} . sigma_w
-    is applied straight to entry wi, adding n * c * h over the row of each
-    term c * q^d sigma_x; the product sigma_{s_beta} * sigma_w * sigma_v
-    is not kept, as only the u that chooses (beta, w) reads it.  So the
-    first product at a given v builds that whole column, up to about 14 ms
-    on B4 flag against 17-25 ms for the engine build, and every later
-    product at that v is a list read.  `_products` holds the public QClass
-    answers with (Degree, Coset) keys, read through `_terms`, one shared
-    dict whose missing keys unpack themselves, so each answer term is one
-    dict lookup.
+    Products are built one product column at a time: `_packed_column(vi)`
+    fills a local list whose entry ui is sigma_u * sigma_v as a
+    ``dict[int, int]``, by one loop over u in index order.  Entry 0 is
+    sigma_v; each later entry reads the entries its plan names, w one
+    step shorter than u and each w' shorter than u, which the length
+    order of the indices puts earlier in the list.  A chosen term
+    n * sigma_{s_beta} . sigma_w is applied straight to entry wi, adding
+    n * c * h over the row of each term c * q^d sigma_x; the product
+    sigma_{s_beta} * sigma_w * sigma_v is not kept, as only the u that
+    chooses (beta, w) reads it.  The full
+    list is then unpacked once, each entry into a QClass with (Degree,
+    Coset) keys read through `_terms`, one shared dict whose missing keys
+    unpack themselves, so each answer term is one dict lookup.  The
+    packed list is dropped, and `_column[vi]` keeps the list of QClass
+    answers: the engine's one product memo, one answer object per pair.
+    So the first product at a given v builds and unpacks that whole
+    column, up to about 21 ms on B4 flag against 15-30 ms for the
+    engine build, and every later product at that v is an ownership test
+    and a list read.  `_products` is a (u, v) -> QClass view of `_column`,
+    made on each read, not a store.
 
     `_build_plans` reads each level's classical columns off the rows (the
     keys <= mask) and hands them to the solver sparsest first: by the
@@ -308,8 +321,9 @@ class DivisorEngine:
     most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
     each other or into the coset index.  `_shift` is the one place a
     degree is packed (a correction's key is a row key or a coset index),
-    and a row degree outside 0..l(w0) breaks that argument and raises
-    InvariantError there, while the rows are built.
+    once per distinct degree while the rows are built, and a row degree
+    outside 0..l(w0) breaks that argument and raises InvariantError
+    there, at its first packing.
     """
 
     name = "divisor"
@@ -338,8 +352,7 @@ class DivisorEngine:
         self._bound = self.cosets[-1].length  # cosets go by length: w0 is last
         self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
         self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
-        self._column: dict = {}  # vi -> product column, [ui] -> {key: coeff}
-        self._products: dict = {}  # (u, v) -> QClass, the public answers
+        self._column: dict = {}  # vi -> product column, [ui] -> QClass, the answers
         self._terms = _TermTable(self._packer, self._bits, self.cosets)  # shared by every answer
         self._build_plans()
 
@@ -352,11 +365,12 @@ class DivisorEngine:
         # h_alpha(omega_b) at [w t_alpha], times q^{d(alpha)} on a quantum term
         self._rows = rows = [[] for _ in range(rank)]
         levels = [[] for _ in range(self._bound + 1)]  # the cosets of each length
+        shift = cache(self._shift)  # each distinct degree packed once
         for w in cosets:
             levels[w.length].append(w)
             terms = [{} for _ in range(rank)]
             for quantum, v, c in _chevalley_terms(P, w):
-                key = self._shift(c.degree) | v.index if quantum else v.index
+                key = shift(c.degree) | v.index if quantum else v.index
                 for acc, h in zip(terms, c.degree):
                     if h:
                         acc[key] = acc.get(key, 0) + h
@@ -414,16 +428,16 @@ class DivisorEngine:
     # -- products --------------------------------------------------------------
 
     def _packed_column(self, vi: int) -> list:
-        """The product column at v: entry ui is sigma_u * sigma_v on packed
-        keys, for every u in index order, memoized per v.
+        """The product column at v: entry ui is sigma_u * sigma_v as a
+        QClass, for every u in index order, memoized per v.
 
-        A plan reads w one step shorter than u and corrections w' shorter
-        than u; cosets are indexed by length, so each entry it reads is
-        already in the list.
+        The entries are summed on packed keys in a local list: a plan
+        reads w one step shorter than u and corrections w' shorter than
+        u, and cosets are indexed by length, so each entry it reads is
+        already in the list.  Once the list is full, each entry is
+        unpacked once into the QClass that `_column` keeps, and the
+        packed list is dropped.
         """
-        column = self._column.get(vi)
-        if column is not None:
-            return column
         column = [{vi: 1}]  # entry 0: sigma_e * sigma_v
         mask, all_rows = self._mask, self._rows
         for ui in range(1, len(self.cosets)):
@@ -444,6 +458,9 @@ class DivisorEngine:
                 for k, c in column[w2i].items():
                     k += shift
                     acc[k] = get(k, 0) + n * c
+            if den == 1:  # dividing by 1 is exact: keep the nonzero sums
+                column.append({k: c for k, c in acc.items() if c})
+                continue
             got = {}
             for k, c in acc.items():
                 if c:
@@ -457,23 +474,33 @@ class DivisorEngine:
                         )
                     got[k] = q
             column.append(got)
-        self._column[vi] = column
-        return column
+        P, terms = self.P, self._terms
+        answers = self._column[vi] = [
+            QClass(P, {terms[k]: c for k, c in entry.items()}) for entry in column]
+        return answers
 
     def product(self, u: Coset, v: Coset) -> QClass:
         """sigma_u * sigma_v with integer coefficients.
 
-        A cold call builds the whole product column at v (up to about
-        14 ms on B4 flag); every later call with the same v reads it.
+        A cold call builds and unpacks the whole product column at v
+        (up to about 21 ms on B4 flag); every later call with the same v
+        reads the same QClass object out of it.
         """
-        key = (u, v)
-        got = self._products.get(key)
-        if got is None:
-            self.P._check_own(u, v)
-            terms = self._terms
-            got = self._products[key] = QClass(self.P, {
-                terms[k]: c for k, c in self._packed_column(v.index)[u.index].items()})
-        return got
+        P = self.P
+        if u.quotient is not P or v.quotient is not P:
+            P._check_own(u, v)
+        column = self._column.get(v.index)
+        if column is None:
+            column = self._packed_column(v.index)
+        return column[u.index]
+
+    @property
+    def _products(self) -> dict:
+        """(u, v) -> QClass for every answer held: a view of `_column`,
+        made on each read, not a store."""
+        cosets = self.cosets
+        return {(u, cosets[vi]): got for vi, column in self._column.items()
+                for u, got in zip(cosets, column)}
 
 
 def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:

@@ -111,6 +111,20 @@ def test_commutativity_compares_two_memoised_products():
     assert rows["nonnegativity"].passed
 
 
+def test_flag_commutativity_compares_two_independent_answers():
+    # the divisor engine holds each answer once, in the column of its v,
+    # so one corrupted entry leaves its transpose intact
+    P = _fresh("A", 3, ())
+    engine = product_engine(P)
+    u, v = P.cosets()[1], P.cosets()[4]
+    engine._column[v.index][u.index] = times_q(engine, engine.product(u, v))
+    rows = rows_by_name(checks._product_sweep(P, "A3 flag", engine))
+    assert not rows["commutativity"].passed
+    assert rows["commutativity"].detail == (
+        "not commutative at (0,),(0, 1); not commutative at (0, 1),(0,)")
+    assert rows["nonnegativity"].passed
+
+
 def test_merged_monotone_row_fails_on_a_wrong_walk(monkeypatch):
     # one table entry per pair stands for "a chain at diag, none at
     # diag - 1"; a walk one strip long everywhere fails that row alone

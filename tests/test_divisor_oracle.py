@@ -597,6 +597,46 @@ def test_one_cold_product_builds_one_column():
     assert list(engine._column) == [v.index] and engine._column[v.index] is column
 
 
+def test_every_pair_has_one_answer_object():
+    # D4 has plans with denominators 1 and 2; each answer is one QClass,
+    # held in its column and nowhere else
+    P = ParabolicData(make_parabolic("D", 4, ()).system, ())
+    engine = DivisorEngine(P)
+    cosets = P.cosets()
+    for u in cosets:
+        for v in cosets:
+            engine.product(u, v)
+    assert sorted(engine._column) == list(range(len(cosets)))
+    for column in engine._column.values():
+        assert len(column) == len(cosets)
+        assert all(type(got) is QClass for got in column)
+    for u in cosets:
+        for v in cosets:
+            assert engine.product(u, v) is engine._column[v.index][u.index]
+    # `_products` is a view made from the columns, not a second store
+    assert "_products" not in vars(engine)
+    view = engine._products
+    assert len(view) == len(cosets) ** 2
+    assert all(got is engine._column[v.index][u.index] for (u, v), got in view.items())
+
+
+def test_foreign_cosets_are_refused_after_every_column_is_built():
+    # an answer is read by index, and a coset of a second A3 flag quotient
+    # has the same indices: ownership is tested before the read
+    P = ParabolicData(make_parabolic("A", 3, ()).system, ())
+    other = ParabolicData(P.system, ())
+    engine = DivisorEngine(P)
+    e = P.identity_coset()
+    for v in P.cosets():
+        engine.product(e, v)
+    assert len(engine._column) == len(P.cosets())
+    foreign = other.cosets()[5]
+    assert foreign.index == 5 and foreign.quotient is not P
+    for args in ((foreign, e), (e, foreign)):
+        with pytest.raises(ValueError, match=r"Coset\[s2\*s1\] is not a coset of this A3 flag"):
+            engine.product(*args)
+
+
 # ---------------------------------------------------------------------------
 # all-pairs pins, recorded from the engine that memoised its divisor columns
 # sigma_{s_beta} * sigma_w * sigma_v before products summed the rows directly
