@@ -28,8 +28,7 @@ subtracted recursively.  All arithmetic is in integers: each expression
 is stored as integer numerators over one common denominator, read off
 the eliminated rows, every product is summed in integers and divided by
 that denominator once, and a division that is not exact raises
-InvariantError.  A denominator of 1 divides nothing: dividing by 1 is
-always exact, so its sums are kept as they are.
+InvariantError.
 
 The decompositions and the products run on packed integer keys: a term
 q^d sigma_w is the one int ``pack(d) << b | w.index``, degrees packed by
@@ -45,7 +44,7 @@ summed from entries already in the list, with no recursion.  The packed
 entries live only while their column is built: the full column is
 unpacked once, each entry into the QClass that answers its pair, and
 those answers are the engine's one product memo.  A cold single product
-therefore builds and unpacks its whole column: up to about 21 ms on B4
+therefore builds and unpacks its whole column: up to about 23 ms on B4
 flag (384 cosets), against 15-30 ms for the engine build (Python 3.11,
 2-vCPU VM).  The divisor columns of the elimination, sigma_{s_beta} .
 sigma_w, are not kept, nor their products sigma_{s_beta} * sigma_w *
@@ -268,9 +267,6 @@ class DivisorEngine:
     the chosen divisor pairs, plus sum n' * q^d * sigma_w' over the
     negated quantum corrections.  A product accumulates those integer
     terms into one dict and divides by den once, exactly or not at all.
-    With den = 1 (every class on A4 flag, 175 of 191 on D4, 302 of 383
-    on B4) the nonzero sums are kept as they are: dividing by 1 is always
-    exact, so no check is skipped.
 
     Products run on packed integer keys.  A term q^d sigma_w is the
     int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
@@ -282,7 +278,7 @@ class DivisorEngine:
     as den, the chosen (n, beta, wi) and the corrections
     (n', pack(d) << b, w'i); nothing is packed on first use.
 
-    Products are built one product column at a time: `_packed_column(vi)`
+    Products are built one product column at a time: `_build_column(vi)`
     fills a local list whose entry ui is sigma_u * sigma_v as a
     ``dict[int, int]``, by one loop over u in index order.  Entry 0 is
     sigma_v; each later entry reads the entries its plan names, w one
@@ -291,16 +287,18 @@ class DivisorEngine:
     n * sigma_{s_beta} . sigma_w is applied straight to entry wi, adding
     n * c * h over the row of each term c * q^d sigma_x; the product
     sigma_{s_beta} * sigma_w * sigma_v is not kept, as only the u that
-    chooses (beta, w) reads it.  The full
-    list is then unpacked once, each entry into a QClass with (Degree,
-    Coset) keys read through `_terms`, one shared dict whose missing keys
-    unpack themselves, so each answer term is one dict lookup.  The
-    packed list is dropped, and `_column[vi]` keeps the list of QClass
-    answers: the engine's one product memo, one answer object per pair.
-    So the first product at a given v builds and unpacks that whole
-    column, up to about 21 ms on B4 flag against 15-30 ms for the
-    engine build, and every later product at that v is an ownership test
-    and a list read.  `_products` is a (u, v) -> QClass view of `_column`,
+    chooses (beta, w) reads it.  The full list is then unpacked once,
+    each entry into a QClass with (Degree, Coset) keys read through
+    `_terms`, one shared dict whose missing keys unpack themselves, so
+    each answer term is one dict lookup.  The packed list is dropped, and
+    `_column[vi]` keeps the QClass answers: the engine's one product
+    memo, one answer object per pair.  So the first product at a given v
+    builds and unpacks that whole column, up to about 23 ms on B4 flag
+    against 15-30 ms for the engine build, and every later product at
+    that v is an ownership test and a list read.  Unpacking each entry
+    on its first read instead keeps a cold product at the cost of one
+    entry, but cost the all-pairs sweep of flag-products 12-16% of its
+    pairs per second.  `_products` is a (u, v) -> QClass view of `_column`,
     made on each read, not a store.
 
     `_build_plans` reads each level's classical columns off the rows (the
@@ -427,16 +425,13 @@ class DivisorEngine:
 
     # -- products --------------------------------------------------------------
 
-    def _packed_column(self, vi: int) -> list:
-        """The product column at v: entry ui is sigma_u * sigma_v as a
-        QClass, for every u in index order, memoized per v.
+    def _build_column(self, vi: int) -> list:
+        """The product column at v, memoized in `_column[vi]`: entry ui
+        is sigma_u * sigma_v as a QClass, for every u in index order.
 
-        The entries are summed on packed keys in a local list: a plan
-        reads w one step shorter than u and corrections w' shorter than
-        u, and cosets are indexed by length, so each entry it reads is
-        already in the list.  Once the list is full, each entry is
-        unpacked once into the QClass that `_column` keeps, and the
-        packed list is dropped.
+        The entries are summed on packed keys first: a plan reads w one
+        step shorter than u and corrections w' shorter than u, and cosets
+        are indexed by length, so each entry it reads is already summed.
         """
         column = [{vi: 1}]  # entry 0: sigma_e * sigma_v
         mask, all_rows = self._mask, self._rows
@@ -458,9 +453,6 @@ class DivisorEngine:
                 for k, c in column[w2i].items():
                     k += shift
                     acc[k] = get(k, 0) + n * c
-            if den == 1:  # dividing by 1 is exact: keep the nonzero sums
-                column.append({k: c for k, c in acc.items() if c})
-                continue
             got = {}
             for k, c in acc.items():
                 if c:
@@ -483,15 +475,18 @@ class DivisorEngine:
         """sigma_u * sigma_v with integer coefficients.
 
         A cold call builds and unpacks the whole product column at v
-        (up to about 21 ms on B4 flag); every later call with the same v
+        (up to about 23 ms on B4 flag); every later call with the same v
         reads the same QClass object out of it.
         """
         P = self.P
+        # `_check_own`'s test, inlined; it still words the refusal.  Calling
+        # it on every read cost flag-products 3.4% of pairs_per_s (worse in
+        # 9 of 10 alternated runs, the gap wider than the spread)
         if u.quotient is not P or v.quotient is not P:
             P._check_own(u, v)
         column = self._column.get(v.index)
         if column is None:
-            column = self._packed_column(v.index)
+            column = self._build_column(v.index)
         return column[u.index]
 
     @property
