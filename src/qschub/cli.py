@@ -8,6 +8,14 @@ order).  A bare "<Type><rank>" means the full flag.  The zero degree
 always prints as "q^0".  Keywords and type letters are read in any case,
 by `checks.split_instances`, the one splitter, and `checks.build_instance`.
 
+The minq, product and graph reports come from one writer: text opens
+with the "# command:" and "# instance:" lines, JSON is one object with
+sorted keys holding "command", "instance" and the report's fields (graph
+--format dot and verify keep their own layouts).  A product's terms come
+from one term list: ascending q-power, then partitions reverse-lex on
+"gr" instances and words by length, then letters, otherwise; each class
+is labelled once.
+
 Exit codes: 0 success, 1 usage or parse error, 2 instance guard
 exceeded, 3 verification failure.
 """
@@ -78,10 +86,23 @@ def degree_str(inst: Instance, deg: tuple) -> str:
     return " ".join(factors)
 
 
-def coset_str(inst: Instance, u: Coset) -> str:
+def _label(inst: Instance, u: Coset) -> tuple[str, tuple]:
+    """The one label rule: u's printed label and its order within a q-power.
+
+    On gr-spelled instances the label is u's partition, ordered reverse-lex
+    once padded with k zeros (partitions in the box differ within k parts);
+    otherwise it is u's Weyl word, in `Coset.sort_key` order.
+    """
     if inst.gr_spelled:
-        return format_partition(partition_of_coset(inst.P, u))
-    return format_word(u.word())
+        lam = partition_of_coset(inst.P, u)
+        return format_partition(lam), tuple(
+            -a for a in lam + (0,) * inst.P.grassmannian_shape()[0])
+    key = u.sort_key()  # (length, word), so the word is computed once
+    return format_word(key[1]), key
+
+
+def coset_str(inst: Instance, u: Coset) -> str:
+    return _label(inst, u)[0]
 
 
 def root_str(root) -> str:
@@ -106,40 +127,46 @@ def parse_coset(inst: Instance, text: str) -> Coset:
         raise UsageError(str(exc)) from None
 
 
-def _term_order(inst: Instance, terms):
-    """Ascending q-power; within a power, partitions reverse-lex / words."""
-
-    def key(item):
-        (deg, u), _coeff = item
-        if inst.gr_spelled:
-            lam = partition_of_coset(inst.P, u)
-            # k zeros of padding: partitions in the box differ within k parts
-            inner = tuple(-a for a in lam + (0,) * inst.P.grassmannian_shape()[0])
-        else:
-            inner = u.sort_key()
-        return (sum(deg), deg, inner)
-
-    return sorted(terms, key=key)
+def qclass_terms(inst: Instance, c: QClass) -> list[tuple[tuple, str, int]]:
+    """c's terms as (degree, label, coefficient), each coset labelled once:
+    ascending q-power, then the label rule's order within a power."""
+    rows = [(deg, *_label(inst, u), coeff) for (deg, u), coeff in c.terms.items()]
+    rows.sort(key=lambda row: (sum(row[0]), row[0], row[2]))
+    return [(deg, label, coeff) for deg, label, _key, coeff in rows]
 
 
 def render_qclass(inst: Instance, c: QClass) -> list[str]:
     lines = []
-    for (deg, u), coeff in _term_order(inst, c.terms.items()):
+    for deg, label, coeff in qclass_terms(inst, c):
         pieces = []
         if coeff != 1:
             pieces.append(str(coeff))
         if sum(deg) != 0:
             pieces.append(degree_str(inst, deg))
-        pieces.append(f"sigma[{coset_str(inst, u)}]")
+        pieces.append(f"sigma[{label}]")
         lines.append(" * ".join(pieces))
     return lines
 
 
 def qclass_records(inst: Instance, c: QClass) -> list[dict]:
     return [
-        {"degree": list(deg), "label": coset_str(inst, u), "coeff": coeff}
-        for (deg, u), coeff in _term_order(inst, c.terms.items())
+        {"degree": list(deg), "label": label, "coeff": coeff}
+        for deg, label, coeff in qclass_terms(inst, c)
     ]
+
+
+def _report(command: str, inst: Instance, body: dict | list[str]) -> tuple[str, int]:
+    """The one writer of a minq, product or graph report.
+
+    `body` is either the JSON fields (a dict), written in the sorted-key
+    envelope beside `command` and `instance`, or the text lines (a list),
+    written under the `# command:` and `# instance:` header lines.
+    """
+    if isinstance(body, dict):
+        payload = {"command": command, "instance": inst.label, **body}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+    lines = [f"# command: {command}", f"# instance: {inst.label}", *body]
+    return "\n".join(lines) + "\n", 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +178,7 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
     v = parse_coset(inst, args.v)
     frontier, witnesses = inst.P.min_chain_witnesses(u, v)
     if args.format == "json":
-        payload = {
-            "command": "minq",
-            "instance": inst.label,
+        return _report("minq", inst, {
             "u": coset_str(inst, u),
             "v": coset_str(inst, v),
             "frontier": [list(d) for d in frontier],
@@ -168,11 +193,8 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
                 }
                 for w in witnesses
             ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        })
     lines = [
-        "# command: minq",
-        f"# instance: {inst.label}",
         f"# u: sigma[{coset_str(inst, u)}]",
         f"# v: sigma[{coset_str(inst, v)}]",
         "frontier: " + ", ".join(degree_str(inst, d) for d in frontier),
@@ -183,7 +205,7 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
             hops.append(f"--({root_str(r)} | {degree_str(inst, d)})--")
             hops.append(f"sigma[{coset_str(inst, x)}]")
         lines.append(f"chain[{degree_str(inst, w.degree)}]: " + " ".join(hops))
-    return "\n".join(lines) + "\n", 0
+    return _report("minq", inst, lines)
 
 
 def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
@@ -223,24 +245,18 @@ def cmd_product(inst: Instance, args) -> tuple[str, int]:
     engine, product = _pick_engine(inst, args.engine, u, guard)
     result = product(u, v)
     if args.format == "json":
-        payload = {
-            "command": "product",
-            "instance": inst.label,
+        return _report("product", inst, {
             "engine": engine,
             "u": coset_str(inst, u),
             "v": coset_str(inst, v),
             "terms": qclass_records(inst, result),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
-    lines = [
-        "# command: product",
-        f"# instance: {inst.label}",
+        })
+    return _report("product", inst, [
         f"# engine: {engine}",
         f"# u: sigma[{coset_str(inst, u)}]",
         f"# v: sigma[{coset_str(inst, v)}]",
-    ]
-    lines.extend(render_qclass(inst, result))
-    return "\n".join(lines) + "\n", 0
+        *render_qclass(inst, result),
+    ])
 
 
 def cmd_graph(inst: Instance, args) -> tuple[str, int]:
@@ -248,9 +264,7 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
     names = [coset_str(inst, u) for u in g.nodes]
     edge_items = sorted(g.edges.items())
     if args.format == "json":
-        payload = {
-            "command": "graph",
-            "instance": inst.label,
+        return _report("graph", inst, {
             "nodes": [
                 {"label": names[i], "length": g.nodes[i].length}
                 for i in range(g.node_count)
@@ -264,8 +278,7 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
                 }
                 for (i, j), (root, deg) in edge_items
             ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+        })
     if args.format == "dot":
         lines = [f'graph "{inst.label}" {{']
         for i in range(g.node_count):
@@ -277,11 +290,7 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
             )
         lines.append("}")
         return "\n".join(lines) + "\n", 0
-    lines = [
-        "# command: graph",
-        f"# instance: {inst.label}",
-        f"nodes: {g.node_count}",
-    ]
+    lines = [f"nodes: {g.node_count}"]
     for i in range(g.node_count):
         lines.append(f"node sigma[{names[i]}] len={g.nodes[i].length}")
     lines.append(f"edges: {g.edge_count}")
@@ -290,7 +299,7 @@ def cmd_graph(inst: Instance, args) -> tuple[str, int]:
             f"edge sigma[{names[i]}] -- sigma[{names[j]}] "
             f"root={root_str(root)} degree={degree_str(inst, deg)}"
         )
-    return "\n".join(lines) + "\n", 0
+    return _report("graph", inst, lines)
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -414,18 +423,11 @@ def main(argv=None) -> int:
             out, code = cmd_verify(args)
         else:
             inst = _build(args.instance, args.max_group_order)
-            if args.command == "minq":
-                out, code = cmd_minq(inst, args)
-            elif args.command == "product":
-                out, code = cmd_product(inst, args)
-            else:
-                out, code = cmd_graph(inst, args)
-    except UsageError as exc:
+            command = {"minq": cmd_minq, "product": cmd_product, "graph": cmd_graph}
+            out, code = command[args.command](inst, args)
+    except (UsageError, GroupSizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GroupSizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, GroupSizeGuardError) else 1
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

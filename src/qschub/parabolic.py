@@ -315,8 +315,7 @@ class PackedDegrees:
 class ParabolicData:
     """A proper parabolic quotient and its cached combinatorics."""
 
-    def __init__(self, system: RootSystem, delta_P: Iterable[int],
-                 max_elements: int = DEFAULT_ENUMERATION_GUARD):
+    def __init__(self, system: RootSystem, delta_P: Iterable[int]):
         delta_P = frozenset(delta_P)
         if not delta_P <= set(range(system.rank)):
             raise ValueError(
@@ -326,7 +325,7 @@ class ParabolicData:
             raise ValueError("delta_P equals the whole node set: the quotient is a point")
         self.system = system
         self.delta_P = delta_P
-        self.max_elements = max_elements
+        self.max_elements = DEFAULT_ENUMERATION_GUARD
         self.q_index = tuple(sorted(set(range(system.rank)) - delta_P))
         self.crossing_roots = tuple(filter(self.is_crossing, system.positive_roots))
         self.R_P_plus = tuple(a for a in system.positive_roots if not self.is_crossing(a))

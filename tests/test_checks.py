@@ -379,3 +379,9 @@ def test_guards_refuse_before_the_first_check(monkeypatch):
     with pytest.raises(GroupSizeGuardError, match="group-order guard"):
         checks.run_instance_checks(("A3", "flag"), max_group_order=10)
     assert calls == []
+
+
+def test_build_instance_refuses_an_empty_description():
+    with pytest.raises(ValueError, match="^empty instance description$") as err:
+        checks.build_instance(())
+    assert err.type is ValueError

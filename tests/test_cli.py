@@ -12,7 +12,8 @@ import pytest
 
 from qschub import checks, cli
 from qschub.cli import main
-from qschub.grassmann import coset_of_partition, grassmannian_parabolic
+from qschub.grassmann import (coset_of_partition, grassmannian_parabolic,
+                              partition_of_coset)
 from qschub.quantum import product_engine
 from qschub.roots import build_root_system
 from qschub.weyl import GroupSizeGuardError, format_word, longest_element
@@ -174,6 +175,23 @@ def test_exit_code_usage_errors(capsys):
     assert main(["minq", "Z9", "flag", "--u", "e", "--v", "e"]) == 1
     assert main(["minq", "gr", "2", "4", "--v", "1"]) == 1  # --u missing
     assert main(["product", "A2", "flag", "--u", "s1", "--v", "s9"]) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["minq", "gr", "2", "4", "flag", "--u", "1", "--v", "1"],
+     "Grassmannian instances read: gr <k> <n>"),
+    (["product", "A3", "flag", "--u", "21", "--v", "e"],
+     "A3 flag classes are Weyl words like s1*s2 (or e), got '21'"),
+])
+def test_refused_instance_or_class_prints_one_error_line(capsys, argv, message):
+    tokens = argv[1:argv.index("--u")]
+    # the instance is refused by _build, the class by parse_coset
+    with pytest.raises(cli.UsageError) as err:
+        cli.parse_coset(cli._build(tokens, 0), argv[argv.index("--u") + 1])
+    assert str(err.value) == message
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_bad_numeric_options_are_usage_errors(capsys):
@@ -728,6 +746,26 @@ def test_golden_product_three_ways(capsys):
     assert code == 0
     assert "frontier: q^2\n" in out
     assert min_degree_diagonal(4, 9, (5, 4, 4, 3), (5, 4, 4, 1)) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_printed_class_is_labelled_once(capsys, monkeypatch, fmt):
+    calls = []
+
+    def counting(P, u):
+        calls.append(u)
+        return partition_of_coset(P, u)
+
+    monkeypatch.setattr(cli, "partition_of_coset", counting)
+    code, out = run(capsys, "product", "gr", "4", "9", "--u", "5443", "--v", "5441",
+                    "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        terms = len(json.loads(out)["terms"])
+    else:
+        terms = sum(not line.startswith("#") for line in out.splitlines())
+    # sigma[5443], sigma[5441] and each of the six terms, once each
+    assert terms == 6 and len(calls) == 8
 
 
 def test_product_json_terms(capsys):

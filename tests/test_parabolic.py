@@ -18,7 +18,7 @@ from qschub.parabolic import (
     pareto_minima,
 )
 from qschub.quantum import QClass, multiply_classes, qproduct_GB
-from qschub.roots import InvariantError
+from qschub.roots import InvariantError, build_root_system
 from qschub.weyl import (
     GroupSizeGuardError,
     enumerate_parabolic_subgroup,
@@ -228,6 +228,14 @@ def test_make_parabolic_reads_delta_p_as_a_set():
         make_parabolic("A", 3, [0, 3])
 
 
+def test_to_coset_refuses_an_element_of_another_system():
+    w = simple_reflection(build_root_system("B", 3), 0)
+    with pytest.raises(ValueError,
+                       match="^element belongs to a different root system$") as err:
+        make_parabolic("A", 3, ()).to_coset(w)
+    assert err.type is ValueError
+
+
 def test_one_parabolic_data_per_quotient():
     # what `qschub product B3 flag --max-group-order 48` builds
     _label, Q = build_instance(("B3", "flag"), max_elements=48)
@@ -241,8 +249,10 @@ def test_one_parabolic_data_per_quotient():
 
 def test_enumeration_guard_ignores_call_order():
     # a fresh quotient refuses during the BFS ...
+    fresh = ParabolicData(make_parabolic("A", 3, ()).system, (0, 2))
+    fresh.max_elements = 5
     with pytest.raises(GroupSizeGuardError):
-        ParabolicData(make_parabolic("A", 3, ()).system, (0, 2), max_elements=5).cosets()
+        fresh.cosets()
     # ... and a cached enumeration or graph refuses the same guard
     for delta_P, size in (((0, 2), 6), ((), 24)):
         assert len(make_parabolic("A", 3, delta_P).graph().nodes) == size
@@ -256,7 +266,8 @@ def test_enumeration_guard_ignores_call_order():
 
 def test_refused_cosets_enumerate_nothing():
     # |W/W_P| is known before any work, so a refusal interns no coset
-    P = ParabolicData(make_parabolic("A", 3, ()).system, (1,), max_elements=5)
+    P = ParabolicData(make_parabolic("A", 3, ()).system, (1,))
+    P.max_elements = 5
     with pytest.raises(GroupSizeGuardError):
         P.cosets()
     with pytest.raises(GroupSizeGuardError):

@@ -175,6 +175,12 @@ def test_pairing_rejects_foreign_root():
         rs.pairing(other.positive_roots[-1], 0)
 
 
+def test_root_refuses_coefficients_that_are_not_a_root():
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a root of A2$") as err:
+        build_root_system("A", 2).root((2, 2))
+    assert err.type is ValueError
+
+
 def test_type_label_is_case_insensitive():
     assert build_root_system("a", 2) is build_root_system("A", 2)
     with pytest.raises(ValueError):

@@ -90,6 +90,19 @@ def test_compose_rejects_mixed_systems():
     b = identity(build_root_system("B", 2))
     with pytest.raises(ValueError):
         a * b
+    a3 = simple_reflection(build_root_system("A", 3), 0)
+    with pytest.raises(ValueError, match="^cannot compose elements of A2 and A3$") as err:
+        a * a3
+    assert err.type is ValueError
+
+
+def test_bruhat_comparison_refuses_mixed_systems():
+    a2 = simple_reflection(build_root_system("A", 2), 0)
+    a3 = simple_reflection(build_root_system("A", 3), 0)
+    with pytest.raises(ValueError,
+                       match="^Bruhat comparison across different systems$") as err:
+        bruhat_leq_W(a2, a3)
+    assert err.type is ValueError
 
 
 def test_length_examples():
