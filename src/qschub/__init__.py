@@ -2,8 +2,9 @@
 
 Root systems, Weyl groups and parabolic quotients in exact arithmetic;
 minimal q-degrees of quantum products via Pareto chain search; quantum
-Chevalley multiplication; full products on G/B by divisor recursion and
-on Grassmannians by the rim-hook oracle.
+Chevalley multiplication; full products by one generator recursion, on
+G/B from the Chevalley rows and on Grassmannians from the quantum Pieri
+rows, with the rim-hook rule kept as the Grassmannian oracle.
 """
 
 from .grassmann import (

@@ -227,11 +227,9 @@ def _gr_shape(P: ParabolicData):
 
 
 def _class_labels(P: ParabolicData) -> dict:
-    """Coset -> partition on Grassmannians, read through the rim-hook
-    engine's dictionary; reduced word otherwise."""
+    """Coset -> partition on Grassmannians; reduced word otherwise."""
     if _gr_shape(P):
-        partition = grassmann.rimhook_engine(P).partition
-        return {u: partition(u) for u in P.cosets()}
+        return {u: grassmann.partition_of_coset(P, u) for u in P.cosets()}
     return {u: u.word() for u in P.cosets()}
 
 

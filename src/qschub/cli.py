@@ -36,7 +36,7 @@ from .grassmann import (
     format_partition,
     parse_partition,
     partition_of_coset,
-    rimhook_engine,
+    qproduct_grassmann_cosets,
 )
 from .parabolic import Coset, ParabolicData
 from .quantum import (
@@ -212,7 +212,8 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
     """(engine name, product(u, v) -> QClass) for an --engine choice.
 
     `auto` is product_engine's choice; an explicit choice is checked
-    against the instance.
+    against the instance.  `rimhook` is the Grassmannian oracle, the
+    rim-hook rule on the one pair asked for, with no engine built.
     """
     P = inst.P
     if engine == "auto":
@@ -221,7 +222,7 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
         except ValueError:
             raise UsageError(
                 f"no full-product engine applies to {inst.label}: the divisor "
-                "recursion needs the full flag and the rim-hook oracle needs a "
+                "recursion needs the full flag and the quantum Pieri rows need a "
                 "Grassmannian; --engine chevalley works when u is a divisor class"
             ) from None
         return chosen.name, chosen.product
@@ -232,7 +233,7 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
     if engine == "rimhook":
         if P.grassmannian_shape() is None:
             raise UsageError("the rim-hook engine requires a Grassmannian instance")
-        return engine, rimhook_engine(P).product
+        return engine, partial(qproduct_grassmann_cosets, P)
     if u.length != 1:
         raise UsageError("--engine chevalley needs u to be a divisor class sigma[s<i>]")
     return engine, lambda a, b: quantum_chevalley(P, a.word()[0], b)
@@ -358,7 +359,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qschub", description=__doc__)
+    parser = _Parser(prog="qschub", description="Minimal q-degrees, quantum products, "
+                     "adjacency graphs and verification sweeps on flag varieties G/P.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_uv: bool):

@@ -1,12 +1,14 @@
-"""Grassmannian quotient: partition combinatorics and the rim-hook product.
+"""Grassmannian quotient: partition combinatorics, Pieri rows, the rim-hook oracle.
 
 For the quotient of type A_{n-1} by the parabolic that keeps only node k
 (1-based), Schubert classes are indexed by partitions inside the k x (n-k)
 box.  This module provides the dictionary between coset language and
 partition language, an exact classical Littlewood-Richardson expansion
-(horizontal-strip recursion with the lattice-word condition), and the
+(horizontal-strip recursion with the lattice-word condition), the
 quantum product computed by reducing wide partitions modulo rim hooks of
-size n, one power of q per hook.
+size n, one power of q per hook, and `PieriEngine`, the product engine
+on Gr(k, n): the divisor engine's plan builder and column loop fed the
+quantum Pieri rows, which are written here from partitions.
 
 The abacus encoding does the heavy lifting, and every conversion goes
 through it: a partition with at most k rows is the k-element set
@@ -21,20 +23,19 @@ that is too wide but admits no removal reduces to zero.  The reduced
 class must not depend on the order of removals, which the recursion
 checks.
 
-Products are memoised per quotient: `product_engine` (and the command
-line's `--engine rimhook`) hands out the one `RimHookEngine` cached on the
-quotient, which keeps sigma_u * sigma_v per *ordered* pair (u, v), so
-sigma_v * sigma_u stays a separate computation.  Within one expansion the
-horizontal-strip step is memoised across pairs.
+The rim-hook rule is the engine's oracle.  `product_engine` hands out
+the one `PieriEngine` cached on the quotient; `qproduct_grassmann`, and
+the command line's `--engine rimhook` through `qproduct_grassmann_cosets`,
+expand the one pair asked for and keep no product.  Across expansions
+the horizontal-strip step and the rim-hook reduction are memoised.
 
 Partitions are validated once, where they enter the module: only
 `_require_box`, `beta_set`, `classical_lr` and `parse_partition` call
 `normalize_partition`, and what the module builds is not validated
 again.  The public entry points check their input and hand it to a
 private body (`_qproduct`, `_classical_lr`, `_min_degree_diagonal`,
-`_monotone_table`) that trusts it.  The engine and the verify sweep call
-the bodies on partitions the engine read off its cosets, converting each
-coset and each partition once and keeping the answer.
+`_monotone_table`) that trusts it.  The verify sweep calls the bodies on
+partitions read off its cosets, each coset converted once.
 
 The monotone rim-hook walk from lam does not depend on mu, which only
 picks where it may stop, so it runs once per partition: `_monotone_table`
@@ -50,12 +51,12 @@ partition inside dual(mu).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from operator import le, sub
 from typing import Iterable, Iterator, Optional
 
 from .parabolic import Coset, ParabolicData, make_parabolic
-from .quantum import QClass
+from .quantum import DivisorEngine, QClass
 from .roots import InvariantError
 from .weyl import DEFAULT_ENUMERATION_GUARD, _ascii_int
 
@@ -75,8 +76,7 @@ __all__ = [
     "classical_lr",
     "qproduct_grassmann",
     "qproduct_grassmann_cosets",
-    "RimHookEngine",
-    "rimhook_engine",
+    "PieriEngine",
     "min_degree_diagonal",
     "monotone_chain_exists",
 ]
@@ -372,58 +372,68 @@ def qproduct_grassmann_cosets(P: ParabolicData, u: Coset, v: Coset) -> QClass:
                       for (d, nu), c in qproduct_grassmann(k, n, lam, mu).items()})
 
 
-class RimHookEngine:
-    """Full quantum products on a Grassmannian by the rim-hook rule.
+def _between(lo: tuple, hi: tuple) -> Iterator[tuple]:
+    """Every vector x with lo <= x <= hi termwise, lex order; with
+    lo_i >= hi_{i+1} each is a partition, padded."""
+    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
-    Each product is memoised by its ordered pair (u, v), as the divisor
-    engine's are; callers share the returned QClass and must not change
-    it.  `rimhook_engine` keeps one engine per quotient.  The engine also
-    keeps the dictionary it has read so far, coset -> partition and
-    partition -> coset, each entry filled on first use through
-    `partition_of_coset` or `coset_of_partition` (so their checks run once
-    per coset), and multiplies the partitions through `_qproduct` without
-    validating them again.  It enumerates no cosets.
+
+class PieriEngine(DivisorEngine):
+    """Full quantum products on Gr(k, n) from the quantum Pieri rows.
+
+    The divisor engine's plan builder and column loop, fed the rows of
+    the special classes sigma_p, p = 1..n-k, which generate the ring, in
+    place of the Chevalley rows.  Bertram's quantum Pieri rule (in Buch's
+    form, Compositio 137, 2003) reads sigma_p * sigma_lam = sum sigma_mu
+    + q sum sigma_nu, each coefficient 1:
+    - mu/lam is a horizontal strip of p boxes with mu in the box, so
+      lam_i <= mu_i <= lam_{i-1}, with lam_0 = n - k;
+    - lam_i - 1 >= nu_i >= lam_{i+1} - 1, nu_k >= 0 and |nu| = |lam| +
+      p - n, so nu is lam less its first column, less a horizontal strip
+      of n - k - p boxes, and lam has k parts.
+    The p = 1 row is the quantum Chevalley formula.  sigma_p has degree
+    p, so the plan of a class of length l reads the classical columns
+    sigma_p . sigma_w with l(w) = l - p.  q has Chern number n >= 2, so
+    the divisor engine's packed field bound holds unchanged.
+
+    `product_engine` builds one per Grassmannian quotient, under the
+    enumeration guard alone: its cost follows the C(n, k) cosets, not
+    |W|.  The rim-hook rule (`_qproduct`) stays as its oracle.
     """
 
-    name = "rimhook"
+    name = "pieri"
 
-    def __init__(self, P: ParabolicData):
-        self.P = P
-        self._shape = P.grassmannian_shape()
-        self._products: dict = {}  # (u, v) -> sigma_u * sigma_v
-        self._partitions: dict = {}  # coset -> partition
-        self._cosets: dict = {}  # partition -> coset
+    def _admit(self, P: ParabolicData, max_group_order: int) -> None:
+        if not P.delta_P or P.grassmannian_shape() is None:
+            raise ValueError(f"the Pieri engine needs a Grassmannian quotient, not {P.label}")
 
-    def partition(self, u: Coset) -> tuple[int, ...]:
-        """u's partition label; a coset of another quotient is refused."""
-        lam = self._partitions.get(u)
-        if lam is None:
-            lam = self._partitions[u] = partition_of_coset(self.P, u)
-        return lam
+    def _generators(self, shift) -> list:
+        """(rows, p) for p = 1..n-k, rows[wi] = sigma_p * sigma_w packed.
 
-    def coset(self, lam: tuple[int, ...]) -> Coset:
-        """The coset of a partition in the box."""
-        u = self._cosets.get(lam)
-        if u is None:
-            u = self._cosets[lam] = coset_of_partition(self.P, lam)
-        return u
-
-    def product(self, u: Coset, v: Coset) -> QClass:
-        got = self._products.get((u, v))
-        if got is None:
-            lam, mu = self.partition(u), self.partition(v)
-            k, n = self._shape
-            # _qproduct's keys are distinct and its coefficients nonzero
-            got = self._products[(u, v)] = QClass(self.P, {
-                ((d,), self.coset(nu)): c for (d, nu), c in _qproduct(k, n, lam, mu).items()})
-        return got
-
-
-def rimhook_engine(P: ParabolicData) -> RimHookEngine:
-    """The quotient's one rim-hook engine, built on first use."""
-    if P._rimhook_engine is None:
-        P._rimhook_engine = RimHookEngine(P)
-    return P._rimhook_engine
+        Each term lands in exactly one row: every mu with lam_i <= mu_i <=
+        lam_{i-1} (lam_0 = n - k) other than lam is a classical term of row
+        p = |mu| - |lam| <= n - k, and every nu with lam_{i+1} - 1 <= nu_i
+        <= lam_i - 1 (nu_k >= 0) a q-term of row p = |nu| - |lam| + n >= 1.
+        So each coset's rows are read off two box enumerations.
+        """
+        k, n = self.P.grassmannian_shape()
+        width = n - k
+        labels = [partition_of_coset(self.P, u) for u in self.cosets]
+        labels = [lam + (0,) * (k - len(lam)) for lam in labels]
+        index = {lam: i for i, lam in enumerate(labels)}  # padded partition -> coset index
+        q = shift((1,))
+        rows = [[] for _ in range(width)]
+        for lam in labels:
+            size = sum(lam)
+            terms = [[] for _ in range(width + 1)]  # terms[p], p = 0 unused
+            for mu in _between(lam, (width,) + lam[:-1]):
+                terms[sum(mu) - size].append((index[mu], 1))
+            hat = tuple(a - 1 for a in lam)  # lam less its first column
+            for nu in _between(hat[1:] + (0,), hat):
+                terms[sum(nu) - size + n].append((q | index[nu], 1))
+            for row, got in zip(rows, terms[1:]):
+                row.append(tuple(got))
+        return [(row, p) for p, row in enumerate(rows, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -345,8 +345,7 @@ class ParabolicData:
         self._frontiers = {}  # coset u -> tuple of frontiers, indexed by v.index
         self._frontier_of = {}  # packed minima -> their one frontier tuple
         self._dual = {}  # coset u -> dual(u)
-        self._divisor_engine = None
-        self._rimhook_engine = None
+        self._divisor_engine = None  # product_engine's: divisor on G/B, Pieri on Gr(k, n)
 
     # -- small derived data ----------------------------------------------
 

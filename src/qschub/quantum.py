@@ -1,4 +1,4 @@
-"""Quantum cohomology of G/P: Chevalley products and full products on G/B.
+"""Quantum cohomology of G/P: Chevalley products, full products on G/B and Gr(k, n).
 
 Classes live in the free module over Z[q_1..q_m] (one q per retained
 node) with basis the Schubert classes, i.e. the cosets of W_P.  A QClass
@@ -15,15 +15,20 @@ h_alpha(omega_beta), which is the beta-coordinate of d(alpha) because
 beta is a retained node; the operator reads alpha's degree, Chern number
 and target coset [u t_alpha] from the quotient's crossing-root table.
 
-Full products are supported on full flag varieties (Delta_P empty),
-where the divisor classes generate the cohomology ring.  The engine
-expresses each basis class classically as a rational-coefficient
-polynomial in divisor classes (fraction-free Gauss-Jordan elimination on
-integer rows, lengths in increasing order, the divisor columns
-sigma_{s_beta} . sigma_w sparsest first), then corrects the expression
+Full products are supported wherever a list of *generators* is known:
+classes sigma_g that generate the cohomology ring, each given by its
+degree and its rows, the quantum products sigma_g * sigma_w for every
+coset w.  On full flag varieties (Delta_P empty) they are the divisor
+classes sigma_{s_beta}, of degree 1, with the Chevalley rows; on
+Grassmannians they are the special classes sigma_p, p = 1..n-k, of
+degree p, with the quantum Pieri rows (`grassmann.PieriEngine`).  The
+engine expresses each basis class classically as a rational-coefficient
+polynomial in the generators (fraction-free Gauss-Jordan elimination on
+integer rows, lengths in increasing order, the columns sigma_g . sigma_w
+with l(w) = l(u) - deg g sparsest first), then corrects the expression
 degree by degree in q: evaluating a classical expression with the
-*quantum* divisor operators reproduces sigma_u plus error terms that all
-carry q-degree >= 1 and strictly smaller coset length, so they can be
+*quantum* rows reproduces sigma_u plus error terms that all carry
+q-degree >= 1 and strictly smaller coset length, so they can be
 subtracted recursively.  All arithmetic is in integers: each expression
 is stored as integer numerators over one common denominator, read off
 the eliminated rows, every product is summed in integers and divided by
@@ -34,10 +39,11 @@ The decompositions and the products run on packed integer keys: a term
 q^d sigma_w is the one int ``pack(d) << b | w.index``, degrees packed by
 `PackedDegrees` and each coset's `index` its position in `P.cosets()`,
 so a q-shift is an integer addition and each product is summed in a
-``dict[int, int]``.  The engine packs every Chevalley row at build, from
-the term list the Chevalley operators read, each distinct degree once,
-and builds products one *product column* at a time: the column at v is
-sigma_u * sigma_v for every u, one loop over u in index order.  The
+``dict[int, int]``.  The engine packs every generator row at build (the
+Chevalley rows from the term list the Chevalley operators read), each
+distinct degree once, and builds products one *product column* at a
+time: the column at v is sigma_u * sigma_v for every u, one loop over u
+in index order.  The
 decomposition of sigma_u reads only products sigma_w * sigma_v with w
 shorter than u, and cosets are indexed by length, so each entry is
 summed from entries already in the list, with no recursion.  The packed
@@ -46,28 +52,32 @@ unpacked once, each entry into the QClass that answers its pair, and
 those answers are the engine's one product memo.  A cold single product
 therefore builds and unpacks its whole column: up to about 23 ms on B4
 flag (384 cosets), against 15-30 ms for the engine build (Python 3.11,
-2-vCPU VM).  The divisor columns of the elimination, sigma_{s_beta} .
-sigma_w, are not kept, nor their products sigma_{s_beta} * sigma_w *
-sigma_v: only the class that chooses (beta, w) reads one, and summing
-its rows again costs no more than building and reading it.  The field
-width comes from the grading bound: on G/B each q_i has degree 2, every
-term of sigma_u * sigma_v has l(w) + 2|d| = l(u) + l(v), so no
-coordinate exceeds l(w0) and fields of bit_length(l(w0)) bits never
+2-vCPU VM).  The columns of the elimination, sigma_g . sigma_w, are
+not kept, nor their products sigma_g * sigma_w * sigma_v: only the
+class that chooses (g, w) reads one, and summing its rows again costs
+no more than building and reading it.  The field width comes from the
+grading bound: every term of sigma_u * sigma_v has l(w) + sum d_i n_i =
+l(u) + l(v) <= 2 dim, and every retained coroot has Chern number n_i
+>= 2 (2 on G/B, n on Gr(k, n)), so no coordinate exceeds dim = the
+length of the longest coset and fields of bit_length(dim) bits never
 carry.
 
 The columns enter the elimination sparsest first, by the number of
-terms of sigma_{s_beta} . sigma_w and then of sigma_{s_beta} *
-sigma_w, ties in (beta, w) order.  Gauss-Jordan returns basic
-solutions, supported on the pivot columns, so a class that is h times
-a single divisor product classically is decomposed as that one term,
-and every product with it costs one Chevalley row per term of
-sigma_w * sigma_v.  On A4 flag a decomposition has 1.24 terms on
-average (2.44 in plain (beta, w) order), on D4 flag 1.78 (5.75).
+terms of sigma_g . sigma_w and then of sigma_g * sigma_w, ties in
+(g, w) order.  Gauss-Jordan returns basic solutions, supported on the
+pivot columns, so a class that is h times a single generator product
+classically is decomposed as that one term, and every product with it
+costs one row per term of sigma_w * sigma_v.  On A4 flag a
+decomposition has 1.24 terms on average (2.44 in plain (beta, w)
+order), on D4 flag 1.78 (5.75).
 
 `product_engine` is the one place that decides which engine multiplies
-on a given quotient: the divisor recursion on full flags, the rim-hook
-rule on Grassmannians, each built once per quotient and cached on it.
-An engine is any object with ``product(u, v) -> QClass``.
+on a given quotient: the divisor engine on full flags, under both size
+guards, and the Pieri engine on Grassmannians, under the enumeration
+guard alone (its cost follows the C(n, k) cosets, not |W|), each built
+once per quotient and cached on it.  The rim-hook rule
+(`grassmann.qproduct_grassmann`) stays as the Grassmannian oracle.  An
+engine is any object with ``product(u, v) -> QClass``.
 """
 
 from __future__ import annotations
@@ -260,11 +270,19 @@ class _TermTable(dict):
 
 
 class DivisorEngine:
-    """Full quantum products on a full flag variety via divisor recursion.
+    """Full quantum products by recursion over a list of generators.
+
+    The generators come from `_generators`, a list of (rows, degree):
+    rows[wi] is the quantum product sigma_b * sigma_w of generator b with
+    every coset w, packed.  Here they are the divisor classes of a full
+    flag variety, each of degree 1 with its Chevalley rows, under the
+    group-order guard (`_admit`); `grassmann.PieriEngine` overrides both
+    methods to pass the quantum Pieri rows of Gr(k, n), and the plan
+    builder and column loop below serve both unchanged.
 
     Each basis class sigma_u is stored as integer numerators over one
     common denominator den: den * sigma_u = sum n * sigma_b * sigma_w over
-    the chosen divisor pairs, plus sum n' * q^d * sigma_w' over the
+    the chosen generator pairs, plus sum n' * q^d * sigma_w' over the
     negated quantum corrections.  A product accumulates those integer
     terms into one dict and divides by den once, exactly or not at all.
 
@@ -272,22 +290,22 @@ class DivisorEngine:
     int ``pack(d) << b | w.index``, with b = n.bit_length() for the n
     cosets, `index` the coset's position in ``P.cosets()`` and `pack` the
     `PackedDegrees` packer.  Multiplying by q^d adds ``pack(d) << b`` and
-    the coset of a term is ``key & mask``.  The build makes
-    `_rows[beta][wi]`, each Chevalley row as packed (key, h) pairs in
-    `quantum_chevalley`'s term order, and `_plans[ui]`, each decomposition
-    as den, the chosen (n, beta, wi) and the corrections
+    the coset of a term is ``key & mask``.  The build makes `_rows[b][wi]`,
+    each generator row as packed (key, h) pairs (a Chevalley row in
+    `quantum_chevalley`'s term order), and `_plans[ui]`, each
+    decomposition as den, the chosen (n, b, wi) and the corrections
     (n', pack(d) << b, w'i); nothing is packed on first use.
 
     Products are built one product column at a time: `_build_column(vi)`
     fills a local list whose entry ui is sigma_u * sigma_v as a
     ``dict[int, int]``, by one loop over u in index order.  Entry 0 is
-    sigma_v; each later entry reads the entries its plan names, w one
-    step shorter than u and each w' shorter than u, which the length
-    order of the indices puts earlier in the list.  A chosen term
-    n * sigma_{s_beta} . sigma_w is applied straight to entry wi, adding
-    n * c * h over the row of each term c * q^d sigma_x; the product
-    sigma_{s_beta} * sigma_w * sigma_v is not kept, as only the u that
-    chooses (beta, w) reads it.  The full list is then unpacked once,
+    sigma_v; each later entry reads the entries its plan names, w shorter
+    than u by the degree of its generator and each w' shorter than u,
+    which the length order of the indices puts earlier in the list.  A
+    chosen term n * sigma_b . sigma_w is applied straight to entry wi,
+    adding n * c * h over the row of each term c * q^d sigma_x; the
+    product sigma_b * sigma_w * sigma_v is not kept, as only the u that
+    chooses (b, w) reads it.  The full list is then unpacked once,
     each entry into a QClass with (Degree, Coset) keys read through
     `_terms`, one shared dict whose missing keys unpack themselves, so
     each answer term is one dict lookup.  The packed list is dropped, and
@@ -301,32 +319,51 @@ class DivisorEngine:
     pairs per second.  `_products` is a (u, v) -> QClass view of `_column`,
     made on each read, not a store.
 
-    `_build_plans` reads each level's classical columns off the rows (the
-    keys <= mask) and hands them to the solver sparsest first: by the
-    number of classes in sigma_{s_beta} . sigma_w, then by the length of
-    its row, a stable sort that keeps (beta, w) order among ties.  A
-    single-entry column h sigma_u pivots before any denser column reaches
-    u's row, and the basic solution read off the pivots makes it u's
-    whole decomposition, so most classes are one or two divisor terms and
-    a product applies that many rows per term of sigma_w * sigma_v.
+    `_build_plans` reads level l's classical columns sigma_b . sigma_w,
+    l(w) = l - deg b, off the rows (the keys <= mask) and hands them to
+    the solver sparsest first: by the number of classes in the column,
+    then by the length of its row, a stable sort that keeps (b, w) order
+    among ties.  A single-entry column h sigma_u pivots before any denser
+    column reaches u's row, and the basic solution read off the pivots
+    makes it u's whole decomposition, so most classes are one or two
+    generator terms and a product applies that many rows per term of
+    sigma_w * sigma_v.
 
-    The field width is the grading bound.  On G/B every simple coroot has
-    Chern number 2, so q^d has degree 2|d| and each term q^d sigma_w that
-    sigma_u * sigma_v accumulates (Chevalley rows, corrections and
-    shifted products alike) is homogeneous: l(w) + 2|d| =
-    l(u) + l(v) <= 2 l(w0).  Every degree a product forms, each sum
-    of a shift and a term included, therefore has every coordinate at
-    most |d| <= l(w0): fields of bit_length(l(w0)) bits never carry into
-    each other or into the coset index.  `_shift` is the one place a
-    degree is packed (a correction's key is a row key or a coset index),
-    once per distinct degree while the rows are built, and a row degree
-    outside 0..l(w0) breaks that argument and raises InvariantError
-    there, at its first packing.
+    The field width is the grading bound, `_bound` = dim, the length of
+    the longest coset (l(w0) on G/B).  Every retained coroot has Chern
+    number n_i >= 2 (2 on G/B, n on Gr(k, n)), and each term q^d sigma_w
+    that sigma_u * sigma_v accumulates (rows, corrections and shifted
+    products alike) is homogeneous: l(w) + sum d_i n_i = l(u) + l(v) <=
+    2 dim.  Every degree a product forms, each sum of a shift and a term
+    included, therefore has every coordinate at most dim: fields of
+    bit_length(dim) bits never carry into each other or into the coset
+    index.  `_shift` is the one place a degree is packed (a correction's
+    key is a row key or a coset index), once per distinct degree while
+    the rows are built, and a row degree outside 0..dim breaks that
+    argument and raises InvariantError there, at its first packing.
     """
 
     name = "divisor"
 
     def __init__(self, P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
+        self._admit(P, max_group_order)
+        self.P = P
+        self.cosets = P.cosets()
+        n = len(self.cosets)
+        self._bits = n.bit_length()
+        self._mask = (1 << self._bits) - 1
+        # fields of bit_length(dim) bits: every retained coroot has Chern
+        # number >= 2 and every term of sigma_u * sigma_v has degree
+        # l(u) + l(v) <= 2 dim, so no coordinate a product forms exceeds dim
+        self._bound = self.cosets[-1].length  # cosets go by length: the longest is last
+        self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
+        self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
+        self._column: dict = {}  # vi -> product column, [ui] -> QClass, the answers
+        self._terms = _TermTable(self._packer, self._bits, self.cosets)  # shared by every answer
+        self._build_plans(self._generators(cache(self._shift)))  # each degree packed once
+
+    def _admit(self, P: ParabolicData, max_group_order: int) -> None:
+        """Refuse a quotient off the full flag, or past the group-order guard."""
         if P.delta_P:
             raise ValueError(
                 "the divisor engine handles full flag quotients only "
@@ -334,38 +371,23 @@ class DivisorEngine:
                 "quantum_chevalley or, in the Grassmannian case, the rim-hook "
                 "product oracle"
             )
-        self.P = P
         if P.size > max_group_order:
             raise GroupSizeGuardError(
                 f"divisor engine on {P.label} (|W| = {P.size})", max_group_order,
                 "group-order",
             )
-        self.cosets = P.cosets()
-        n = len(self.cosets)
-        self._bits = n.bit_length()
-        self._mask = (1 << self._bits) - 1
-        # fields of bit_length(l(w0)) bits: each q_i has degree 2 and every
-        # term of sigma_u * sigma_v has degree l(u) + l(v) <= 2 l(w0), so no
-        # coordinate of a degree a product forms exceeds l(w0)
-        self._bound = self.cosets[-1].length  # cosets go by length: w0 is last
-        self._packer = PackedDegrees(len(P.q_index), self._bound, 0)
-        self._plans: list = [None] * n  # ui -> (den, [(n, b, wi)], [(n', shift, w'i)])
-        self._column: dict = {}  # vi -> product column, [ui] -> QClass, the answers
-        self._terms = _TermTable(self._packer, self._bits, self.cosets)  # shared by every answer
-        self._build_plans()
 
-    # -- classical expressions + quantum corrections --------------------------
+    def _generators(self, shift: Callable[[Degree], int]) -> list:
+        """(rows, degree) per generator: the Chevalley rows of each node b,
+        rows[wi] = sigma_{s_b} * sigma_w packed, each of degree 1.
 
-    def _build_plans(self) -> None:
-        P, mask, cosets = self.P, self._mask, self.cosets
+        h_alpha(omega_b) at [w t_alpha], times q^{d(alpha)} on a quantum
+        term, in `quantum_chevalley`'s term order.
+        """
+        P = self.P
         rank = P.system.rank
-        # rows[b][wi], every Chevalley row sigma_{s_b} * sigma_w packed once:
-        # h_alpha(omega_b) at [w t_alpha], times q^{d(alpha)} on a quantum term
-        self._rows = rows = [[] for _ in range(rank)]
-        levels = [[] for _ in range(self._bound + 1)]  # the cosets of each length
-        shift = cache(self._shift)  # each distinct degree packed once
-        for w in cosets:
-            levels[w.length].append(w)
+        rows = [[] for _ in range(rank)]
+        for w in self.cosets:
             terms = [{} for _ in range(rank)]
             for quantum, v, c in _chevalley_terms(P, w):
                 key = shift(c.degree) | v.index if quantum else v.index
@@ -374,14 +396,27 @@ class DivisorEngine:
                         acc[key] = acc.get(key, 0) + h
             for row, acc in zip(rows, terms):
                 row.append(tuple(acc.items()))
-        for prev, level in zip(levels, levels[1:]):
+        return [(row, 1) for row in rows]
+
+    # -- classical expressions + quantum corrections --------------------------
+
+    def _build_plans(self, generators: list) -> None:
+        """Decompose every class over `generators`, a list of (rows, degree)
+        with rows[wi] the packed product sigma_b * sigma_w of generator b."""
+        mask, cosets = self._mask, self.cosets
+        self._rows = rows = [gen_rows for gen_rows, _degree in generators]
+        levels = [[] for _ in range(self._bound + 1)]  # the cosets of each length
+        for w in cosets:
+            levels[w.length].append(w)
+        for length in range(1, len(levels)):
+            level = levels[length]
             pos = {u.index: i for i, u in enumerate(level)}
-            # the classical sigma_{s_b} . sigma_w: the row's keys <= mask,
-            # the classes one step longer than w
+            # the classical sigma_b . sigma_w with l(w) = length - deg b:
+            # the row's keys <= mask, the classes of this length
             pairs, columns, keys = [], [], []
-            for b in range(rank):
-                for w in prev:
-                    row = rows[b][w.index]
+            for b, (gen_rows, degree) in enumerate(generators):
+                for w in levels[length - degree] if degree <= length else ():
+                    row = gen_rows[w.index]
                     col = [0] * len(level)
                     for key, h in row:
                         if key <= mask:
@@ -390,7 +425,7 @@ class DivisorEngine:
                     columns.append(col)
                     keys.append((len(col) - col.count(0), len(row)))
             # sparsest first, ties in (b, w) order: a basic solution lies on
-            # the pivot columns, so a class that is h times one divisor
+            # the pivot columns, so a class that is h times one generator
             # product classically is decomposed as that one term
             order = sorted(range(len(keys)), key=keys.__getitem__)
             pairs = [pairs[j] for j in order]
@@ -500,10 +535,12 @@ class DivisorEngine:
 
 def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:
     # the enumeration guard speaks first; a cached engine obeys both guards
-    # too, whichever call built it: past the product guard, the constructor
-    # raises before anything is replaced
+    # too, whichever call built it: past the product guard, or off the full
+    # flag (where the slot may hold the Pieri engine), the constructor
+    # raises before anything is replaced.  The class test costs what an
+    # `is None` test does; testing P.delta_P first cost 26 ns a call
     P.check_guard()
-    if P._divisor_engine is None or P.size > max_group_order:
+    if P._divisor_engine.__class__ is not DivisorEngine or P.size > max_group_order:
         P._divisor_engine = DivisorEngine(P, max_group_order=max_group_order)
     return P._divisor_engine
 
@@ -515,21 +552,26 @@ def qproduct_GB(P: ParabolicData, u: Coset, v: Coset,
 
 
 def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
-    """The engine that multiplies Schubert classes on P.
+    """The engine that multiplies Schubert classes on P, cached on P.
 
-    The cached divisor engine on full flags (tested first, so A1 = Gr(1,2)
-    keeps it), the cached rim-hook engine on Grassmannians; no other
-    quotient has a full-product engine.  Both memoise their products.
+    The divisor engine on full flags (tested first, so A1 = Gr(1,2) keeps
+    it), under both guards; the Pieri engine on Grassmannians, under the
+    enumeration guard alone, since its cost follows the C(n, k) cosets and
+    not |W|; no other quotient has a full-product engine.  Both memoise
+    their products.
     """
     if not P.delta_P:
         return _engine(P, max_group_order)
     if P.grassmannian_shape() is not None:
-        from .grassmann import rimhook_engine  # deferred: grassmann imports this module
+        P.check_guard()
+        if P._divisor_engine is None:
+            from .grassmann import PieriEngine  # deferred: grassmann imports this module
 
-        return rimhook_engine(P)
+            P._divisor_engine = PieriEngine(P)
+        return P._divisor_engine
     raise ValueError(
         f"no full-product engine applies to {P.label}: the divisor recursion "
-        "needs the full flag and the rim-hook rule needs a Grassmannian"
+        "needs the full flag and the quantum Pieri rows need a Grassmannian"
     )
 
 

@@ -98,12 +98,13 @@ def _fresh(type_label, rank, delta_P):
 
 
 def test_commutativity_compares_two_memoised_products():
-    # the rim-hook memo is keyed by the ordered pair, so one corrupted
-    # entry leaves its transpose intact and the sweep still sees the split
+    # the Pieri engine holds each answer once, in the column of its v, so
+    # one corrupted entry leaves its transpose intact and the sweep still
+    # sees the split
     P = _fresh("A", 3, (0, 2))  # gr 2 4
     engine = product_engine(P)
     u, v = coset_of_partition(P, (1,)), coset_of_partition(P, (2, 1))
-    engine._products[(u, v)] = times_q(engine, engine.product(u, v))
+    engine._column[v.index][u.index] = times_q(engine, engine.product(u, v))
     rows = rows_by_name(checks._product_sweep(P, "gr 2 4", engine))
     assert not rows["commutativity"].passed
     assert rows["commutativity"].detail == (

@@ -85,14 +85,20 @@ def test_product_order_is_reverse_lex_beyond_32_parts(capsys):
     assert [t["label"] for t in json.loads(out)["terms"]] == want
 
 
-def test_product_rimhook_uses_the_cached_engine(capsys):
-    code, _out = run(
-        capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32", "--engine", "rimhook"
-    )
+def test_product_auto_uses_the_cached_engine(capsys):
+    code, auto = run(capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32")
     assert code == 0
+    assert "# engine: pieri\n" in auto
     P = grassmannian_parabolic(3, 7)
     u, v = coset_of_partition(P, (2, 1)), coset_of_partition(P, (3, 2))
     assert (u, v) in product_engine(P)._products
+    # the rim-hook oracle prints the same terms
+    code, oracle = run(
+        capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32", "--engine", "rimhook"
+    )
+    assert code == 0
+    assert "# engine: rimhook\n" in oracle
+    assert auto.replace("pieri", "rimhook") == oracle
 
 
 def test_product_golden_expansion(capsys):
@@ -163,6 +169,17 @@ def test_engine_mismatch_is_usage_error(capsys):
     code = main(["product", "A2", "flag", "--u", "s1*s2", "--v", "s1",
                  "--engine", "chevalley"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["minq"], ["product"], ["graph"], ["verify"]],
+                         ids=["qschub", "minq", "product", "graph", "verify"])
+def test_help_is_written_for_users(capsys, argv):
+    # --help prints the parser's descriptions, not the module's code notes
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qschub") and "`" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ code: the horizontal strips are recomputed for every pair, every
 partition is validated again wherever it is read, the rim-hook reduction
 goes through its own cache, and the monotone walk runs once per pair.
 The package must give the same terms, in the same dict order, on every
-pair asked, the rim-hook engine's memo must hold only such products, and
+pair asked, the Pieri engine's memo must hold only such products, and
 the one monotone table per partition must give the least degree of
 every pair's walk.  `old_partition_of_coset`, `old_coset_of_partition`
 and `old_dual_partition` are the coset dictionary and box duality as
@@ -24,7 +24,7 @@ import pytest
 
 from qschub import cli
 from qschub.grassmann import (
-    RimHookEngine,
+    PieriEngine,
     _dual_beta,
     _strip_zeros,
     _min_degree_diagonal,
@@ -323,14 +323,13 @@ def test_every_public_entry_point_refuses_bad_input(lam, message):
 
 @pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 6), (3, 7)])
 def test_fast_path_matches_the_validated_path(k, n):
-    # a fresh engine reads each partition once and skips revalidation; the
-    # public coset product converts and validates everything again
+    # a fresh engine multiplies by Pieri rows read off its partitions once;
+    # the public coset product converts and validates everything again
     P = grassmannian_parabolic(k, n)
-    engine = RimHookEngine(P)
+    engine = PieriEngine(P)
     for u in P.cosets():
         for v in P.cosets():
-            assert list(engine.product(u, v).terms.items()) == \
-                list(qproduct_grassmann_cosets(P, u, v).terms.items()), (u, v)
+            assert engine.product(u, v).terms == qproduct_grassmann_cosets(P, u, v).terms, (u, v)
     for lam, mu in pairs(k, n):
         diag = _min_degree_diagonal(k, n, lam, mu)
         at_diag = old_monotone_chain_exists(k, n, lam, mu, diag)
@@ -345,10 +344,11 @@ def test_fast_path_matches_the_validated_path(k, n):
 def test_one_engine_per_grassmannian():
     P = grassmannian_parabolic(3, 6)
     engine = product_engine(P)
-    assert product_engine(P) is engine is P._rimhook_engine
+    assert type(engine) is PieriEngine and engine.name == "pieri"
+    assert product_engine(P) is engine is P._divisor_engine
     u, v = coset_of_partition(P, (2, 1)), coset_of_partition(P, (1,))
     assert engine.product(u, v) is engine.product(u, v)
-    # the memo is keyed by the ordered pair
+    # one answer per ordered pair
     assert engine.product(v, u) is not engine.product(u, v)
 
 
@@ -356,19 +356,27 @@ def test_memoised_products_are_unchanged_after_verify():
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "gr", "3", "6"]) == 0
     P = grassmannian_parabolic(3, 6)  # the cached quotient verify used
-    memo = product_engine(P)._products
+    engine = product_engine(P)
+    assert type(engine) is PieriEngine
+    memo = engine._products  # every column the sweep built
     assert len(memo) == len(P.cosets()) ** 2
     for (u, v), got in memo.items():
         assert got == qproduct_grassmann_cosets(P, u, v)
 
 
-def test_engine_product_enumerates_no_cosets():
-    P = grassmannian_parabolic(8, 16)
-    u = coset_of_partition(P, (3, 2, 1))
-    v = coset_of_partition(P, (2, 2))
-    got = product_engine(P).product(u, v)
-    assert P._cosets is None
-    assert got == qproduct_grassmann_cosets(P, u, v)
+def test_rimhook_oracle_enumerates_no_cosets():
+    # --engine rimhook multiplies the one pair by the rim-hook rule: no
+    # coset listed and no engine built, where auto would build both
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["product", "gr", "8", "16", "--u", "321", "--v", "22",
+                         "--engine", "rimhook"]) == 0
+    P = grassmannian_parabolic(8, 16)  # the cached quotient the command used
+    assert P._cosets is None and P._divisor_engine is None
+    lines = buf.getvalue().splitlines()
+    assert "# engine: rimhook" in lines
+    terms = [line for line in lines if not line.startswith("#")]
+    assert len(terms) == len(qproduct_grassmann(8, 16, (3, 2, 1), (2, 2)))
 
 
 def test_a_fresh_quotient_gets_its_own_engine():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qschub import checks
 from qschub.grassmann import (
-    RimHookEngine,
+    PieriEngine,
     coset_of_partition,
     grassmannian_parabolic,
     partition_of_coset,
@@ -316,9 +316,35 @@ def test_product_engine_choice():
         engine = product_engine(P)
         assert isinstance(engine, DivisorEngine)
         assert engine is P._divisor_engine
-    assert isinstance(product_engine(grassmannian_parabolic(2, 4)), RimHookEngine)
+    P = grassmannian_parabolic(2, 4)
+    assert isinstance(product_engine(P), PieriEngine)
+    assert product_engine(P) is P._divisor_engine
     with pytest.raises(ValueError):
         product_engine(make_parabolic("B", 3, (1, 2)))
+
+
+def test_pieri_engine_obeys_only_the_enumeration_guard():
+    # |W(A6)| = 5040 is past any group-order guard; the 35 cosets are not
+    cached = grassmannian_parabolic(3, 7)
+    P = ParabolicData(cached.system, cached.delta_P)  # fresh
+    assert isinstance(product_engine(P, 10), PieriEngine)
+    P = ParabolicData(cached.system, cached.delta_P)
+    P.max_elements = 34
+    with pytest.raises(GroupSizeGuardError, match=r"\|W/W_P\| = 35"):
+        product_engine(P)
+    assert P._divisor_engine is None
+
+
+def test_qproduct_GB_refuses_a_grassmannian_after_its_engine_is_built():
+    P = grassmannian_parabolic(2, 4)
+    e = P.identity_coset()
+    product_engine(P).product(e, e)
+    with pytest.raises(ValueError, match=r"^the divisor engine handles full flag "
+                       r"quotients only \(Delta_P must be empty\); for other "
+                       r"parabolics use quantum_chevalley or, in the Grassmannian "
+                       r"case, the rim-hook product oracle$"):
+        qproduct_GB(P, e, e)
+    assert isinstance(P._divisor_engine, PieriEngine)
 
 
 def test_product_guard_refuses_before_enumerating():
