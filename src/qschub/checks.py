@@ -4,7 +4,8 @@ per instance and aggregated by the CLI's verify command.
 Checks return CheckResult rows, so a failed row (exit status 3) never stops a
 sweep; only the two size guards refuse an instance (exit 2), before its first row.
 The default suite covers the full flags of A1, A2, A3, B2, G2 and the
-Grassmannians Gr(2,4), Gr(2,5), Gr(3,6), plus the golden Gr(4,9) product
+Grassmannians Gr(2,4), Gr(2,5), Gr(3,6) and Gr(4,9); Gr(4,9) runs every
+row, then the golden product sigma_5443 * sigma_5441 by the rim-hook rule
 as a sign-convention tripwire.
 
 graph-structure alone runs the lifting walk `bruhat_leq`, proving the up- and
@@ -527,11 +528,7 @@ def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
 def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) -> list:
     """All applicable checks for one instance; returns CheckResult rows."""
     label, P = build_instance(tokens)
-    if P.grassmannian_shape() == (4, 9):
-        # kept to its role as golden-product tripwire; sweeps are desk-scale only
-        return check_golden_product(P, label)
-    P.check_guard()  # both guards refuse before the first row: |W/W_P|, then |W|
-    try:
+    try:  # both guards refuse before the first row: |W/W_P|, then |W|
         engine = product_engine(P, max_group_order)
     except ValueError:
         engine = None  # no full-product engine on this quotient
@@ -554,4 +551,6 @@ def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) ->
         if P.system.type_label == "A":
             results.extend(check_quantum_monk(P, label))
     results.extend(check_raising_witness(P, label, engine))
+    if P.grassmannian_shape() == (4, 9):
+        results.extend(check_golden_product(P, label))
     return results

@@ -211,12 +211,15 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
 def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
     """(engine name, product(u, v) -> QClass) for an --engine choice.
 
-    `auto` is product_engine's choice; an explicit choice is checked
-    against the instance.  `rimhook` is the Grassmannian oracle, the
+    `auto` is product_engine's choice, and so is `divisor` once the
+    instance is checked to be a full flag; every other explicit choice is
+    checked against the instance too.  `rimhook` is the Grassmannian oracle, the
     rim-hook rule on the one pair asked for, with no engine built.
     """
     P = inst.P
-    if engine == "auto":
+    if engine in ("auto", "divisor"):
+        if engine == "divisor" and P.delta_P:
+            raise UsageError("the divisor engine requires a full flag (Delta_P empty)")
         try:
             chosen = product_engine(P, guard)
         except ValueError:
@@ -226,10 +229,6 @@ def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
                 "Grassmannian; --engine chevalley works when u is a divisor class"
             ) from None
         return chosen.name, chosen.product
-    if engine == "divisor":
-        if P.delta_P:
-            raise UsageError("the divisor engine requires a full flag (Delta_P empty)")
-        return engine, product_engine(P, guard).product
     if engine == "rimhook":
         if P.grassmannian_shape() is None:
             raise UsageError("the rim-hook engine requires a Grassmannian instance")

@@ -23,8 +23,10 @@ that is too wide but admits no removal reduces to zero.  The reduced
 class must not depend on the order of removals, which the recursion
 checks.
 
-The rim-hook rule is the engine's oracle.  `product_engine` hands out
-the one `PieriEngine` cached on the quotient; `qproduct_grassmann`, and
+The rim-hook rule is the engine's oracle.  `product_engine` picks,
+guards and caches the one `PieriEngine` of a Grassmannian quotient, and
+the engine refuses only a quotient its rows cannot be written for;
+`qproduct_grassmann`, and
 the command line's `--engine rimhook` through `qproduct_grassmann_cosets`,
 expand the one pair asked for and keep no product.  Across expansions
 the horizontal-strip step and the rim-hook reduction are memoised.
@@ -396,16 +398,14 @@ class PieriEngine(DivisorEngine):
     sigma_p . sigma_w with l(w) = l - p.  q has Chern number n >= 2, so
     the divisor engine's packed field bound holds unchanged.
 
-    `product_engine` builds one per Grassmannian quotient, under the
-    enumeration guard alone: its cost follows the C(n, k) cosets, not
-    |W|.  The rim-hook rule (`_qproduct`) stays as its oracle.
+    Its one refusal is the row builder's: the rows need a Grassmannian.
+    Which quotient gets this engine, and under which guard, is
+    `product_engine`'s policy: one per Grassmannian quotient, under the
+    enumeration guard alone, since its cost follows the C(n, k) cosets,
+    not |W|.  The rim-hook rule (`_qproduct`) stays as its oracle.
     """
 
     name = "pieri"
-
-    def _admit(self, P: ParabolicData, max_group_order: int) -> None:
-        if not P.delta_P or P.grassmannian_shape() is None:
-            raise ValueError(f"the Pieri engine needs a Grassmannian quotient, not {P.label}")
 
     def _generators(self, shift) -> list:
         """(rows, p) for p = 1..n-k, rows[wi] = sigma_p * sigma_w packed.
@@ -414,11 +414,16 @@ class PieriEngine(DivisorEngine):
         lam_{i-1} (lam_0 = n - k) other than lam is a classical term of row
         p = |mu| - |lam| <= n - k, and every nu with lam_{i+1} - 1 <= nu_i
         <= lam_i - 1 (nu_k >= 0) a q-term of row p = |nu| - |lam| + n >= 1.
-        So each coset's rows are read off two box enumerations.
+        So each coset's rows are read off two box enumerations.  Any
+        quotient but a Grassmannian with Delta_P nonempty is refused here,
+        the full flag A1 = Gr(1,2) included.
         """
-        k, n = self.P.grassmannian_shape()
+        P = self.P
+        if not P.delta_P or P.grassmannian_shape() is None:
+            raise ValueError(f"the Pieri engine needs a Grassmannian quotient, not {P.label}")
+        k, n = P.grassmannian_shape()
         width = n - k
-        labels = [partition_of_coset(self.P, u) for u in self.cosets]
+        labels = [partition_of_coset(P, u) for u in self.cosets]
         labels = [lam + (0,) * (k - len(lam)) for lam in labels]
         index = {lam: i for i, lam in enumerate(labels)}  # padded partition -> coset index
         q = shift((1,))

@@ -71,13 +71,17 @@ costs one row per term of sigma_w * sigma_v.  On A4 flag a
 decomposition has 1.24 terms on average (2.44 in plain (beta, w)
 order), on D4 flag 1.78 (5.75).
 
-`product_engine` is the one place that decides which engine multiplies
-on a given quotient: the divisor engine on full flags, under both size
-guards, and the Pieri engine on Grassmannians, under the enumeration
-guard alone (its cost follows the C(n, k) cosets, not |W|), each built
-once per quotient and cached on it.  The rim-hook rule
-(`grassmann.qproduct_grassmann`) stays as the Grassmannian oracle.  An
-engine is any object with ``product(u, v) -> QClass``.
+`product_engine` is the one place that picks, guards and caches the
+engine that multiplies on a given quotient: the divisor engine on full
+flags, under both size guards, and the Pieri engine on Grassmannians,
+under the enumeration guard alone (its cost follows the C(n, k) cosets,
+not |W|), each built once per quotient and cached on it.  The engines
+themselves refuse only a quotient their rows cannot be built for: the
+divisor engine's constructor raises InvariantError when the divisor
+classes do not span a level, and the Pieri rows need a Grassmannian.
+The rim-hook rule (`grassmann.qproduct_grassmann`) stays as the
+Grassmannian oracle.  An engine is any object with ``product(u, v) ->
+QClass``.
 """
 
 from __future__ import annotations
@@ -274,11 +278,15 @@ class DivisorEngine:
 
     The generators come from `_generators`, a list of (rows, degree):
     rows[wi] is the quantum product sigma_b * sigma_w of generator b with
-    every coset w, packed.  Here they are the divisor classes of a full
-    flag variety, each of degree 1 with its Chevalley rows, under the
-    group-order guard (`_admit`); `grassmann.PieriEngine` overrides both
-    methods to pass the quantum Pieri rows of Gr(k, n), and the plan
-    builder and column loop below serve both unchanged.
+    every coset w, packed.  Here they are the divisor classes sigma_{s_b},
+    each of degree 1 with its Chevalley rows; `grassmann.PieriEngine`
+    overrides `_generators` to pass the quantum Pieri rows of Gr(k, n),
+    and the plan builder and column loop below serve both unchanged.
+    The constructor's one guard is the solver's span check: a quotient
+    whose divisor classes do not span a level raises InvariantError
+    ("divisor classes do not span") while the plans are built.  Which
+    quotient gets which engine, and under which size guard, is
+    `product_engine`'s policy alone.
 
     Each basis class sigma_u is stored as integer numerators over one
     common denominator den: den * sigma_u = sum n * sigma_b * sigma_w over
@@ -345,8 +353,7 @@ class DivisorEngine:
 
     name = "divisor"
 
-    def __init__(self, P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
-        self._admit(P, max_group_order)
+    def __init__(self, P: ParabolicData):
         self.P = P
         self.cosets = P.cosets()
         n = len(self.cosets)
@@ -361,21 +368,6 @@ class DivisorEngine:
         self._column: dict = {}  # vi -> product column, [ui] -> QClass, the answers
         self._terms = _TermTable(self._packer, self._bits, self.cosets)  # shared by every answer
         self._build_plans(self._generators(cache(self._shift)))  # each degree packed once
-
-    def _admit(self, P: ParabolicData, max_group_order: int) -> None:
-        """Refuse a quotient off the full flag, or past the group-order guard."""
-        if P.delta_P:
-            raise ValueError(
-                "the divisor engine handles full flag quotients only "
-                "(Delta_P must be empty); for other parabolics use "
-                "quantum_chevalley or, in the Grassmannian case, the rim-hook "
-                "product oracle"
-            )
-        if P.size > max_group_order:
-            raise GroupSizeGuardError(
-                f"divisor engine on {P.label} (|W| = {P.size})", max_group_order,
-                "group-order",
-            )
 
     def _generators(self, shift: Callable[[Degree], int]) -> list:
         """(rows, degree) per generator: the Chevalley rows of each node b,
@@ -533,46 +525,46 @@ class DivisorEngine:
                 for u, got in zip(cosets, column)}
 
 
-def _engine(P: ParabolicData, max_group_order: int) -> DivisorEngine:
-    # the enumeration guard speaks first; a cached engine obeys both guards
-    # too, whichever call built it: past the product guard, or off the full
-    # flag (where the slot may hold the Pieri engine), the constructor
-    # raises before anything is replaced.  The class test costs what an
-    # `is None` test does; testing P.delta_P first cost 26 ns a call
-    P.check_guard()
-    if P._divisor_engine.__class__ is not DivisorEngine or P.size > max_group_order:
-        P._divisor_engine = DivisorEngine(P, max_group_order=max_group_order)
-    return P._divisor_engine
-
-
 def qproduct_GB(P: ParabolicData, u: Coset, v: Coset,
                 max_group_order: int = DEFAULT_PRODUCT_GUARD) -> QClass:
     """Quantum product of two Schubert classes on a full flag variety."""
-    return _engine(P, max_group_order).product(u, v)
+    if P.delta_P:
+        raise ValueError(
+            "the divisor engine handles full flag quotients only "
+            "(Delta_P must be empty); for other parabolics use "
+            "quantum_chevalley or, in the Grassmannian case, the rim-hook "
+            "product oracle"
+        )
+    return product_engine(P, max_group_order).product(u, v)
 
 
 def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
     """The engine that multiplies Schubert classes on P, cached on P.
 
-    The divisor engine on full flags (tested first, so A1 = Gr(1,2) keeps
-    it), under both guards; the Pieri engine on Grassmannians, under the
-    enumeration guard alone, since its cost follows the C(n, k) cosets and
-    not |W|; no other quotient has a full-product engine.  Both memoise
-    their products.
+    The one place that picks an engine, asks its guards and caches it.
+    The enumeration guard speaks first, on every quotient.  Full flags
+    are tested next, so A1 = Gr(1,2) keeps the divisor engine, under the
+    group-order guard on every call, whichever call built the cached
+    engine; Grassmannians get the Pieri engine, under the enumeration
+    guard alone, since its cost follows the C(n, k) cosets and not |W|;
+    no other quotient has a full-product engine.  Both memoise their
+    products.
     """
-    if not P.delta_P:
-        return _engine(P, max_group_order)
-    if P.grassmannian_shape() is not None:
-        P.check_guard()
-        if P._divisor_engine is None:
-            from .grassmann import PieriEngine  # deferred: grassmann imports this module
+    P.check_guard()
+    if P.delta_P:
+        if P.grassmannian_shape() is None:
+            raise ValueError(
+                f"no full-product engine applies to {P.label}: the divisor recursion "
+                "needs the full flag and the quantum Pieri rows need a Grassmannian"
+            )
+    elif P.size > max_group_order:
+        raise GroupSizeGuardError(
+            f"divisor engine on {P.label} (|W| = {P.size})", max_group_order, "group-order")
+    if P._divisor_engine is None:
+        from .grassmann import PieriEngine  # deferred: grassmann imports this module
 
-            P._divisor_engine = PieriEngine(P)
-        return P._divisor_engine
-    raise ValueError(
-        f"no full-product engine applies to {P.label}: the divisor recursion "
-        "needs the full flag and the quantum Pieri rows need a Grassmannian"
-    )
+        P._divisor_engine = (PieriEngine if P.delta_P else DivisorEngine)(P)
+    return P._divisor_engine
 
 
 def multiply_classes(c1: QClass, c2: QClass,

@@ -23,7 +23,7 @@ from qschub.quantum import (
     qproduct_GB,
     quantum_chevalley,
 )
-from qschub.roots import build_root_system
+from qschub.roots import InvariantError, build_root_system
 from qschub.weyl import GroupSizeGuardError, parse_word
 
 
@@ -321,6 +321,34 @@ def test_product_engine_choice():
     assert product_engine(P) is P._divisor_engine
     with pytest.raises(ValueError):
         product_engine(make_parabolic("B", 3, (1, 2)))
+
+
+def test_product_guard_is_asked_on_a_full_flag_first():
+    # A1 = Gr(1,2) is a full flag, so the group-order guard refuses it
+    cached = grassmannian_parabolic(1, 2)
+    P = ParabolicData(cached.system, cached.delta_P)  # fresh
+    with pytest.raises(GroupSizeGuardError, match=r"^divisor engine on .* \(\|W\| = 2\) "
+                       r"exceeds the group-order guard of 1 elements"):
+        product_engine(P, 1)
+    assert P._divisor_engine is None
+
+
+def test_divisor_engine_refuses_classes_that_do_not_span():
+    # the span check is the divisor engine's one guard; product_engine's
+    # policy never hands these quotients the divisor engine: A3 2 = Gr(2,4)
+    # gets the Pieri engine, and B3 2 is refused before any engine is built
+    gr24, b32 = (ParabolicData(P.system, P.delta_P)  # fresh
+                 for _, P in (checks.build_instance(t) for t in (("A3", "2"), ("B3", "2"))))
+    for P in (gr24, b32):
+        with pytest.raises(InvariantError, match="divisor classes do not span"):
+            DivisorEngine(P)
+    assert isinstance(product_engine(gr24), PieriEngine)
+    with pytest.raises(ValueError) as err:
+        product_engine(b32)
+    assert str(err.value) == (
+        f"no full-product engine applies to {b32.label}: the divisor recursion "
+        "needs the full flag and the quantum Pieri rows need a Grassmannian")
+    assert b32._divisor_engine is None
 
 
 def test_pieri_engine_obeys_only_the_enumeration_guard():
