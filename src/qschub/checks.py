@@ -5,8 +5,8 @@ Checks return CheckResult rows, so a failed row (exit status 3) never stops a
 sweep; only the two size guards refuse an instance (exit 2), before its first row.
 The default suite covers the full flags of A1, A2, A3, B2, G2 and the
 Grassmannians Gr(2,4), Gr(2,5), Gr(3,6) and Gr(4,9); Gr(4,9) runs every
-row, then the golden product sigma_5443 * sigma_5441 by the rim-hook rule
-as a sign-convention tripwire.
+row, then the golden product sigma_5443 * sigma_5441, by the rim-hook rule
+and by the engine the sweep reads, as a sign-convention tripwire.
 
 graph-structure alone runs the lifting walk `bruhat_leq`, proving the up- and
 down-set bitsets equal to it on every pair; every other check reads u <= v off them.
@@ -435,11 +435,19 @@ def check_raising_witness(P: ParabolicData, label: str, engine) -> list:
     return [_result(label, "raising-witness", bad, count)]
 
 
-def check_golden_product(P: ParabolicData, label: str) -> list:
-    got = grassmann.qproduct_grassmann(4, 9, (5, 4, 4, 3), (5, 4, 4, 1))
-    ok = got == GOLDEN_GR49
-    detail = "" if ok else f"got {sorted(got.items())}"
-    return [CheckResult(label, "golden-product", ok, 1, detail)]
+def check_golden_product(P: ParabolicData, label: str, engine) -> list:
+    """sigma_5443 * sigma_5441 on Gr(4,9), by the rim-hook rule and by the
+    engine the sweep reads, against GOLDEN_GR49: one check."""
+    lam, mu = (5, 4, 4, 3), (5, 4, 4, 1)
+    u, v = (grassmann.coset_of_partition(P, x) for x in (lam, mu))
+    answers = {
+        "rim-hook rule": grassmann.qproduct_grassmann(4, 9, lam, mu),
+        "engine": {(d[0], grassmann.partition_of_coset(P, w)): c
+                   for (d, w), c in engine.product(u, v).terms.items()},
+    }
+    bad = [f"{name} got {sorted(got.items())}" for name, got in answers.items()
+           if got != GOLDEN_GR49]
+    return [_result(label, "golden-product", bad, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +536,9 @@ def build_instance(tokens, max_elements: int = DEFAULT_ENUMERATION_GUARD
 def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) -> list:
     """All applicable checks for one instance; returns CheckResult rows."""
     label, P = build_instance(tokens)
-    try:  # both guards refuse before the first row: |W/W_P|, then |W|
-        engine = product_engine(P, max_group_order)
-    except ValueError:
-        engine = None  # no full-product engine on this quotient
+    # both guards refuse before the first row: |W/W_P|, then |W|; None
+    # where no full-product engine applies
+    engine = product_engine(P, max_group_order)
     results = check_pairing_integrality(P, label)
     if weyl_group_order(P.system) <= _SMALL_GROUP:
         results.extend(check_weyl_structure(P, label))
@@ -552,5 +559,5 @@ def run_instance_checks(tokens, max_group_order: int = DEFAULT_PRODUCT_GUARD) ->
             results.extend(check_quantum_monk(P, label))
     results.extend(check_raising_witness(P, label, engine))
     if P.grassmannian_shape() == (4, 9):
-        results.extend(check_golden_product(P, label))
+        results.extend(check_golden_product(P, label, engine))
     return results

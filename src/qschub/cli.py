@@ -211,23 +211,18 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
 def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
     """(engine name, product(u, v) -> QClass) for an --engine choice.
 
-    `auto` is product_engine's choice, and so is `divisor` once the
-    instance is checked to be a full flag; every other explicit choice is
-    checked against the instance too.  `rimhook` is the Grassmannian oracle, the
+    `auto` is product_engine's choice; the explicit choices are checked
+    against the instance.  `rimhook` is the Grassmannian oracle, the
     rim-hook rule on the one pair asked for, with no engine built.
     """
     P = inst.P
-    if engine in ("auto", "divisor"):
-        if engine == "divisor" and P.delta_P:
-            raise UsageError("the divisor engine requires a full flag (Delta_P empty)")
-        try:
-            chosen = product_engine(P, guard)
-        except ValueError:
+    if engine == "auto":
+        chosen = product_engine(P, guard)
+        if chosen is None:
             raise UsageError(
                 f"no full-product engine applies to {inst.label}: the divisor "
                 "recursion needs the full flag and the quantum Pieri rows need a "
-                "Grassmannian; --engine chevalley works when u is a divisor class"
-            ) from None
+                "Grassmannian; --engine chevalley works when u is a divisor class")
         return chosen.name, chosen.product
     if engine == "rimhook":
         if P.grassmannian_shape() is None:
@@ -380,7 +375,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p_prod, needs_uv=True)
     p_prod.add_argument(
         "--engine",
-        choices=["auto", "chevalley", "divisor", "rimhook"],
+        choices=["auto", "chevalley", "rimhook"],
         default="auto",
     )
 

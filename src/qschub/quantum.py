@@ -75,10 +75,13 @@ order), on D4 flag 1.78 (5.75).
 engine that multiplies on a given quotient: the divisor engine on full
 flags, under both size guards, and the Pieri engine on Grassmannians,
 under the enumeration guard alone (its cost follows the C(n, k) cosets,
-not |W|), each built once per quotient and cached on it.  The engines
-themselves refuse only a quotient their rows cannot be built for: the
-divisor engine's constructor raises InvariantError when the divisor
-classes do not span a level, and the Pieri rows need a Grassmannian.
+not |W|), each built once per quotient and cached on it.  On any other
+quotient it returns None, so no caller catches an error from it: a guard
+refusal or an error raised while an engine is built reaches the user.
+The engines themselves refuse only a quotient their rows cannot be built
+for: the divisor engine's constructor raises InvariantError when the
+divisor classes do not span a level, and the Pieri rows need a
+Grassmannian.
 The rim-hook rule (`grassmann.qproduct_grassmann`) stays as the
 Grassmannian oracle.  An engine is any object with ``product(u, v) ->
 QClass``.
@@ -539,7 +542,8 @@ def qproduct_GB(P: ParabolicData, u: Coset, v: Coset,
 
 
 def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUARD):
-    """The engine that multiplies Schubert classes on P, cached on P.
+    """The engine that multiplies Schubert classes on P, cached on P, or
+    None where no full-product engine applies.
 
     The one place that picks an engine, asks its guards and caches it.
     The enumeration guard speaks first, on every quotient.  Full flags
@@ -547,16 +551,15 @@ def product_engine(P: ParabolicData, max_group_order: int = DEFAULT_PRODUCT_GUAR
     group-order guard on every call, whichever call built the cached
     engine; Grassmannians get the Pieri engine, under the enumeration
     guard alone, since its cost follows the C(n, k) cosets and not |W|;
-    no other quotient has a full-product engine.  Both memoise their
-    products.
+    any other quotient gets None, and nothing is cached on it.  Both
+    engines memoise their products.  No caller catches an error from
+    this call: a guard refusal, or an error raised while an engine is
+    built, is the caller's error too.
     """
     P.check_guard()
     if P.delta_P:
         if P.grassmannian_shape() is None:
-            raise ValueError(
-                f"no full-product engine applies to {P.label}: the divisor recursion "
-                "needs the full flag and the quantum Pieri rows need a Grassmannian"
-            )
+            return None
     elif P.size > max_group_order:
         raise GroupSizeGuardError(
             f"divisor engine on {P.label} (|W| = {P.size})", max_group_order, "group-order")

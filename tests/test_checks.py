@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qschub import checks, grassmann
+from qschub import checks, cli, grassmann, quantum
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, multiply_classes, product_engine
@@ -177,6 +177,128 @@ def test_frontier_singleton_flags_a_two_degree_frontier():
     assert row.detail == "frontier ((0, 1), (1, 0)) at (0, 1, 0),(0, 1, 0)"
 
 
+def test_chain_symmetry_flags_an_asymmetric_frontier():
+    P = _fresh("A", 2, ())
+    e, top = P.cosets()[0], P.cosets()[-1]
+    real = P.min_chain_degrees
+    # both frontiers still hold the zero degree, so only symmetry breaks
+    P.min_chain_degrees = lambda u, v: ((0, 0), (1, 1)) if (u, v) == (e, top) else real(u, v)
+    row, _ = checks.check_chain_symmetry(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == (f"frontier not symmetric at {e.word()},{top.word()}; "
+                          f"frontier not symmetric at {top.word()},{e.word()}")
+
+
+def test_chain_symmetry_flags_a_zero_degree_chain_above_the_dual():
+    P = _fresh("A", 2, ())
+    top = P.cosets()[-1]  # top <= dual(top) = e fails, so no chain has degree 0
+    real = P.min_chain_degrees
+    P.min_chain_degrees = lambda u, v: ((0, 0),) if u == v == top else real(u, v)
+    row, _ = checks.check_chain_symmetry(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == f"zero-degree chain vs u<=dual(v) at {top.word()},{top.word()}"
+
+
+def _corrupt_first_edge(P, degree_of):
+    g = P.graph()
+    (i, j), (root, deg) = next(iter(g.edges.items()))
+    g.edges[i, j] = (root, degree_of(deg))
+    return i, j
+
+
+def test_graph_structure_flags_a_zero_degree_edge():
+    P = _fresh("A", 2, ())
+    i, j = _corrupt_first_edge(P, lambda deg: (0,) * len(deg))
+    (row,) = checks.check_graph_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == (f"edge {i}-{j} has zero degree; "
+                          f"dual edge {i}-{j} missing or degree mismatch")
+
+
+def test_graph_structure_flags_an_edge_its_dual_does_not_match():
+    P = _fresh("A", 2, ())
+    i, j = _corrupt_first_edge(P, lambda deg: tuple(c + 1 for c in deg))
+    (row,) = checks.check_graph_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == f"dual edge {i}-{j} missing or degree mismatch"
+
+
+def _dictionary_row(P):
+    (row,) = checks.check_partition_dictionary(P, "gr 2 4")
+    assert row.name == "partition-dictionary" and not row.passed
+    return row.detail
+
+
+def test_partition_dictionary_passes_on_gr24():
+    (row,) = checks.check_partition_dictionary(_fresh("A", 3, (0, 2)), "gr 2 4")
+    assert row.passed and row.checked == 6 + 6 ** 2
+
+
+def test_partition_dictionary_flags_a_wrong_coset_of_partition(monkeypatch):
+    P = _fresh("A", 3, (0, 2))
+    real = grassmann.coset_of_partition
+    u = real(P, (1,))
+    monkeypatch.setattr(grassmann, "coset_of_partition",
+                        lambda Q, lam: real(Q, (2,) if lam == (1,) else lam))
+    assert _dictionary_row(P) == f"dictionary round trip fails at {u.word()}"
+
+
+def test_partition_dictionary_flags_a_wrong_dual_partition(monkeypatch):
+    real = grassmann.dual_partition
+    monkeypatch.setattr(grassmann, "dual_partition",
+                        lambda k, n, lam: (2, 2) if lam == (1,) else real(k, n, lam))
+    assert _dictionary_row(_fresh("A", 3, (0, 2))) == \
+        "dual vs complement-rotation differ at (1,)"
+
+
+def test_partition_dictionary_flags_a_repeated_label(monkeypatch):
+    # sigma_2 is self-dual on Gr(2,4); labelled (1, 1) like sigma_11, the
+    # dual rows still agree and only the round trip and the count break
+    P = _fresh("A", 3, (0, 2))
+    real = grassmann.partition_of_coset
+    u = grassmann.coset_of_partition(P, (2,))
+    monkeypatch.setattr(grassmann, "partition_of_coset",
+                        lambda Q, x: (1, 1) if x == u else real(Q, x))
+    assert _dictionary_row(P) == (
+        f"dictionary round trip fails at {u.word()}; partition labels not distinct")
+
+
+def test_partition_dictionary_flags_a_flipped_up_set_bit():
+    P = _fresh("A", 3, (0, 2))
+    u, v = (grassmann.coset_of_partition(P, lam) for lam in ((2,), (1, 1)))
+    P._up[u] = P.up_set(u) | 1 << v.index  # sigma_2 <= sigma_11, falsely
+    assert _dictionary_row(P) == "containment vs Bruhat at (2,),(1, 1)"
+
+
+@pytest.mark.parametrize("answer, detail", [
+    (lambda real: None, "adjacency vs rim hook at (),(1,)"),
+    (lambda real: (real[0], (2,)), "edge degree not 1 at (),(1,)"),
+], ids=["missing", "degree"])
+def test_partition_dictionary_flags_a_wrong_adjacency(answer, detail):
+    P = _fresh("A", 3, (0, 2))
+    e, u = (grassmann.coset_of_partition(P, lam) for lam in ((), (1,)))
+    real = P.adjacency
+    P.adjacency = lambda x, y: answer(real(x, y)) if (x, y) == (e, u) else real(x, y)
+    assert _dictionary_row(P) == detail
+
+
+def test_golden_product_checks_the_engine_the_sweep_reads():
+    cached = grassmannian_parabolic(4, 9)
+    P = ParabolicData(cached.system, cached.delta_P)  # fresh: its engine is corrupted
+    engine = product_engine(P)
+    (row,) = checks.check_golden_product(P, "gr 4 9", engine)
+    assert (row.passed, row.checked, row.detail) == (True, 1, "")
+    u, v = (coset_of_partition(P, lam) for lam in ((5, 4, 4, 3), (5, 4, 4, 1)))
+    lost = coset_of_partition(P, (5, 3, 2, 2))
+    column = engine._column[v.index]
+    column[u.index] = QClass(P, {key: c for key, c in column[u.index].terms.items()
+                                 if key[1] != lost})
+    (row,) = checks.check_golden_product(P, "gr 4 9", engine)
+    assert (row.passed, row.checked) == (False, 1)
+    want = sorted(kv for kv in checks.GOLDEN_GR49.items() if kv[0] != (2, (5, 3, 2, 2)))
+    assert row.detail == f"engine got {want}"
+
+
 def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
     # chain-symmetry and frontier-singleton share one walk over the pairs:
     # min_chain_degrees(u, v) and (v, u) once each, n^2 pairs
@@ -188,7 +310,7 @@ def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
         return real(u, v)
 
     def no_engine(*args):
-        raise ValueError("no product sweep")  # the sweep reads frontiers too
+        return None  # no product sweep: the sweep reads frontiers too
 
     P.min_chain_degrees = counted
     monkeypatch.setattr(checks, "build_instance", lambda tokens: ("A3 flag", P))
@@ -197,6 +319,52 @@ def test_chain_rows_search_each_ordered_pair_twice(monkeypatch):
     assert [r.name for r in rows][-2:] == ["chain-symmetry", "frontier-singleton"]
     assert all(r.passed for r in rows)
     assert len(calls) == 2 * 24 ** 2
+
+
+@pytest.mark.parametrize("tokens, owner", [
+    (("gr", "2", "5"), grassmann.PieriEngine),
+    (("A2", "flag"), quantum.DivisorEngine),
+], ids=["pieri", "divisor"])
+def test_an_engine_build_error_reaches_verify(monkeypatch, tokens, owner):
+    # "no engine here" is product_engine's None, never a caught error, so a
+    # row builder that raises stops the sweep instead of dropping its rows
+    _, P = checks.build_instance(tokens)
+    monkeypatch.setattr(P, "_divisor_engine", None)  # make_parabolic caches the engine too
+
+    def broken(self, shift):
+        raise ValueError("row builder broke")
+
+    monkeypatch.setattr(owner, "_generators", broken)
+    with pytest.raises(ValueError, match="^row builder broke$"):
+        checks.run_instance_checks(tokens)
+    assert P._divisor_engine is None
+
+
+def test_an_engine_build_error_reaches_product(monkeypatch, capsys):
+    _, P = checks.build_instance(("gr", "3", "6"))
+    monkeypatch.setattr(P, "_divisor_engine", None)
+
+    def broken(self, shift):
+        raise ValueError("row builder broke")
+
+    monkeypatch.setattr(grassmann.PieriEngine, "_generators", broken)
+    with pytest.raises(ValueError, match="^row builder broke$"):
+        cli.main(["product", "gr", "3", "6", "--u", "1", "--v", "1"])
+    assert "no full-product engine" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens", [("B3", "2"), ("A3", "1", "3"), ("C3", "1", "3"), ("B3", "1")])
+def test_product_engine_is_none_off_full_flags_and_grassmannians(tokens):
+    _, P = checks.build_instance(tokens)
+    assert product_engine(P) is None
+    assert P._divisor_engine is None
+
+
+def test_engine_divisor_is_not_an_option(capsys):
+    # auto is the divisor engine on a full flag, and nothing elsewhere
+    assert cli.main(["product", "A2", "flag", "--u", "s1", "--v", "s2",
+                     "--engine", "divisor"]) == 1
+    assert "invalid choice: 'divisor'" in capsys.readouterr().err
 
 
 def test_verify_runs_one_label_search_per_source(monkeypatch):

@@ -264,6 +264,23 @@ def test_partition_coset_bijection(k, n):
     assert seen == set(partitions_in_box(k, n))
 
 
+@pytest.mark.parametrize("tokens", [("B3", "2"), ("A3", "1", "3")])
+def test_dictionary_refuses_a_quotient_that_is_not_a_grassmannian(tokens):
+    label, P = checks.build_instance(tokens)
+    with pytest.raises(ValueError, match=f"^{P.label} is not a Grassmannian quotient$"):
+        partition_of_coset(P, P.identity_coset())
+    with pytest.raises(ValueError, match=f"^{P.label} is not a Grassmannian quotient$"):
+        coset_of_partition(P, ())
+
+
+def test_more_rows_than_k_are_refused_or_vanish():
+    with pytest.raises(ValueError, match=r"^partition \(1, 1, 1\) has more than 2 rows$"):
+        beta_set((1, 1, 1), 2)
+    # a Schur class with more than k rows is zero in the k-row ring
+    assert classical_lr((1, 1, 1), (1,), 2) == {}
+    assert classical_lr((1,), (1, 1, 1), 2) == {}
+
+
 def test_identity_coset_is_empty_partition():
     P = grassmannian_parabolic(2, 4)
     assert partition_of_coset(P, P.identity_coset()) == ()
