@@ -208,46 +208,35 @@ def cmd_minq(inst: Instance, args) -> tuple[str, int]:
     return _report("minq", inst, lines)
 
 
-def _pick_engine(inst: Instance, engine: str, u: Coset, guard: int):
-    """(engine name, product(u, v) -> QClass) for an --engine choice.
-
-    `auto` is product_engine's choice; the explicit choices are checked
-    against the instance.  `rimhook` is the Grassmannian oracle, the
-    rim-hook rule on the one pair asked for, with no engine built.
-    """
+def cmd_product(inst: Instance, args) -> tuple[str, int]:
+    """sigma_u * sigma_v by the first exact rule that applies, named in the
+    report: the quantum Chevalley rule when u is a divisor class, on any
+    quotient; the rim-hook rule on a Grassmannian, on the one pair asked
+    for; otherwise `product_engine`'s engine, under its guards."""
     P = inst.P
-    if engine == "auto":
-        chosen = product_engine(P, guard)
-        if chosen is None:
+    u = parse_coset(inst, args.u)
+    v = parse_coset(inst, args.v)
+    if u.length == 1:
+        rule, result = "chevalley", quantum_chevalley(P, u.word()[0], v)
+    elif P.delta_P and P.grassmannian_shape():
+        rule, result = "rimhook", qproduct_grassmann_cosets(P, u, v)
+    else:
+        engine = product_engine(P, args.max_group_order or DEFAULT_PRODUCT_GUARD)
+        if engine is None:
             raise UsageError(
                 f"no full-product engine applies to {inst.label}: the divisor "
                 "recursion needs the full flag and the quantum Pieri rows need a "
-                "Grassmannian; --engine chevalley works when u is a divisor class")
-        return chosen.name, chosen.product
-    if engine == "rimhook":
-        if P.grassmannian_shape() is None:
-            raise UsageError("the rim-hook engine requires a Grassmannian instance")
-        return engine, partial(qproduct_grassmann_cosets, P)
-    if u.length != 1:
-        raise UsageError("--engine chevalley needs u to be a divisor class sigma[s<i>]")
-    return engine, lambda a, b: quantum_chevalley(P, a.word()[0], b)
-
-
-def cmd_product(inst: Instance, args) -> tuple[str, int]:
-    u = parse_coset(inst, args.u)
-    v = parse_coset(inst, args.v)
-    guard = args.max_group_order if args.max_group_order else DEFAULT_PRODUCT_GUARD
-    engine, product = _pick_engine(inst, args.engine, u, guard)
-    result = product(u, v)
+                "Grassmannian; here u must be a divisor class sigma[s<i>]")
+        rule, result = engine.name, engine.product(u, v)
     if args.format == "json":
         return _report("product", inst, {
-            "engine": engine,
+            "engine": rule,
             "u": coset_str(inst, u),
             "v": coset_str(inst, v),
             "terms": qclass_records(inst, result),
         })
     return _report("product", inst, [
-        f"# engine: {engine}",
+        f"# engine: {rule}",
         f"# u: sigma[{coset_str(inst, u)}]",
         f"# v: sigma[{coset_str(inst, v)}]",
         *render_qclass(inst, result),
@@ -364,8 +353,8 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--v", required=True, help="coset: word s1*s2, e, or partition")
         p.add_argument("--format", choices=["text", "json", "dot"])
         p.add_argument("--max-group-order", type=_int_arg, default=0,
-                       help="bound the coset enumeration and, on product, the "
-                            "divisor engine's |W| (0: 10^6 and 240)")
+                       help="bound the coset enumeration and, where product needs "
+                            "the divisor engine, its |W| (0: 10^6 and 240)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_minq = sub.add_parser("minq", help="Pareto-minimal q-degrees with witness chains")
@@ -373,11 +362,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_prod = sub.add_parser("product", help="quantum product of two classes")
     common(p_prod, needs_uv=True)
-    p_prod.add_argument(
-        "--engine",
-        choices=["auto", "chevalley", "rimhook"],
-        default="auto",
-    )
 
     p_graph = sub.add_parser("graph", help="dump the Bruhat adjacency graph")
     common(p_graph, needs_uv=False)

@@ -26,10 +26,10 @@ checks.
 The rim-hook rule is the engine's oracle.  `product_engine` picks,
 guards and caches the one `PieriEngine` of a Grassmannian quotient, and
 the engine refuses only a quotient its rows cannot be written for;
-`qproduct_grassmann`, and
-the command line's `--engine rimhook` through `qproduct_grassmann_cosets`,
-expand the one pair asked for and keep no product.  Across expansions
-the horizontal-strip step and the rim-hook reduction are memoised.
+`qproduct_grassmann`, and `qproduct_grassmann_cosets`, through which the
+command line multiplies a Grassmannian pair, expand the one pair asked
+for and keep no product.  Across expansions the horizontal-strip step
+and the rim-hook reduction are memoised.
 
 Partitions are validated once, where they enter the module: only
 `_require_box`, `beta_set`, `classical_lr` and `parse_partition` call

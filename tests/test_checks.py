@@ -1,6 +1,8 @@
 """The verification sweeps: one body for every product engine."""
 
 import sys
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -8,7 +10,7 @@ from qschub import checks, cli, grassmann, quantum
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, multiply_classes, product_engine
-from qschub.weyl import GroupSizeGuardError, enumerate_parabolic_subgroup
+from qschub.weyl import GroupSizeGuardError, enumerate_parabolic_subgroup, identity
 
 
 def times_q(engine, c):
@@ -341,15 +343,17 @@ def test_an_engine_build_error_reaches_verify(monkeypatch, tokens, owner):
 
 
 def test_an_engine_build_error_reaches_product(monkeypatch, capsys):
-    _, P = checks.build_instance(("gr", "3", "6"))
+    # a Grassmannian product builds no engine, so the divisor engine's rows
+    # break here, on a full-flag u that is not a divisor class
+    _, P = checks.build_instance(("A2", "flag"))
     monkeypatch.setattr(P, "_divisor_engine", None)
 
     def broken(self, shift):
         raise ValueError("row builder broke")
 
-    monkeypatch.setattr(grassmann.PieriEngine, "_generators", broken)
+    monkeypatch.setattr(quantum.DivisorEngine, "_generators", broken)
     with pytest.raises(ValueError, match="^row builder broke$"):
-        cli.main(["product", "gr", "3", "6", "--u", "1", "--v", "1"])
+        cli.main(["product", "A2", "flag", "--u", "s1*s2", "--v", "s1"])
     assert "no full-product engine" not in capsys.readouterr().err
 
 
@@ -361,10 +365,11 @@ def test_product_engine_is_none_off_full_flags_and_grassmannians(tokens):
 
 
 def test_engine_divisor_is_not_an_option(capsys):
-    # auto is the divisor engine on a full flag, and nothing elsewhere
-    assert cli.main(["product", "A2", "flag", "--u", "s1", "--v", "s2",
-                     "--engine", "divisor"]) == 1
-    assert "invalid choice: 'divisor'" in capsys.readouterr().err
+    # product picks its rule itself: --engine is no option at all
+    for engine in ("divisor", "auto", "chevalley", "rimhook", "pieri"):
+        assert cli.main(["product", "A2", "flag", "--u", "s1", "--v", "s2",
+                         "--engine", engine]) == 1
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_verify_runs_one_label_search_per_source(monkeypatch):
@@ -409,6 +414,101 @@ def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
            for u in cosets for v in cosets
            if P.bruhat_leq(u, v) != P.bruhat_leq(P.dual(v), P.dual(u))]
     assert bad and row == checks._result("A3 flag", "bruhat-duality", bad, row.checked)
+
+
+def test_pairing_integrality_flags_a_fractional_pairing(monkeypatch):
+    P = _fresh("A", 2, ())
+    alpha = P.system.positive_roots[0]
+    real = P.system.pairing
+    monkeypatch.setattr(P.system, "pairing", lambda root, i: (
+        Fraction(1, 2) if (root, i) == (alpha, 0) else real(root, i)))
+    (row,) = checks.check_pairing_integrality(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == f"h_{alpha.coeffs}(w1) = 1/2"
+
+
+def test_weyl_structure_flags_a_wrong_group_order(monkeypatch):
+    monkeypatch.setattr(checks, "weyl_group_order", lambda system: 7)
+    (row,) = checks.check_weyl_structure(_fresh("A", 2, ()), "A2 flag")
+    assert not row.passed
+    assert row.detail == "|W| = 6, expected 7"
+
+
+def test_weyl_structure_flags_a_wrong_longest_element(monkeypatch):
+    # the identity as w_o: not of length |R+|, and l(wo*w) = l(w) misses
+    # l(wo) - l(w) everywhere but at length 3/2, which A2 has none of
+    P = _fresh("A", 2, ())
+    monkeypatch.setattr(checks, "longest_element", lambda system: identity(system))
+    (row,) = checks.check_weyl_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == ("longest element is not a length-|R+| involution; "
+                          "l(wo*w) != l(wo)-l(w) at (); l(wo*w) != l(wo)-l(w) at (0,); "
+                          "... 7 failures total")
+
+
+def test_weyl_structure_flags_a_reflection_that_keeps_the_length(monkeypatch):
+    P = _fresh("A", 2, ())
+    monkeypatch.setattr(checks, "simple_reflection", lambda system, i: identity(system))
+    (row,) = checks.check_weyl_structure(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == ("l(w*s1) != l(w)+-1 at (); l(w*s2) != l(w)+-1 at (); "
+                          "l(w*s1) != l(w)+-1 at (0,); ... 12 failures total")
+
+
+def test_bruhat_duality_flags_a_dual_of_the_wrong_length():
+    # e and s1 swapped as each other's duals: involutive there, but short
+    P = _fresh("A", 2, ())
+    e, s1 = P.cosets()[:2]
+    P._dual[e], P._dual[s1] = s1, e
+    (row,) = checks.check_bruhat_duality(P, "A2 flag")
+    assert not row.passed
+    assert row.detail.startswith(f"dual length off at {e.word()}; "
+                                 f"dual length off at {s1.word()}; ")
+
+
+def test_wp_degree_invariance_flags_a_root_moved_out():
+    # s_i, i in Delta_P, sends alpha to another crossing root: drop that one
+    P = _fresh("A", 3, (0, 2))  # gr 2 4
+    i, alpha, shift = next(
+        (i, c.root.coeffs, shift) for i in sorted(P.delta_P) for c in P.crossing_table
+        if (shift := sum(map(mul, P.system.cartan[i], c.root.coeffs))))
+    del P._entry[alpha[:i] + (alpha[i] - shift,) + alpha[i + 1:]]
+    (row,) = checks.check_wp_degree_invariance(P, "gr 2 4")
+    assert not row.passed
+    assert row.detail.startswith(f"W_P moved {alpha} out of the crossing set")
+
+
+class ZeroAtEngine:
+    """The quotient's own engine, but zero at one pair."""
+
+    def __init__(self, P, pair):
+        self.inner, self.pair = product_engine(P), pair
+
+    def product(self, u, v):
+        if (u, v) == self.pair:
+            return QClass.zero(u.quotient)
+        return self.inner.product(u, v)
+
+
+def test_nonvanishing_flags_a_zero_product_and_skips_its_other_rows():
+    # (top, top) is its own transpose and not a Chevalley column, so the
+    # zero product fails nonvanishing alone: the other rows skip the pair
+    P = make_parabolic("A", 2, ())
+    top = P.cosets()[-1]
+    rows = rows_by_name(checks._product_sweep(P, "A2 flag", ZeroAtEngine(P, (top, top))))
+    assert rows["nonvanishing"].detail == f"zero product at {top.word()},{top.word()}"
+    assert [name for name, row in rows.items() if not row.passed] == ["nonvanishing"]
+
+
+def test_quantum_monk_flags_a_wrong_chevalley_column(monkeypatch):
+    P = _fresh("A", 2, ())
+    e = P.identity_coset()
+    real = checks.quantum_chevalley
+    monkeypatch.setattr(checks, "quantum_chevalley", lambda Q, r, u: (
+        QClass.zero(Q) if (r, u) == (0, e) else real(Q, r, u)))
+    (row,) = checks.check_quantum_monk(P, "A2 flag")
+    assert not row.passed
+    assert row.detail == f"Monk pattern differs at {e.word()}, node 1"
 
 
 def test_bruhat_duality_tests_the_involution_through_the_dual_memo():

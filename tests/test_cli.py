@@ -12,9 +12,10 @@ import pytest
 
 from qschub import checks, cli
 from qschub.cli import main
-from qschub.grassmann import (coset_of_partition, grassmannian_parabolic,
-                              partition_of_coset)
-from qschub.quantum import product_engine
+from qschub.grassmann import (format_partition, grassmannian_parabolic, partition_of_coset,
+                              qproduct_grassmann_cosets)
+from qschub.parabolic import ParabolicData
+from qschub.quantum import DEFAULT_PRODUCT_GUARD, product_engine, quantum_chevalley
 from qschub.roots import build_root_system
 from qschub.weyl import GroupSizeGuardError, format_word, longest_element
 
@@ -59,13 +60,11 @@ def test_product_a1_quantum_point(capsys):
     code, out = run(capsys, "product", "A1", "flag", "--u", "s1", "--v", "s1")
     assert code == 0
     assert out.endswith("q1 * sigma[e]\n")
-    assert "# engine: divisor\n" in out
+    assert "# engine: chevalley\n" in out
 
 
 def test_product_rimhook_classical_part(capsys):
-    code, out = run(
-        capsys, "product", "gr", "2", "4", "--u", "1", "--v", "1", "--engine", "rimhook"
-    )
+    code, out = run(capsys, "product", "gr", "2", "4", "--u", "1", "--v", "1")
     assert code == 0
     body = [l for l in out.splitlines() if not l.startswith("#")]
     assert body == ["sigma[2]", "sigma[11]"]
@@ -85,20 +84,16 @@ def test_product_order_is_reverse_lex_beyond_32_parts(capsys):
     assert [t["label"] for t in json.loads(out)["terms"]] == want
 
 
-def test_product_auto_uses_the_cached_engine(capsys):
-    code, auto = run(capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32")
+def test_product_auto_uses_the_cached_engine(monkeypatch, capsys):
+    # a Grassmannian product is the rim-hook rule on the one pair asked
+    # for: no coset listed and no engine built, on a quotient nothing else used
+    cached = grassmannian_parabolic(3, 7)
+    P = ParabolicData(cached.system, cached.delta_P)
+    monkeypatch.setattr(checks, "build_instance", lambda tokens, guard: ("gr 3 7", P))
+    code, out = run(capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32")
     assert code == 0
-    assert "# engine: pieri\n" in auto
-    P = grassmannian_parabolic(3, 7)
-    u, v = coset_of_partition(P, (2, 1)), coset_of_partition(P, (3, 2))
-    assert (u, v) in product_engine(P)._products
-    # the rim-hook oracle prints the same terms
-    code, oracle = run(
-        capsys, "product", "gr", "3", "7", "--u", "21", "--v", "32", "--engine", "rimhook"
-    )
-    assert code == 0
-    assert "# engine: rimhook\n" in oracle
-    assert auto.replace("pieri", "rimhook") == oracle
+    assert "# engine: rimhook\n" in out
+    assert P._cosets is None and P._divisor_engine is None
 
 
 def test_product_golden_expansion(capsys):
@@ -142,27 +137,63 @@ def test_graph_dot_format(capsys):
 # engines
 
 
-def test_engine_auto_matches_explicit(capsys):
-    # auto is the Pieri engine on a Grassmannian; rimhook is its oracle
-    _, auto = run(capsys, "product", "gr", "2", "4", "--u", "1", "--v", "21")
-    _, explicit = run(capsys, "product", "gr", "2", "4", "--u", "1", "--v", "21",
-                      "--engine", "rimhook")
-    assert "# engine: pieri" in auto
-    assert "# engine: rimhook" in explicit
-    assert [l for l in auto.splitlines() if not l.startswith("#")] == [
-        l for l in explicit.splitlines() if not l.startswith("#")
-    ]
+def _cli_product(capsys, tokens, u, v, *extra):
+    """(rule named in the report, terms read back into cosets) of one product."""
+    code, out = run(capsys, "product", *tokens, "--u", u, "--v", v, "--format", "json", *extra)
+    assert code == 0
+    payload = json.loads(out)
+    inst = cli._build(tokens, 0)
+    terms = {(tuple(t["degree"]), cli.parse_coset(inst, t["label"])): t["coeff"]
+             for t in payload["terms"]}
+    return payload["engine"], terms
 
 
-def test_engine_chevalley_matches_divisor(capsys):
-    # auto is the divisor engine on a full flag
-    _, a = run(capsys, "product", "A2", "flag", "--u", "s1", "--v", "s1*s2",
-               "--engine", "chevalley")
-    _, b = run(capsys, "product", "A2", "flag", "--u", "s1", "--v", "s1*s2")
-    assert "# engine: divisor" in b
-    assert [l for l in a.splitlines() if not l.startswith("#")] == [
-        l for l in b.splitlines() if not l.startswith("#")
-    ]
+@pytest.mark.parametrize("tokens, u, v, rule", [
+    (("A2", "flag"), "s1", "s1*s2", "chevalley"),
+    (("A2", "flag"), "s1*s2", "s2*s1", "divisor"),
+    (("B4", "flag"), "s2", "s1*s2*s3", "chevalley"),
+    (("B4", "flag"), "s1*s2", "s4*s3*s2", "divisor"),
+    (("A3", "2"), "s2", "s1*s3*s2", "chevalley"),
+    (("A3", "2"), "s1*s2", "s3*s2", "rimhook"),
+    (("gr", "3", "6"), "1", "21", "chevalley"),
+    (("gr", "3", "6"), "21", "32", "rimhook"),
+    (("B3", "2"), "s2", "s3*s2", "chevalley"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_product_rule_table(capsys, tokens, u, v, rule):
+    # a divisor class u takes the Chevalley rule on any quotient, a
+    # Grassmannian the rim-hook rule, anything else product_engine's engine;
+    # each answer is the library's, and the engine's where one applies
+    guard = 384 if tokens[0] == "B4" else DEFAULT_PRODUCT_GUARD
+    got_rule, got = _cli_product(capsys, tokens, u, v, "--max-group-order", str(guard))
+    assert got_rule == rule
+    inst = cli._build(tokens, guard)
+    P, cu, cv = inst.P, cli.parse_coset(inst, u), cli.parse_coset(inst, v)
+    want = {"chevalley": lambda: quantum_chevalley(P, cu.word()[0], cv),
+            "rimhook": lambda: qproduct_grassmann_cosets(P, cu, cv),
+            "divisor": lambda: product_engine(P, guard).product(cu, cv)}[rule]()
+    assert got == want.terms
+    engine = product_engine(P, guard)
+    if engine is not None:
+        assert got == engine.product(cu, cv).terms
+
+
+def test_product_rule_refuses_where_no_rule_applies(capsys):
+    # B3 2 is neither a full flag nor a Grassmannian: past a divisor class
+    # u (in the rule table), no rule applies
+    assert main(["product", "B3", "2", "--u", "s1*s2", "--v", "s2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no full-product engine applies to B3 2: ")
+    assert "u must be a divisor class" in err
+
+
+def test_product_rule_matches_pieri_on_every_gr_2_5_pair(capsys):
+    P = grassmannian_parabolic(2, 5)
+    engine = product_engine(P)
+    for u in P.cosets():
+        for v in P.cosets():
+            lam, mu = (format_partition(partition_of_coset(P, x)) for x in (u, v))
+            assert _cli_product(capsys, ("gr", "2", "5"), lam, mu)[1] == \
+                engine.product(u, v).terms
 
 
 def test_engine_mismatch_is_usage_error(capsys):
@@ -332,7 +363,7 @@ def test_negative_numbers_keep_their_errors(capsys, argv, message):
 
 
 def test_engine_auto_without_engine_is_usage_error(capsys):
-    code = main(["product", "B3", "1", "--u", "s1", "--v", "s1"])
+    code = main(["product", "B3", "1", "--u", "s2*s1", "--v", "s1"])
     assert code == 1
     assert "no full-product engine applies to B3 1" in capsys.readouterr().err
 
@@ -420,7 +451,7 @@ def test_verify_guard_exits_2_in_workers(capsys):
 
 def test_exit_code_guard(capsys):
     assert main(["graph", "A3", "flag", "--max-group-order", "5"]) == 2
-    assert main(["product", "B4", "flag", "--u", "s1", "--v", "s1"]) == 2
+    assert main(["product", "B4", "flag", "--u", "s1*s2", "--v", "s1"]) == 2
     # the guard in force applies to a cached enumeration, and a later
     # default call is not held to it
     assert main(["graph", "A3", "flag"]) == 0
@@ -450,7 +481,7 @@ def _case_id(text):
 
 
 @pytest.mark.parametrize("argv,what,bound", [
-    ("product A3 flag --u s1 --v s2 --max-group-order 5", "W/W_P for A3 flag (|W/W_P| = 24)", 5),
+    ("product A3 flag --u s1*s2 --v s2 --max-group-order 5", "W/W_P for A3 flag (|W/W_P| = 24)", 5),
     ("graph A3 2 --max-group-order 3", "W/W_P for A3 omit 2 (|W/W_P| = 6)", 3),
     ("verify A4 flag --max-group-order 100", "divisor engine on A4 flag (|W| = 120)", 100),
     # on minq, product and graph the flag bounds the enumeration too; on
@@ -505,9 +536,8 @@ def _longest_e8_word():
 
 
 @pytest.mark.parametrize("argv", [
-    ["product", "gr", "12", "24", "--engine", "chevalley",
-     "--u", "1", "--v", ",".join(["12"] * 11 + ["11"])],
-    ["product", "E8", "flag", "--engine", "chevalley", "--u", "s1", "--v", _longest_e8_word()],
+    ["product", "gr", "12", "24", "--u", "1", "--v", ",".join(["12"] * 11 + ["11"])],
+    ["product", "E8", "flag", "--u", "s1", "--v", _longest_e8_word()],
 ], ids=["gr 12 24, length 143", "E8 flag, length 120"])
 def test_long_cosets_need_no_deep_recursion(capsys, argv):
     # rows, words and interning walk parent chains in a loop, so a coset
@@ -794,5 +824,5 @@ def test_product_json_terms(capsys):
     code, out = run(capsys, "product", "A1", "flag", "--u", "s1", "--v", "s1",
                     "--format", "json")
     payload = json.loads(out)
-    assert payload["engine"] == "divisor"
+    assert payload["engine"] == "chevalley"
     assert payload["terms"] == [{"degree": [1], "label": "e", "coeff": 1}]

@@ -365,12 +365,11 @@ def test_memoised_products_are_unchanged_after_verify():
 
 
 def test_rimhook_oracle_enumerates_no_cosets():
-    # --engine rimhook multiplies the one pair by the rim-hook rule: no
-    # coset listed and no engine built, where auto would build both
+    # product multiplies a Grassmannian pair by the rim-hook rule: no
+    # coset listed and no engine built, where the Pieri engine would build both
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert cli.main(["product", "gr", "8", "16", "--u", "321", "--v", "22",
-                         "--engine", "rimhook"]) == 0
+        assert cli.main(["product", "gr", "8", "16", "--u", "321", "--v", "22"]) == 0
     P = grassmannian_parabolic(8, 16)  # the cached quotient the command used
     assert P._cosets is None and P._divisor_engine is None
     lines = buf.getvalue().splitlines()

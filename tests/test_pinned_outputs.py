@@ -22,10 +22,15 @@ old way.  The six `verify` pins were re-recorded from the
 count is |Delta_P| * |crossing roots|, when it replaced the walk over
 every element of W_P; `MASKED`, recorded from that walk, hashes the same
 outputs with the row's count masked, so nothing else on them moved.  The
-`gr 4 9` product pin was re-recorded when `--engine auto` on Grassmannians
-moved from the rim-hook rule to the Pieri engine; its `MASKED` digest,
-recorded from the rim-hook engine, hashes the output with the `# engine:`
-line masked, so only the engine's name moved there.  The two
+`gr 4 9` product pin was re-recorded twice: when Grassmannian products
+moved from the rim-hook rule to the Pieri engine, and back when `product`
+came to pick the first exact rule that applies, the rim-hook rule on a
+Grassmannian pair, so its digest is again the one first recorded from the
+rim-hook rule.  Its `MASKED` digest, recorded from the rim-hook engine,
+hashes the output with the `# engine:` line masked, so only the engine's
+name moved there.  The E7 pin kept its digest when `--engine chevalley`
+left its command: the Chevalley rule answers a divisor class u by
+itself.  The two
 `verify default-suite` pins were re-recorded when gr 4 9 went from the
 golden product alone to every row with the golden product last; their
 `MASKED` digests, recorded from the golden-only sweep, hash the outputs
@@ -81,13 +86,13 @@ COMMANDS = {
     "graph B3 1 3 --format json":
         "aaf1fbf5e96cc6e0f8108ebab0f663c01623de02dd8a3ed835e40945c2bfc2a2",
     "product gr 4 9 --u 5,4,4,3 --v 5,4,4,1":
-        "388a268efbc7c3f59cf5f48d6e692a05fc7f978d678e653676d7f0793b4627c8",
+        "4b1b40376386254c77a13795e18157aa4a19d6025703926fef7c3d21bbab8d78",
     "product B3 flag --max-group-order 48 --u s1*s2 --v s3*s2":
         "aa01c6f7b89439b4f5ce6b01d55fc8dcc77f8fea67f00048444031407515940f",
     # sigma[s1*s2*s4*s2] is stored over the denominator 2
     "product D4 flag --max-group-order 192 --u s1*s2*s4*s2 --v s2*s4*s2*s3*s2*s1":
         "820261daff94ea05b0a73e119116eec94eb20600ecbbcf88466757848dad8d85",
-    "product E7 flag --engine chevalley --u s3 --v s1*s4":
+    "product E7 flag --u s3 --v s1*s4":
         "022da32b9e26bd92f8333305a9bebf10cc2c689c60204ccab60ee7aece7060f2",
 }
 
