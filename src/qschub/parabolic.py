@@ -55,34 +55,40 @@ The labels depend on u alone, so the search runs once per source coset.
 It runs on degrees packed into one int each (`PackedDegrees`, built once
 per graph as `BruhatGraph.packed`), so adding, the bound test and
 dominance are a few integer operations, and its labels stay packed: node
-i keeps a tuple of (degree, back) pairs, back being (previous node, its
-degree) or None at a source, and the root and degree of an edge are read
-back from `graph().edges`.
+i keeps a dict from degree to back, back being (previous node, its
+degree) or None at a source, made at i's first label (None until then),
+and the root and degree of an edge are read back from `graph().edges`.
+The sources are the up-set of u and hold the zero degree, which nothing
+beats, so a source reads only the head of its row: the neighbours no
+longer than itself, since a longer neighbour lies above it and is a
+source too.
 
 `min_chain_degrees` answers from frontier rows: one tuple per source
 coset u, indexed by v.index, each entry the frontier of (u, v), equal
 frontiers interned to one tuple on the quotient.  u's row is filled at
 its first query by one pass over the cosets in index order, which puts
 covered cosets before their covers: M(x), the minima of the labels at
-the cosets below x, is the minima of the labels at x and of M(y) for
-each y that x covers, and the entry for v is M(dual(v)), unpacked and
-sorted.  The labels are then dropped.  No frontier is empty, since
-sigma_u * sigma_v != 0: `_frontier_row` checks each where it interns it.
+the cosets below x, is the minima of the labels at x (the keys of its
+dict) and of M(y) for each y that x covers, and the entry for v is
+M(dual(v)), unpacked and sorted.  The labels are then dropped.  No
+frontier is empty, since sigma_u * sigma_v != 0: `_frontier_row` checks
+each where it interns it.
 `verify` asks every ordered pair three times (twice for the symmetry
 check, once for the product sweep) and searches once per source; a row
 holds |W/W_P| pointers (D4 flag, all 192 rows: about 0.3 MB).  Both
 cosets are checked for ownership before the row is read, since another
 quotient's coset carries an index too, or none.
 
-`min_chain_witnesses` keeps each source's labels, with a table of the
-degrees they hold: each packed degree with the bitset of its holders and
-its unpacked tuple, ascending by that tuple, in one memo entry per
-source (A4 flag, all 120 sources: about 2.6 MB).  That order, like
-ascending packed order, extends the componentwise order, so a pair
-(u, v) is one pass over the table: a degree held below dual(v) is kept
-unless a kept one is below it, the kept ones come out sorted, and the
-back pointers of each are walked from the lowest node below dual(v)
-that holds it.
+`min_chain_witnesses` keeps each source's labels, node i's as a tuple
+of its (degree, back) pairs (empty where the search never reached i),
+with a table of the degrees they hold: each packed degree with the
+bitset of its holders and its unpacked tuple, ascending by that tuple,
+in one memo entry per source (A4 flag, all 120 sources: about 2.6 MB,
+by tracemalloc on Python 3.11).  That order, like ascending packed
+order, extends the componentwise order, so a pair (u, v) is one pass
+over the table: a degree held below dual(v) is kept unless a kept one
+is below it, the kept ones come out sorted, and the back pointers of
+each are walked from the lowest node below dual(v) that holds it.
 
 The up-set of u and the down-set of dual(v) are int bitsets over graph
 indices (`up_set`, `down_set`), memoised per coset on first use.  Every
@@ -96,12 +102,13 @@ on every pair, and every other check reads u <= v off the sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .roots import InvariantError, Root, RootSystem, build_root_system
 from .weyl import (
@@ -247,7 +254,7 @@ class BruhatGraph:
         """The adjacency rows with packed degrees, built at the first search."""
         fields = len(next(iter(self.edges.values()))[1])
         return PackedDegrees(fields, self.label_bound, self._largest_edge_coordinate,
-                             self.edges, self.node_count)
+                             self.edges, [x.length for x in self.nodes])
 
 
 class PackedDegrees:
@@ -269,27 +276,34 @@ class PackedDegrees:
       degree".
 
     `adj[i]` is row i of the graph read from its `edges`: the (j, packed
-    degree) of each edge {i, j}, sorted by j.  Ascending packed order is
+    degree) of each edge {i, j}, sorted by j.  `heads[i]` is the prefix
+    of `adj[i]` whose nodes are no longer than node i, `lengths` giving
+    each node's length, ascending with the index as in `cosets()`: the
+    row a source of the chain search reads.  Ascending packed order is
     a linear extension of the componentwise order (y <= x, y != x gives
     y < x as ints), so `minima` finds the minimal elements in one pass.
     """
 
-    __slots__ = ("fields", "width", "shifts", "guard", "cap", "adj")
+    __slots__ = ("fields", "width", "shifts", "guard", "cap", "adj", "heads")
 
     def __init__(self, fields: int, bound: int, largest: int,
-                 edges: Optional[dict] = None, nodes: int = 0):
+                 edges: Optional[dict] = None, lengths: Sequence[int] = ()):
         width = (bound + largest).bit_length()
         ones = sum(1 << k * (width + 1) for k in range(fields))  # bit 0 of each field
         self.fields, self.width = fields, width
         self.shifts = tuple(range(0, fields * (width + 1), width + 1))  # field k's offset
         self.guard = ones << width
         self.cap = ones * ((1 << width) - 1 - bound)
-        rows = [[] for _ in range(nodes)]
+        rows = [[] for _ in lengths]
         for (i, j), (_alpha, deg) in (edges or {}).items():
             d = self.pack(deg)
             rows[i].append((j, d))
             rows[j].append((i, d))
         self.adj = tuple(tuple(sorted(row)) for row in rows)
+        # the first index past each length; (end,) sorts before every (end, d)
+        end = {n: k + 1 for k, n in enumerate(lengths)}
+        self.heads = tuple(row[:bisect_left(row, (end[n],))]
+                           for row, n in zip(self.adj, lengths))
 
     def pack(self, d: Degree) -> int:
         step = self.width + 1
@@ -376,7 +390,8 @@ class ParabolicData:
 
     def _crossing_entry(self, alpha: Root) -> CrossingRoot:
         degree = tuple(self.system.pairing(alpha, j) for j in self.q_index)
-        if any(c.denominator != 1 or c < 0 for c in degree):
+        # nonzero too: the chain search takes label 0 to mark a source
+        if any(c.denominator != 1 or c < 0 for c in degree) or not any(degree):
             raise InvariantError(f"bad degree {degree} for {alpha}")
         chern = Fraction(2 * self.system.inner(self.two_rho_P, alpha.coeffs), alpha.norm)
         if chern.denominator != 1 or chern <= 0:
@@ -592,15 +607,16 @@ class ParabolicData:
         """Every frontier from u, indexed by v.index, in one pass.
 
         M(x), the minima of the labels at the cosets below x, is the minima
-        of the labels at x and of M(y) for each y that x covers; covered
-        cosets are shorter, so they come first in index order.  The entry
-        for v is M(dual(v)), unpacked and sorted.  The labels are dropped.
+        of the labels at x, the keys of the search's dict there (none where
+        it is None), and of M(y) for each y that x covers; covered cosets
+        are shorter, so they come first in index order.  The entry for v is
+        M(dual(v)), unpacked and sorted.  The labels are dropped.
         """
         labels = self._label_search(self.up_set(u))
         pk, frontier_of = self.graph().packed, self._frontier_of
         below = []
         for node, covered in zip(labels, self._lower_covers):
-            pool = [d for d, _back in node]
+            pool = list(node or ())  # the degrees held at the node
             for j in covered:
                 pool += below[j]
             below.append(pk.minima(pool))
@@ -678,44 +694,57 @@ class ParabolicData:
         return tuple(frontier), tuple(chains)
 
     def _witness_record(self, u: Coset) -> tuple[tuple, tuple]:
-        """The labels of the search from u and its degree table."""
-        labels = self._label_search(self.up_set(u))
-        held, bit = {}, 1
-        for node in labels:
-            for d, _back in node:
-                held[d] = held.get(d, 0) | bit
+        """The labels of the search from u, node i's as a tuple of its
+        (degree, back) pairs (empty where unreached), and its degree table;
+        one pass over the search's dicts makes both."""
+        held, kept, bit = {}, [], 1
+        for node in self._label_search(self.up_set(u)):
+            if node:
+                for d in node:
+                    held[d] = held.get(d, 0) | bit
+                kept.append(tuple(node.items()))
+            else:
+                kept.append(())
             bit <<= 1
         unpack = self.graph().packed.unpack
-        return labels, tuple(sorted([(unpack(d), d, nodes) for d, nodes in held.items()]))
+        return tuple(kept), tuple(sorted([(unpack(d), d, nodes) for d, nodes in held.items()]))
 
-    def _label_search(self, sources: int) -> tuple:
+    def _label_search(self, sources: int) -> list:
         """Pareto labels of all chains starting in the bitset `sources`.
 
-        Entry i of the result holds node i's surviving labels as
-        (degree, back) pairs, back being (previous node, its degree) or
-        None at a source.  Every degree, back-pointers' too, stays
+        Entry i of the result is node i's surviving labels, a dict from
+        degree to back, back being (previous node, its degree) or None at a
+        source; an unreached node's entry is None, since a node's dict is
+        made at its first label.  Every degree, back-pointers' too, stays
         packed as the search ran on it (`BruhatGraph.packed`).
 
         The work queue is FIFO and each row is read in neighbour order, so
-        the labels and their back pointers are a function of `sources`
-        alone.  A relaxation of label d along edge e to node j costs one
-        addition, `guarded = (d | G) + e`, which is nd | G for nd = d + e,
-        and one test against `last[j]`, the label most recently written at
-        j: labels at j are deleted only when a smaller one is written
-        there, so `last[j]` is always held (0 at a source, which no nd
-        beats; G before any label, which dominates nothing).  Only when
-        `last[j]` does not dominate nd are the other labels at j scanned;
-        the bound is tested after that, on a label about to be written,
-        since a rejection changes nothing either way.
+        the labels, their order in each dict and their back pointers are a
+        function of `sources` alone.  A relaxation of label d along edge e
+        to node j costs one addition, `guarded = (d | G) + e`, which is
+        nd | G for nd = d + e, and one test against `last[j]`, the label
+        most recently written at j: labels at j are deleted only when a
+        smaller one is written there, so `last[j]` is always held (0 at a
+        source, which no nd beats; G before any label, which dominates
+        nothing).  Only when `last[j]` does not dominate nd are the other
+        labels at j scanned, and a first label is written with no scan;
+        the bound is tested on a label about to be written, since a
+        rejection changes nothing either way.
+
+        Every edge degree is nonzero, so label 0 is held at the sources
+        alone, and a source reads its row cut to the neighbours no longer
+        than itself (`PackedDegrees.heads`): a longer neighbour lies above
+        it, in the same up-set, so it is a source too and its 0 would
+        reject the relaxation anyway.
         """
         pk = self.graph().packed
-        adj, G, C = pk.adj, pk.guard, pk.cap
-        labels: list[dict] = [dict() for _ in adj]
+        adj, heads, G, C = pk.adj, pk.heads, pk.guard, pk.cap
+        labels: list = [None] * len(adj)
         last = [G] * len(adj)
         work = deque()
         for i, bit in enumerate(reversed(bin(sources))):  # sources, ascending
             if bit == "1":
-                labels[i][0] = None
+                labels[i] = {0: None}
                 last[i] = 0
                 work.append((i, 0))
         # queued labels stay within the bound and edge coordinates within
@@ -727,24 +756,32 @@ class ParabolicData:
             if d not in labels[i]:
                 continue  # dominated since queued
             dg = d | G
-            for j, e in adj[i]:
+            for j, e in adj[i] if d else heads[i]:
                 guarded = dg + e
                 if (guarded - last[j]) & G == G:
                     continue  # last[j] <= nd; a source's 0 rejects all
                 lj = labels[j]
+                if lj is None:  # j's first label: nothing to scan or delete
+                    nd = guarded ^ G
+                    if (nd + C) & G:
+                        continue  # a coordinate beyond the bound
+                    labels[j] = {nd: (i, d)}
+                    last[j] = nd
+                    work.append((j, nd))
+                    continue
                 for x in lj:
                     if (guarded - x) & G == G:
                         break  # x <= nd: nd is dominated or already there
                 else:
                     nd = guarded ^ G
                     if (nd + C) & G:
-                        continue  # a coordinate beyond the bound
+                        continue
                     for x in [x for x in lj if ((x | G) - nd) & G == G]:
                         del lj[x]
                     lj[nd] = (i, d)
                     last[j] = nd
                     work.append((j, nd))
-        return tuple(tuple(lj.items()) for lj in labels)
+        return labels
 
 
 def make_parabolic(type_label: str, rank: int, delta_P: tuple[int, ...],

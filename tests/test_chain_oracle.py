@@ -7,7 +7,10 @@ the same witness chains, node for node and edge for edge, and its answers
 must not depend on the order in which pairs are asked.  The library's
 search runs on packed degrees and memoises them packed;
 `tuple_label_search` is a copy of the tuple search it replaced, kept to
-check the unpacked labels, bound cuts included.
+check the unpacked labels, bound cuts included.  `full_row_search` is a
+copy of the packed search before sources read cut rows and labels went
+into dicts made at a node's first label; `label_tuples` puts the
+library's dicts in its tuple form, which the checks here compare.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschub.checks import build_instance
+from qschub.checks import DEFAULT_SUITE, build_instance
 from qschub.parabolic import (
     ChainWitness,
     PackedDegrees,
@@ -115,6 +118,53 @@ def tuple_label_search(P, sources, bound):
     return tuple(tuple(lj.items()) for lj in labels)
 
 
+def full_row_search(P, sources):
+    """The packed search with every source reading its full row and every
+    node starting with an empty dict: node i's labels as a tuple of
+    (degree, back) pairs, in the order written."""
+    pk = P.graph().packed
+    adj, G, C = pk.adj, pk.guard, pk.cap
+    labels = [dict() for _ in adj]
+    last = [G] * len(adj)
+    work = deque()
+    for i, bit in enumerate(reversed(bin(sources))):
+        if bit == "1":
+            labels[i][0] = None
+            last[i] = 0
+            work.append((i, 0))
+    while work:
+        i, d = work.popleft()
+        if d not in labels[i]:
+            continue
+        dg = d | G
+        for j, e in adj[i]:
+            guarded = dg + e
+            if (guarded - last[j]) & G == G:
+                continue
+            lj = labels[j]
+            for x in lj:
+                if (guarded - x) & G == G:
+                    break
+            else:
+                nd = guarded ^ G
+                if (nd + C) & G:
+                    continue
+                for x in [x for x in lj if ((x | G) - nd) & G == G]:
+                    del lj[x]
+                lj[nd] = (i, d)
+                last[j] = nd
+                work.append((j, nd))
+    return tuple(tuple(lj.items()) for lj in labels)
+
+
+def label_tuples(labels):
+    """The library search's labels in `full_row_search`'s form: a node's
+    dict as its (degree, back) pairs in order, an unreached node's None as
+    the empty tuple.  No node holds an empty dict."""
+    assert all(node is None or node for node in labels)
+    return tuple(() if node is None else tuple(node.items()) for node in labels)
+
+
 def degree_holders(labels):
     """Each packed degree held at some node -> the bitset of its holders."""
     held = {}
@@ -128,7 +178,7 @@ def unpacked_labels(P, u):
     """The labels of the search from u, degrees unpacked to tuples.  Where a
     witness query has kept that search, the record must hold the same
     labels and a degree table read off them."""
-    labels = P._label_search(P.up_set(u))
+    labels = label_tuples(P._label_search(P.up_set(u)))
     unpack = P.graph().packed.unpack
     if u in P._labels:
         kept, table = P._labels[u]
@@ -146,7 +196,7 @@ def unpacked_labels(P, u):
 def scanned_row(P, u):
     """u's frontier row by the per-pair scan the row pass replaced: for each
     v, the minima of the degrees held at some coset below dual(v)."""
-    held = degree_holders(P._label_search(P.up_set(u)))
+    held = degree_holders(label_tuples(P._label_search(P.up_set(u))))
     pk = P.graph().packed
     row = []
     for v in P.cosets():
@@ -303,6 +353,47 @@ def test_labels_match_the_tuple_search_where_labels_are_deleted(tokens, sample):
     for u in cosets:
         sources = [i for i, x in enumerate(g.nodes) if P.bruhat_leq(u, x)]
         assert unpacked_labels(P, u) == tuple_label_search(P, sources, g.label_bound), u
+
+
+@pytest.mark.parametrize("tokens", [
+    *DEFAULT_SUITE, ("A4", "flag"), ("B3", "1", "3"), ("C3", "1", "3"),
+], ids="-".join)
+def test_labels_match_the_full_row_search_on_every_source(tokens):
+    # labels, their order at each node and their back pointers; G2 flag
+    # and gr 3 6 are in the default suite
+    label, P = build_instance(tokens)
+    for u in P.cosets():
+        sources = P.up_set(u)
+        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), (label, u)
+
+
+@pytest.mark.parametrize("type_label, rank", [("D", 4), ("B", 4)], ids=["D4-flag", "B4-flag"])
+def test_labels_match_the_full_row_search_on_sampled_sources(type_label, rank):
+    P = make_parabolic(type_label, rank, ())
+    rng = random.Random(f"chain-oracle|full-rows|{type_label}{rank}")
+    for u in rng.sample(P.cosets(), 24):
+        sources = P.up_set(u)
+        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), u
+
+
+def test_labels_match_the_full_row_search_with_several_labels_per_node():
+    P = several_label_instance()
+    for u in P.cosets():
+        sources = P.up_set(u)
+        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), u
+
+
+@pytest.mark.parametrize("tokens", [("A3", "flag"), ("B3", "1", "3"), ("gr", "3", "6")],
+                         ids="-".join)
+def test_source_rows_cut_only_neighbours_above_the_source(tokens):
+    # a source skips the rest of its row: every node there lies above it,
+    # so it is a source of any search that the first one is a source of
+    P = build_instance(tokens)[1]
+    g = P.graph()
+    pk, nodes = g.packed, g.nodes
+    for x, row, head in zip(nodes, pk.adj, pk.heads):
+        assert head == tuple((j, e) for j, e in row if nodes[j].length <= x.length)
+        assert all(P.up_set(x) >> j & 1 for j, _e in row[len(head):])
 
 
 @settings(max_examples=200, deadline=None)

@@ -196,17 +196,6 @@ def test_product_rule_matches_pieri_on_every_gr_2_5_pair(capsys):
                 engine.product(u, v).terms
 
 
-def test_engine_mismatch_is_usage_error(capsys):
-    code = main(["product", "gr", "2", "4", "--u", "1", "--v", "1", "--engine", "divisor"])
-    assert code == 1
-    code = main(["product", "A2", "flag", "--u", "s1", "--v", "s2", "--engine", "rimhook"])
-    assert code == 1
-    # chevalley requires a length-one class on the left
-    code = main(["product", "A2", "flag", "--u", "s1*s2", "--v", "s1",
-                 "--engine", "chevalley"])
-    assert code == 1
-
-
 @pytest.mark.parametrize("argv", [[], ["minq"], ["product"], ["graph"], ["verify"]],
                          ids=["qschub", "minq", "product", "graph", "verify"])
 def test_help_is_written_for_users(capsys, argv):

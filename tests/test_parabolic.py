@@ -350,6 +350,14 @@ def test_empty_frontier_is_refused_where_it_is_made(monkeypatch):
         P.min_chain_degrees(cosets[0], P.identity_coset())
 
 
+def test_a_zero_curve_degree_is_refused(monkeypatch):
+    # the chain search reads label 0 as "a source": no edge may carry 0
+    system = make_parabolic("A", 2, ()).system
+    monkeypatch.setattr(system, "pairing", lambda alpha, i: 0)
+    with pytest.raises(InvariantError, match="bad degree"):
+        ParabolicData(system, ())
+
+
 def test_zero_degree_iff_bruhat_below_dual():
     for inst in (("A", 2, ()), ("A", 3, (0, 2)), ("B", 2, ())):
         P = make_parabolic(*inst)
