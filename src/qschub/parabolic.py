@@ -699,12 +699,9 @@ class ParabolicData:
         one pass over the search's dicts makes both."""
         held, kept, bit = {}, [], 1
         for node in self._label_search(self.up_set(u)):
-            if node:
-                for d in node:
-                    held[d] = held.get(d, 0) | bit
-                kept.append(tuple(node.items()))
-            else:
-                kept.append(())
+            for d in node or ():
+                held[d] = held.get(d, 0) | bit
+            kept.append(tuple(node.items()) if node else ())
             bit <<= 1
         unpack = self.graph().packed.unpack
         return tuple(kept), tuple(sorted([(unpack(d), d, nodes) for d, nodes in held.items()]))

@@ -355,32 +355,33 @@ def test_labels_match_the_tuple_search_where_labels_are_deleted(tokens, sample):
         assert unpacked_labels(P, u) == tuple_label_search(P, sources, g.label_bound), u
 
 
+def assert_full_row_labels(P, cosets):
+    """The search from each coset gives `full_row_search`'s labels: the
+    same degrees, in the same order at each node, with the same backs."""
+    for u in cosets:
+        sources = P.up_set(u)
+        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), u
+
+
 @pytest.mark.parametrize("tokens", [
     *DEFAULT_SUITE, ("A4", "flag"), ("B3", "1", "3"), ("C3", "1", "3"),
 ], ids="-".join)
 def test_labels_match_the_full_row_search_on_every_source(tokens):
-    # labels, their order at each node and their back pointers; G2 flag
-    # and gr 3 6 are in the default suite
-    label, P = build_instance(tokens)
-    for u in P.cosets():
-        sources = P.up_set(u)
-        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), (label, u)
+    # G2 flag and gr 3 6 are in the default suite
+    P = build_instance(tokens)[1]
+    assert_full_row_labels(P, P.cosets())
 
 
 @pytest.mark.parametrize("type_label, rank", [("D", 4), ("B", 4)], ids=["D4-flag", "B4-flag"])
 def test_labels_match_the_full_row_search_on_sampled_sources(type_label, rank):
     P = make_parabolic(type_label, rank, ())
     rng = random.Random(f"chain-oracle|full-rows|{type_label}{rank}")
-    for u in rng.sample(P.cosets(), 24):
-        sources = P.up_set(u)
-        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), u
+    assert_full_row_labels(P, rng.sample(P.cosets(), 24))
 
 
 def test_labels_match_the_full_row_search_with_several_labels_per_node():
     P = several_label_instance()
-    for u in P.cosets():
-        sources = P.up_set(u)
-        assert label_tuples(P._label_search(sources)) == full_row_search(P, sources), u
+    assert_full_row_labels(P, P.cosets())
 
 
 @pytest.mark.parametrize("tokens", [("A3", "flag"), ("B3", "1", "3"), ("gr", "3", "6")],
