@@ -8,6 +8,10 @@ order).  A bare "<Type><rank>" means the full flag.  The zero degree
 always prints as "q^0".  Keywords and type letters are read in any case,
 by `checks.split_instances`, the one splitter, and `checks.build_instance`.
 
+Output depends on the arguments alone.  `--format` is the one format
+switch: each command lists only the formats it writes (dot on graph
+alone), text is the default, and argparse refuses any other value.
+
 The minq, product and graph reports come from one writer: text opens
 with the "# command:" and "# instance:" lines, JSON is one object with
 sorted keys holding "command", "instance" and the report's fields (graph
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -346,12 +349,12 @@ def _make_parser() -> argparse.ArgumentParser:
                      "adjacency graphs and verification sweeps on flag varieties G/P.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_uv: bool):
+    def common(p, needs_uv: bool, formats=("text", "json")):
         p.add_argument("instance", nargs="+", help="gr k n | A3 flag | A3 2 ...")
         if needs_uv:
             p.add_argument("--u", required=True, help="coset: word s1*s2, e, or partition")
             p.add_argument("--v", required=True, help="coset: word s1*s2, e, or partition")
-        p.add_argument("--format", choices=["text", "json", "dot"])
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--max-group-order", type=_int_arg, default=0,
                        help="bound the coset enumeration and, where product needs "
                             "the divisor engine, its |W| (0: 10^6 and 240)")
@@ -364,12 +367,12 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p_prod, needs_uv=True)
 
     p_graph = sub.add_parser("graph", help="dump the Bruhat adjacency graph")
-    common(p_graph, needs_uv=False)
+    common(p_graph, needs_uv=False, formats=("text", "json", "dot"))
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("instances", nargs="+",
                           help="'default-suite' or instance descriptions")
-    p_verify.add_argument("--format", choices=["text", "json"])
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--jobs", type=_int_arg, default=1,
                           help="parallel workers across instances")
     p_verify.add_argument("--max-group-order", type=_int_arg, default=0,
@@ -379,22 +382,10 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_format(args) -> None:
-    """--format, else QSCHUB_FORMAT, else text; only graph prints dot."""
-    formats = ("text", "json", "dot") if args.command == "graph" else ("text", "json")
-    env = os.environ.get("QSCHUB_FORMAT") or "text"
-    if args.format is None and env not in formats:
-        raise UsageError(f"QSCHUB_FORMAT={env!r} is not one of {', '.join(formats)}")
-    args.format = args.format or env
-    if args.format not in formats:
-        raise UsageError("--format dot only applies to the graph command")
-
-
 def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_format(args)
         if args.max_group_order < 0:
             raise UsageError("--max-group-order must be >= 0 (0 means the default)")
         if getattr(args, "jobs", 1) < 1:

@@ -446,11 +446,12 @@ class ParabolicData:
 
     @cached_property
     def _opposition(self) -> tuple[int, ...]:
-        """sigma with w_o omega_i = -omega_sigma(i): w_o's word applied to omega_i."""
-        system, rank = self.system, range(self.system.rank)
+        """sigma with w_o omega_i = -omega_sigma(i), from w_o's word applied
+        once to the regular weight lambda = (1, ..., r): sigma is an
+        involution, so (w_o lambda)_j = -(sigma(j) + 1)."""
+        system = self.system
         letters = longest_element(system).word()[::-1]
-        return tuple(_act(system, letters, tuple(int(j == i) for j in rank)).index(-1)
-                     for i in rank)
+        return tuple(-c - 1 for c in _act(system, letters, tuple(range(1, system.rank + 1))))
 
     def dual(self, u: Coset) -> Coset:
         """The coset of w_o u, of complementary length: w_o mu = -mu o sigma.
@@ -578,17 +579,27 @@ class ParabolicData:
         # the covers of u (step 1) or the cosets it covers (step -1) are
         # the entries of its row of length u.length + step, and the covers
         # generate the order, so the set at u is u itself and the sets at
-        # those entries; recursion depth is at most dim
+        # those entries.  A loop, not recursion, so a chain longer than the
+        # recursion limit closes: breadth first from u through the cosets
+        # with no set yet, one level per step, then back, each set filled
+        # after its covers' and u's last
         got = memo.get(u)
         if got is None:
             self._check_own(u)
             self.cosets()  # sets every coset's index
-            got = 1 << u.index
-            length = u.length + step
-            for v in self.targets(u):
-                if v.length == length:
-                    got |= self._cover_closure(v, step, memo)
-            memo[u] = got
+            order, covers = [u], {u: None}  # coset -> its covers, once reached
+            for x in order:
+                length = x.length + step
+                covers[x] = row = [v for v in self.targets(x) if v.length == length]
+                for v in row:
+                    if v not in memo and v not in covers:
+                        covers[v] = None
+                        order.append(v)
+            for x in reversed(order):
+                got = 1 << x.index
+                for v in covers[x]:
+                    got |= memo[v]
+                memo[x] = got
         return got
 
     # -- chain search --------------------------------------------------------

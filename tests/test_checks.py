@@ -10,6 +10,7 @@ from qschub import checks, cli, grassmann, quantum
 from qschub.grassmann import coset_of_partition, grassmannian_parabolic
 from qschub.parabolic import ParabolicData, make_parabolic
 from qschub.quantum import QClass, multiply_classes, product_engine
+from qschub.roots import RootSystem, build_root_system
 from qschub.weyl import GroupSizeGuardError, enumerate_parabolic_subgroup, identity
 
 
@@ -95,8 +96,9 @@ def test_sweep_catches_a_wrong_grassmannian_engine():
 
 
 def _fresh(type_label, rank, delta_P):
-    """An uncached quotient, so a deliberate corruption stays in the test."""
-    return ParabolicData(make_parabolic(type_label, rank, delta_P).system, delta_P)
+    """An uncached quotient on an uncached root system, so a deliberate
+    corruption of either stays in the test."""
+    return ParabolicData(RootSystem(type_label, rank), delta_P)
 
 
 def test_commutativity_compares_two_memoised_products():
@@ -418,6 +420,7 @@ def test_bruhat_duality_reads_the_bitsets_and_catches_a_wrong_dual():
 
 def test_pairing_integrality_flags_a_fractional_pairing(monkeypatch):
     P = _fresh("A", 2, ())
+    assert P.system is not build_root_system("A", 2)  # the patch stays here
     alpha = P.system.positive_roots[0]
     real = P.system.pairing
     monkeypatch.setattr(P.system, "pairing", lambda root, i: (

@@ -217,6 +217,13 @@ def test_exit_code_usage_errors(capsys):
     assert main(["minq", "Z9", "flag", "--u", "e", "--v", "e"]) == 1
     assert main(["minq", "gr", "2", "4", "--v", "1"]) == 1  # --u missing
     assert main(["product", "A2", "flag", "--u", "s1", "--v", "s9"]) == 1
+    capsys.readouterr()
+    # dot is a graph format only: argparse refuses it like any other bad choice
+    assert main(["minq", "A1", "flag", "--u", "e", "--v", "s1", "--format", "dot"]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert captured.out == "" and len(errors) == 1
+    assert errors[0].startswith("error: argument --format: invalid choice: 'dot'")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -527,10 +534,12 @@ def _longest_e8_word():
 @pytest.mark.parametrize("argv", [
     ["product", "gr", "12", "24", "--u", "1", "--v", ",".join(["12"] * 11 + ["11"])],
     ["product", "E8", "flag", "--u", "s1", "--v", _longest_e8_word()],
-], ids=["gr 12 24, length 143", "E8 flag, length 120"])
+    ["minq", "C50", "1", "--u", "e", "--v", "e"],
+], ids=["gr 12 24, length 143", "E8 flag, length 120", "C50 1, P^99"])
 def test_long_cosets_need_no_deep_recursion(capsys, argv):
-    # rows, words and interning walk parent chains in a loop, so a coset
-    # longer than the recursion limit prints its product
+    # rows, words, interning and the Bruhat cover closures walk in a loop,
+    # so a coset longer than the recursion limit prints its product, and a
+    # quotient of dimension 99 its up-sets
     code = (
         "import sys; sys.setrecursionlimit(100)\n"
         "from qschub import cli\n"
@@ -642,42 +651,11 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_format_env_default(capsys, monkeypatch):
+def test_format_environment_variable_changes_nothing(capsys, monkeypatch):
+    # --format is the one format switch: the environment sets no default
     monkeypatch.setenv("QSCHUB_FORMAT", "json")
-    code, out = run(capsys, "minq", "A1", "flag", "--u", "e", "--v", "s1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["command"] == "minq"
-    # explicit flag still wins
-    code, out = run(capsys, "minq", "A1", "flag", "--u", "e", "--v", "s1",
-                    "--format", "text")
-    assert out.startswith("# command: minq")
-
-
-def test_format_env_outside_the_choices_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("QSCHUB_FORMAT", "xml")
-    assert main(["verify", "A1", "flag"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: QSCHUB_FORMAT='xml'")
-    # an explicit --format overrides the environment
-    code, out = run(capsys, "verify", "A1", "flag", "--format", "text")
-    assert code == 0 and out.startswith("# command: verify")
-
-
-def test_format_env_dot_only_reaches_graph(capsys, monkeypatch):
-    monkeypatch.setenv("QSCHUB_FORMAT", "dot")
-    for argv in (["minq", "A1", "flag", "--u", "e", "--v", "s1"],
-                 ["verify", "A1", "flag"]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: QSCHUB_FORMAT='dot'"), err
-    code, out = run(capsys, "graph", "A1", "flag")
-    assert code == 0 and out.startswith('graph "A1 flag" {')
-    # without the environment, --format dot on minq is refused as before
-    monkeypatch.delenv("QSCHUB_FORMAT")
-    assert main(["minq", "A1", "flag", "--u", "e", "--v", "s1", "--format", "dot"]) == 1
-    assert "--format dot only applies to the graph command" in capsys.readouterr().err
+    code, out = run(capsys, "verify", "A1", "flag")
+    assert code == 0 and out.startswith("# command: verify\n")
 
 
 def test_out_file(tmp_path, capsys):
